@@ -36,10 +36,27 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["TieBreak", "DensityOrder", "DPCQuantities", "DPCResult", "NO_NEIGHBOR"]
+__all__ = [
+    "TieBreak", "DensityOrder", "DPCQuantities", "DPCResult", "NO_NEIGHBOR", "check_dc",
+]
 
 #: Sentinel stored in ``μ`` for objects with no higher-density neighbour.
 NO_NEIGHBOR: int = -1
+
+
+def check_dc(dc) -> float:
+    """``dc`` as a float; ``ValueError`` unless it is finite and positive.
+
+    A plain ``dc <= 0`` test lets NaN through (it compares false with
+    everything) and ``inf`` (JSON's ``Infinity`` parses to it); either one
+    turns Eq. 1 into nonsense that differs per index family.
+    ``DPCIndex.quantities``, the multi-``dc`` sweeps and serving admission
+    validate through this helper.
+    """
+    dc = float(dc)
+    if not (np.isfinite(dc) and dc > 0):
+        raise ValueError(f"dc must be positive and finite, got {dc}")
+    return dc
 
 
 class TieBreak(str, enum.Enum):

@@ -46,6 +46,7 @@ from repro.core.quantities import (
     DPCQuantities,
     DPCResult,
     TieBreak,
+    check_dc,
 )
 from repro.geometry.distance import Metric, get_metric
 from repro.obs import metrics as obs_metrics
@@ -340,8 +341,7 @@ class DPCIndex(abc.ABC):
     ) -> DPCQuantities:
         """Compute the full (ρ, δ, μ) triple for ``dc`` (steps 1–2)."""
         self._require_fitted()
-        if dc <= 0:
-            raise ValueError(f"dc must be positive, got {dc}")
+        dc = check_dc(dc)
         probes_before = self._probe_snapshot()
         with obs_trace.span("engine.quantities", dc=float(dc)):
             with obs_trace.span("engine.rho") as sp_rho:
@@ -362,8 +362,8 @@ class DPCIndex(abc.ABC):
         dcs = np.asarray(list(dcs), dtype=np.float64)
         if dcs.ndim != 1 or len(dcs) == 0:
             raise ValueError(f"dcs must be a non-empty 1-D sequence, got shape {dcs.shape}")
-        if (dcs <= 0).any():
-            raise ValueError(f"every dc must be positive, got {dcs.min()}")
+        for dc in dcs:
+            check_dc(dc)
         return dcs
 
     def rho_all_multi(self, dcs) -> np.ndarray:

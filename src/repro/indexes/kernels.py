@@ -22,17 +22,39 @@ provides the batched, array-level building blocks the indexes now share:
 * :func:`ch_rho_from_histograms` — Algorithm 4's ρ lookup (bin → section →
   bounded search) for all objects at once, with the FP-safe bin-edge
   handling described below.
+* :func:`tree_rho_batched` / :func:`grid_rho_batched` — Algorithm 5's ρ
+  query (Observation 1) for many queries at once; the tree kernel decides
+  whole leaves of queries per node, described below.
 * :func:`tree_delta_batched` / :func:`grid_delta_batched` /
   :func:`peak_delta_sweep` — the **batched δ engine** (Algorithm 6 and its
   grid analogue), described below.
 
 Exactness contract
 ------------------
-Each kernel performs, per row, the same comparisons in the same order as the
-scalar code it replaced, so results stay bit-for-bit identical to
+Each kernel reaches, per row, the decisions of the scalar code it replaced
+with the same arithmetic, so results stay bit-for-bit identical to
 ``naive_quantities`` and the :class:`~repro.indexes.base.IndexStats`
 counters keep their seed semantics (a binary search per object, a scanned
 entry per examined list slot, ...).
+
+The leaf-grouped ρ kernel
+-------------------------
+:func:`tree_rho_batched` moves the queries that share a leaf of the tree
+as one group, boxed by the min/max of their coordinates.  Observation 1
+classifies a node as discarded, fully contained or intersected; a group
+takes the decision for all its members when the metric's own box bound,
+evaluated at one well-chosen *real point* of the group box (the point
+nearest the node for "discarded", the corner farthest from it for
+"contained"), already settles it.  The box kernels are monotone in every
+per-axis gap and reach, also under rounding, so that point's value bounds
+every member's, and each member would have decided the same on its own.
+The other pairs are classified member by member; a group whose members all
+intersect an inner node stays a group for its children.  Intersected
+leaves are scanned from fixed-width padded rows of leaf coordinates (width:
+the median leaf size; an oversized leaf spans several rows), through
+``paired_distances`` like every other distance in the package.  ρ and
+every probe counter equal the per-``(query, node)`` traversal, which the
+test suite keeps as the reference.
 
 The batched δ engine (frontier-batched best-first search)
 ---------------------------------------------------------
@@ -642,6 +664,47 @@ def _expand_csr(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.n
     seg_off = np.cumsum(sizes) - sizes
     pos = np.arange(total, dtype=np.int64) - np.repeat(seg_off, sizes)
     return np.repeat(np.asarray(starts, dtype=np.int64), sizes) + pos, seg_off
+
+
+#: Distance slots per leaf-scan block of :func:`tree_rho_batched` (bounds
+#: the block's temporaries to a few MB whatever the batch size).
+_SCAN_SLOTS = 1 << 17
+
+
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[idx]`` along axis 0 (``np.take`` gathers rows several times faster
+    than fancy indexing of a 2-D array)."""
+    return np.take(a, idx, axis=0)
+
+
+def _leaf_rows(flat: "FlatTree", points: np.ndarray):
+    """Leaf coordinates as fixed-width padded rows, for ρ leaf scans.
+
+    Every non-empty leaf gets ``ceil(size / width)`` consecutive rows of a
+    ``(rows, width, d)`` array, its points in ``leaf_ids`` order, unused
+    slots ``+inf`` (no distance to them is below a finite ``dc``).  The
+    width is the median non-empty leaf size, so an oversized leaf (say a
+    max-depth quadtree leaf of duplicates) spans several rows instead of
+    widening every row to its size.
+
+    Returns ``(slab, row_start, row_count, ids, owner)``: per node the first
+    row and the row count (0 for inner and empty nodes), and per stored
+    entry its point id and leaf node.
+    """
+    sizes = flat.leaf_size
+    leafy = np.flatnonzero(sizes > 0)
+    lsz = sizes[leafy]
+    width = int(np.median(lsz)) if len(leafy) else 1
+    row_count = np.zeros(flat.n_nodes, dtype=np.int64)
+    row_count[leafy] = -(-lsz // width)
+    row_start = np.cumsum(row_count) - row_count
+    pos, seg_off = _expand_csr(flat.leaf_start[leafy], lsz)
+    ids = flat.leaf_ids[pos]
+    owner = np.repeat(leafy, lsz)
+    j = np.arange(len(pos), dtype=np.int64) - np.repeat(seg_off, lsz)
+    slab = np.full((int(row_count.sum()), width, points.shape[1]), np.inf)
+    slab[row_start[owner] + j // width, j % width] = points[ids]
+    return slab, row_start, row_count, ids, owner
 
 
 def _pair_rect_bounds(metric):
@@ -1408,78 +1471,156 @@ def tree_rho_batched(
 ) -> np.ndarray:
     """Batched Algorithm 5 (ρ query) over a flattened spatial tree.
 
-    The level-synchronous counterpart of :func:`tree_delta_batched`: all
-    ``(query, node)`` pairs of a tree level classify against Observation 1
-    in single vectorised passes — *discarded* (``dmin ≥ dc``), *fully
-    contained* (``dmax < dc``, the subtree count ``nc`` is added wholesale)
-    or *intersected* (expand / scan the leaf).  Every pair performs exactly
-    the per-point classification of the scalar traversal, so counts and the
-    probe counters match the per-object formulation.
+    Level-synchronous like :func:`tree_delta_batched`, and leaf-grouped:
+    the queries that are members of one leaf of ``flat`` travel as a
+    *group* whose box is the min/max of its members' coordinates.  A
+    ``(group, node)`` pair is decided for all members at once when the
+    group box settles Observation 1 for the node:
 
+    * *discarded* — ``mindist`` at the box point nearest the node,
+      ``clip(node_lo, g_lo, g_hi)``, is ``≥ dc``;
+    * *fully contained* — ``maxdist`` at the box corner farthest from the
+      node (chosen per axis) is ``< dc``; ``nc`` is added to every member.
+
+    Both bounds go through the metric's own ``rect_*_many`` kernels at a
+    real point of the box.  The kernels are monotone in every per-axis gap
+    and reach, and in floating point too the nearest point's gaps (the
+    farthest corner's reaches) are the smallest (largest) of any point in
+    the box, so every member would reach the same decision on its own (a
+    node box with ``lo > hi`` on some axis is never decided this way).  The
+    other pairs are classified member by member, exactly as a lone query
+    would be: a group whose members all intersect an inner node stays a
+    group for its children, and the intersecting members of a mixed pair go
+    on as single queries.  Queries that are not members of ``flat`` (delta
+    points against the base image, base points against the delta image) are
+    single queries from the root.
+
+    Intersected leaves are scanned from fixed-width padded rows of leaf
+    coordinates (:func:`_leaf_rows`), contiguous blocks instead of per-point
+    gathers; distances come from
+    :func:`~repro.geometry.distance.paired_distances`, so every comparison
+    with ``dc`` is the one a per-pair scan makes.
+
+    Every query therefore meets the nodes it reaches with the outcomes of
+    the per-query traversal, and ρ and the probe counters are identical to
+    it: ``nodes_visited`` and ``nodes_contained`` count per member,
+    ``distance_evals`` per scanned leaf point (not per padded slot).
     ``qid`` restricts the traversal to a query subset (default: all
-    objects), returning counts aligned with it — each query's
-    classification sequence is untouched by which other queries share the
-    batch, which is what lets the execution backends shard this function
-    over chunks with bit-identical results and counter totals.
+    objects), returning counts aligned with it; since grouping never changes
+    a query's outcomes, sharding over ``qid`` chunks is bit-identical to one
+    whole-table call — the execution-backend contract.
     """
     dc = float(dc)
-    if qid is None:
-        qpts = points
-    else:
-        qpts = points[np.asarray(qid, dtype=np.int64)]
-    m = len(qpts)
-    counts = np.zeros(m, dtype=np.int64)
+    n = len(points)
+    qid = np.arange(n) if qid is None else qid
+    qid = np.asarray(qid, dtype=np.int64)
+    m = len(qid)
+    qpts = _rows(points, qid)
     mind_pairs, maxd_pairs = _pair_rect_bounds(metric)
+    lo, hi, nc = flat.lo, flat.hi, flat.nc
+    child_start, child_count = flat.child_start, flat.child_count
+    is_leaf = child_count == 0
+    # The box-point argument needs lo <= hi on every axis; other boxes are
+    # left to the member-by-member classification.
+    sound = np.all(lo <= hi, axis=1)
+    slab, row_start, row_count, leaf_pts, leaf_owner = _leaf_rows(flat, points)
+    total = np.zeros(m, dtype=np.float64)  # integer-valued neighbour counts
 
-    def pair_fn(a, b):
-        return paired_distances(a, b, metric)
+    def scan(rows, leaves):
+        """Per query, its points closer than dc in the ``(row, leaf)`` pairs."""
+        stats.distance_evals += int(flat.leaf_size[leaves].sum())
+        nrows = row_count[leaves]
+        slab_row, _ = _expand_csr(row_start[leaves], nrows)
+        rows = np.repeat(rows, nrows)
+        width = slab.shape[1]
+        step = max(1, _SCAN_SLOTS // width)
+        found = np.zeros(m, dtype=np.float64)
+        for a in range(0, len(rows), step):
+            q = rows[a : a + step]
+            d = paired_distances(
+                np.repeat(_rows(qpts, q), width, axis=0),
+                _rows(slab, slab_row[a : a + step]).reshape(len(q) * width, -1),
+                metric,
+            )
+            within = (d < dc).reshape(len(q), width).sum(axis=1)
+            found += np.bincount(q, weights=within, minlength=m)
+        return found
 
-    pair_node = np.zeros(m, dtype=np.int64)  # every query starts at the root
-    pair_row = np.arange(m, dtype=np.int64)
-    while len(pair_node):
-        stats.nodes_visited += len(pair_node)
-        alive = mind_pairs(qpts[pair_row], flat.lo[pair_node], flat.hi[pair_node]) < dc
-        pair_node, pair_row = pair_node[alive], pair_row[alive]
-        if len(pair_node) == 0:
-            break
-        contained = (
-            maxd_pairs(qpts[pair_row], flat.lo[pair_node], flat.hi[pair_node]) < dc
-        )
+    # Groups: the queries that are members of one leaf, from leaf_ids.
+    member_leaf = np.full(n, -1, dtype=np.int64)
+    member_leaf[leaf_pts] = leaf_owner
+    own = member_leaf[qid]
+    by_leaf = np.argsort(own, kind="stable")
+    n_single = int(np.count_nonzero(own < 0))
+    members = by_leaf[n_single:]
+    g_start = np.flatnonzero(np.diff(own[members], prepend=-1))
+    g_size = np.diff(np.append(g_start, len(members)))
+    n_groups = len(g_start)
+    g_total = np.zeros(n_groups, dtype=np.float64)
+    member_pts = _rows(qpts, members)
+    g_lo = np.minimum.reduceat(member_pts, g_start, axis=0)
+    g_hi = np.maximum.reduceat(member_pts, g_start, axis=0)
+
+    g_gid = np.arange(n_groups, dtype=np.int64)  # every query starts at the root
+    g_node = np.zeros(n_groups, dtype=np.int64)
+    s_row = by_leaf[:n_single]
+    s_node = np.zeros(n_single, dtype=np.int64)
+    while len(g_node) or len(s_node):
+        stats.nodes_visited += len(s_row) + int(g_size[g_gid].sum())
+        rows, nodes = s_row, s_node
+        if len(g_node):
+            nlo, nhi = _rows(lo, g_node), _rows(hi, g_node)
+            glo, ghi = _rows(g_lo, g_gid), _rows(g_hi, g_gid)
+            ok = sound[g_node]
+            # Every member discards the node: mindist at the box point
+            # nearest to it.
+            near = np.minimum(np.maximum(nlo, glo), ghi)
+            gone = ok & (mind_pairs(near, nlo, nhi) >= dc)
+            # Every member contains it: maxdist at the box corner farthest
+            # from it.
+            far = np.where(np.abs(ghi - nlo) >= np.abs(glo - nhi), ghi, glo)
+            whole = ok & ~gone & (maxd_pairs(far, nlo, nhi) < dc)
+            if whole.any():
+                stats.nodes_contained += int(g_size[g_gid[whole]].sum())
+                g_total += np.bincount(
+                    g_gid[whole], weights=nc[g_node[whole]], minlength=n_groups
+                )
+            # The rest are classified member by member, below.
+            undecided = ~(gone | whole)
+            g_gid, g_node = g_gid[undecided], g_node[undecided]
+            sizes = g_size[g_gid]
+            pos, seg = _expand_csr(g_start[g_gid], sizes)
+            rows = np.concatenate([s_row, members[pos]])
+            nodes = np.concatenate([s_node, np.repeat(g_node, sizes)])
+        # Per-query Observation 1: discarded / contained / intersected.
+        pts, nlo, nhi = _rows(qpts, rows), _rows(lo, nodes), _rows(hi, nodes)
+        alive = mind_pairs(pts, nlo, nhi) < dc
+        reach = maxd_pairs(pts, nlo, nhi) >= dc
+        inter = alive & reach
+        contained = alive & ~reach
         if contained.any():
             stats.nodes_contained += int(contained.sum())
-            counts += np.rint(
-                np.bincount(
-                    pair_row[contained],
-                    weights=flat.nc[pair_node[contained]],
-                    minlength=m,
-                )
-            ).astype(np.int64)
-            pair_node, pair_row = pair_node[~contained], pair_row[~contained]
-            if len(pair_node) == 0:
-                break
-        is_leaf = flat.child_count[pair_node] == 0
-        if is_leaf.any():
-            leaf_node = pair_node[is_leaf]
-            leaf_row = pair_row[is_leaf]
-            sizes = flat.leaf_size[leaf_node]
-            nz = sizes > 0
-            if nz.any():
-                leaf_row, sizes = leaf_row[nz], sizes[nz]
-                flat_idx, seg_off = _expand_csr(flat.leaf_start[leaf_node[nz]], sizes)
-                cand = flat.leaf_ids[flat_idx]
-                d = pair_fn(qpts[np.repeat(leaf_row, sizes)], points[cand])
-                stats.distance_evals += len(cand)
-                within = np.add.reduceat((d < dc).astype(np.int64), seg_off)
-                counts += np.rint(
-                    np.bincount(leaf_row, weights=within, minlength=m)
-                ).astype(np.int64)
-        pair_node, pair_row = pair_node[~is_leaf], pair_row[~is_leaf]
-        if len(pair_node) == 0:
-            break
-        child_count = flat.child_count[pair_node]
-        pair_node, _ = _expand_csr(flat.child_start[pair_node], child_count)
-        pair_row = np.repeat(pair_row, child_count)
+            total += np.bincount(
+                rows[contained], weights=nc[nodes[contained]], minlength=m
+            )
+        if len(g_node):
+            # A group whose members all intersect an inner node descends as
+            # a group; its members leave the single-query frontier.
+            stay = np.logical_and.reduceat(inter[len(s_row) :], seg)
+            stay &= ~is_leaf[g_node]
+            g_gid, g_node = g_gid[stay], g_node[stay]
+            inter[len(s_row) :] &= ~np.repeat(stay, sizes)
+        at_leaf = inter & is_leaf[nodes]
+        total += scan(rows[at_leaf], nodes[at_leaf])
+        down = inter & ~is_leaf[nodes]
+        s_row, s_node = rows[down], nodes[down]
+        counts = child_count[s_node]
+        s_node, _ = _expand_csr(child_start[s_node], counts)
+        s_row = np.repeat(s_row, counts)
+        counts = child_count[g_node]
+        g_node, _ = _expand_csr(child_start[g_node], counts)
+        g_gid = np.repeat(g_gid, counts)
+    total[members] += np.repeat(g_total, g_size)
     # Every query was counted inside its own query circle (dist 0 < dc);
     # Eq. 1 excludes the object itself.
-    counts -= 1
-    return counts
+    return np.rint(total).astype(np.int64) - 1

@@ -68,7 +68,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.quantities import NO_NEIGHBOR, DensityOrder
+from repro.core.quantities import NO_NEIGHBOR, DensityOrder, check_dc
 from repro.geometry.distance import Metric, rect_bounds_many
 from repro.indexes.base import DPCIndex, IndexStats
 from repro.obs import metrics as obs_metrics
@@ -366,9 +366,7 @@ class PartitionedIndex(DPCIndex):
 
     def rho_all(self, dc: float) -> np.ndarray:
         self._require_fitted()
-        if dc <= 0:
-            raise ValueError(f"dc must be positive, got {dc}")
-        return self.rho_all_multi([float(dc)])[0]
+        return self.rho_all_multi([check_dc(dc)])[0]
 
     def rho_all_multi(self, dcs) -> np.ndarray:
         points = self._require_fitted()

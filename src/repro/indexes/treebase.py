@@ -9,12 +9,14 @@ nodes expose a bounding box, a child list / leaf id array, an object count
 * the ρ query of Algorithm 5 — classify each node against the query circle
   as *discarded* (``dmin ≥ dc``), *fully contained* (``dmax < dc``, add
   ``nc`` wholesale) or *intersected* (recurse) — Observation 1.  The
-  traversal is *batched* level-synchronously over the flattened tree
-  (:func:`repro.indexes.kernels.tree_rho_batched`): all surviving
-  ``(query, node)`` pairs of a level classify in single vectorised passes,
-  and each point follows exactly the per-point classification of the
-  scalar algorithm (results and probe counters are identical — the
-  per-object Python loop is gone);
+  traversal is batched level-synchronously over the flattened tree
+  (:func:`repro.indexes.kernels.tree_rho_batched`), with the queries of
+  one leaf moving as a group: a node is decided for the whole group when
+  the group's bounding box already settles it, and member by member
+  otherwise; intersected leaves are scanned from fixed-width rows of leaf
+  coordinates.  Every point still meets each node it reaches with the
+  outcome of the per-point algorithm, so ρ and the probe counters are
+  identical to it;
 * the δ query of Algorithm 6 — best-first search with **density pruning**
   (Lemma 1: skip nodes with ``maxrho < ρ(p)``; equality is kept so id
   tie-breaking stays exact) and **distance pruning** (Lemma 2: skip nodes
@@ -436,12 +438,13 @@ class TreeIndexBase(DPCIndex):
     # -- ρ query (Algorithm 5 / Observation 1) -------------------------------------
 
     def rho_all(self, dc: float) -> np.ndarray:
-        # Batched Algorithm 5 over the flattened tree: every (query, node)
-        # pair of a level classifies against Observation 1 — discarded /
-        # contained / intersected — in single vectorised passes, with the
-        # same per-point decisions (hence counts and probe counters) as the
-        # per-object formulation.  Sharded over query chunks by the
-        # execution backend (bit-identical across backends).
+        # Batched Algorithm 5 over the flattened tree: the queries of each
+        # leaf classify a node against Observation 1 — discarded /
+        # contained / intersected — together when their bounding box
+        # decides it for all of them, and one by one otherwise; either way
+        # each point gets its per-point decisions (hence counts and probe
+        # counters).  Sharded over query chunks by the execution backend
+        # (bit-identical across backends).
         self._require_fitted()
         self._flat_tree()  # materialise before the shard image is published
         base = self._sharded_rho(parallel.tree_rho_task, [float(dc)])[0]

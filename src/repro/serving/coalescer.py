@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults
-from repro.core.quantities import TieBreak
+from repro.core.quantities import TieBreak, check_dc
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
 from repro.obs import trace as obs_trace
@@ -103,12 +103,10 @@ class ServeRequest:
     def __post_init__(self) -> None:
         if self.op not in OPS:
             raise ValueError(f"op must be one of {OPS}, got {self.op!r}")
-        self.dc = float(self.dc)
         # Validate at admission: the engine would reject a bad dc too, but
         # only after the whole coalesced batch reached quantities_multi —
         # one malformed request must never fail its batch-mates.
-        if not self.dc > 0:  # "not >" also catches NaN
-            raise ValueError(f"dc must be positive, got {self.dc}")
+        self.dc = check_dc(self.dc)
         self.tie_break = TieBreak.coerce(self.tie_break)
         if self.timeout_s is not None:
             self.timeout_s = float(self.timeout_s)

@@ -1,0 +1,54 @@
+"""A non-finite or non-positive ``dc`` is rejected at the library boundary.
+
+``dc = NaN`` used to come back as garbage that differed per family (ρ = -1
+on the trees, n - 1 on ``ch``, 0 on ``list``, an ``IndexError`` on ``grid``),
+and ``dc = inf`` passed serving admission (JSON ``Infinity``) only to fail a
+coalesced batch inside ``grid``.  Every public entry point now validates
+through :func:`repro.core.quantities.check_dc`.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.quantities import check_dc
+from repro.indexes.registry import available_indexes, make_index
+
+#: Approximate indexes take their truncation radius explicitly.
+PARAMS = {"rn-list": {"tau": 2.0}, "rn-ch": {"tau": 2.0}}
+
+BAD_DCS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    points = np.random.default_rng(3).normal(size=(60, 2))
+    return {
+        name: make_index(name, **PARAMS.get(name, {})).fit(points)
+        for name in available_indexes()
+    }
+
+
+@pytest.mark.parametrize("dc", BAD_DCS, ids=repr)
+@pytest.mark.parametrize("family", available_indexes())
+def test_quantities_rejects_bad_dc(fitted, family, dc):
+    with pytest.raises(ValueError, match="dc must be positive and finite"):
+        fitted[family].quantities(dc)
+
+
+@pytest.mark.parametrize("dc", BAD_DCS, ids=repr)
+@pytest.mark.parametrize("family", available_indexes())
+def test_quantities_multi_rejects_bad_dc(fitted, family, dc):
+    with pytest.raises(ValueError, match="dc must be positive and finite"):
+        fitted[family].quantities_multi([0.5, dc])
+
+
+@pytest.mark.parametrize("dc", BAD_DCS, ids=repr)
+def test_partitioned_rho_all_rejects_bad_dc(fitted, dc):
+    with pytest.raises(ValueError, match="dc must be positive and finite"):
+        fitted["partitioned"].rho_all(dc)
+
+
+def test_check_dc_passes_finite_positive_values_through():
+    assert check_dc(0.25) == 0.25
+    assert check_dc(np.float32(2.0)) == 2.0
+    assert type(check_dc(3)) is float

@@ -398,3 +398,41 @@ class TestTreeRhoBatched:
         # Objects 0-2 fully contain the left leaf in their query circle;
         # object 3 fully contains the (degenerate) right leaf.
         assert stats.nodes_contained == 4
+
+    def test_oversized_leaf_spans_rows_with_bounded_memory(self):
+        """3,000 copies of one point fill a single max-depth quadtree leaf.
+
+        Leaf scans read fixed-width rows as wide as the median leaf, so the
+        big leaf spans many rows instead of widening every row to its size
+        (which peaked at 2.9 GB on this input).
+        """
+        import tracemalloc
+
+        from repro.core.baseline import naive_quantities
+        from repro.indexes.base import IndexStats
+        from repro.indexes.quadtree import QuadtreeIndex
+
+        from tests.tree_rho_reference import reference_tree_rho
+
+        rng = np.random.default_rng(8)
+        pts = np.concatenate([np.full((3000, 2), 0.3), rng.uniform(0, 1, (2000, 2))])
+        index = QuadtreeIndex(capacity=8).fit(pts)
+        flat = index._flat_tree()
+        assert flat.leaf_size.max() == 3000
+        dc = 0.05
+        np.testing.assert_array_equal(index.rho_all(dc), naive_quantities(pts, dc).rho)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grouped = peak(lambda: index.rho_all(dc))
+        stats = IndexStats()
+        reference = peak(
+            lambda: reference_tree_rho(flat, index.points, dc, index.metric, stats)
+        )
+        assert grouped <= 2 * reference, (grouped, reference)

@@ -149,6 +149,16 @@ class TestErrorMapping:
         assert status == 400
         assert "snapshot" in body["error"]
 
+    def test_non_finite_dc_400(self, served):
+        # json.dumps writes Infinity / NaN, which the edge's json parses.
+        base, _, _ = served
+        for dc in (float("inf"), float("nan")):
+            status, _, body = post_error(
+                base, "/v1/query", {"snapshot": "main", "op": "cluster", "dc": dc}
+            )
+            assert status == 400
+            assert "finite" in body["error"]
+
     def test_malformed_json_400(self, served):
         base, _, _ = served
         request = urllib.request.Request(

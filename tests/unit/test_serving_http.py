@@ -155,10 +155,11 @@ class TestErrors:
 
     def test_bad_dc_400(self, served):
         base, _ = served
-        self.expect_error(
-            lambda: post(base, "/v1/query", {"snapshot": "main", "op": "cluster", "dc": -1}),
-            400,
-        )
+        # json.dumps writes Infinity / NaN, which the server's json parses.
+        for dc in (-1, float("inf"), float("nan")):
+            payload = {"snapshot": "main", "op": "cluster", "dc": dc}
+            body = self.expect_error(lambda: post(base, "/v1/query", payload), 400)
+            assert "dc must be positive and finite" in body["error"]
 
     def test_missing_dc_400(self, served):
         base, _ = served

@@ -185,28 +185,35 @@ class TestCoalescing:
             service.cluster("main", -1.0)
         with pytest.raises(ValueError, match="dc must be positive"):
             service.cluster("main", float("nan"))
+        with pytest.raises(ValueError, match="dc must be positive"):
+            service.cluster("main", float("inf"))
 
     def test_bad_dc_cannot_poison_a_batch(self, blobs):
         """An invalid dc is rejected at admission, so it can never ride a
         coalesced batch and fail its batch-mates (serial equivalence)."""
         with ClusteringService(linger_ms=25.0) as service:
             service.fit_snapshot("main", blobs, index="grid")
-            barrier = threading.Barrier(2)
+            # inf once passed admission and made grid raise IndexError inside
+            # the coalesced batch.  Each round's good dc is new, so it is not
+            # answered from the result cache.
+            for good_dc, bad_dc in ((0.5, -1.0), (0.6, float("inf"))):
+                barrier = threading.Barrier(2)
 
-            def good():
-                barrier.wait()
-                return service.submit("main", "cluster", 0.5, n_centers=3).result()
+                def good():
+                    barrier.wait()
+                    future = service.submit("main", "cluster", good_dc, n_centers=3)
+                    return future.result()
 
-            def bad():
-                barrier.wait()
-                return service.submit("main", "cluster", -1.0)
+                def bad():
+                    barrier.wait()
+                    return service.submit("main", "cluster", bad_dc)
 
-            with ThreadPoolExecutor(2) as pool:
-                good_future = pool.submit(good)
-                bad_future = pool.submit(bad)
-                assert good_future.result().value.n_clusters == 3
-                with pytest.raises(ValueError, match="dc must be positive"):
-                    bad_future.result()
+                with ThreadPoolExecutor(2) as pool:
+                    good_future = pool.submit(good)
+                    bad_future = pool.submit(bad)
+                    assert good_future.result().value.n_clusters == 3
+                    with pytest.raises(ValueError, match="dc must be positive"):
+                        bad_future.result()
 
     def test_coalescer_close_rejects_new_submits(self):
         coalescer = RequestCoalescer()
