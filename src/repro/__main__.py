@@ -67,7 +67,7 @@ def _resolve_index(args) -> "tuple[str, dict]":
     per-partition sub-index shares.
     """
     params = _index_params(args)
-    partitions = getattr(args, "partitions", None)
+    partitions = args.partitions
     if not partitions:
         return args.index, params
     family_params = {
@@ -96,7 +96,7 @@ def cmd_cluster(args) -> int:
         index_params=index_params,
         seed=args.seed,
     )
-    stats_json = getattr(args, "stats_json", None)
+    stats_json = args.stats_json
     root_span = None
     if stats_json:
         from repro import obs
@@ -158,7 +158,7 @@ def cmd_cluster(args) -> int:
 
 
 def build_server(args):
-    """Construct the (service, server) pair for ``serve`` (test seam)."""
+    """Construct the (service, server, snapshot) triple for ``serve`` (test seam)."""
     from repro.serving import ClusteringService, make_server
 
     service = ClusteringService(
@@ -167,14 +167,12 @@ def build_server(args):
         cache_ttl=args.cache_ttl,
         max_batch=args.max_batch,
         linger_ms=args.linger_ms,
-        # getattr: pre-robustness Namespace seams omit the fault-tolerance
-        # knobs; absent means the old unbounded/no-deadline behaviour.
-        max_queue=getattr(args, "max_queue", None),
-        default_timeout_s=getattr(args, "timeout_s", None),
+        max_queue=args.max_queue,
+        default_timeout_s=args.timeout_s,
         # Replicated serving tier: N supervised shared-memory workers
         # (0 = classic in-process dispatch).
-        workers=getattr(args, "workers", 0) or 0,
-        heartbeat_s=getattr(args, "heartbeat_s", 0.25),
+        workers=args.workers,
+        heartbeat_s=args.heartbeat_s,
     )
     if args.load is not None:
         if args.input is not None or args.dataset is not None:
@@ -193,25 +191,13 @@ def build_server(args):
         snapshot = service.fit_snapshot(
             args.snapshot, _load_points(args), index=index_name, **index_params
         )
-    if getattr(args, "edge", "threads") == "asyncio":
-        from repro.serving.edge import make_edge_server
-
-        server = make_edge_server(
-            service,
-            host=args.host,
-            port=args.port,
-            max_inflight=getattr(args, "max_inflight", None),
-            default_timeout_s=getattr(args, "timeout_s", None),
-            observability=not getattr(args, "no_observability", False),
-        )
-    else:
-        server = make_server(
-            service,
-            host=args.host,
-            port=args.port,
-            verbose=args.verbose,
-            observability=not getattr(args, "no_observability", False),
-        )
+    server = make_server(
+        service,
+        host=args.host,
+        port=args.port,
+        verbose=args.verbose,
+        observability=not args.no_observability,
+    )
     return service, server, snapshot
 
 
@@ -223,16 +209,16 @@ def cmd_serve(args) -> int:
     host, port = server.server_address
     print(f"snapshot {snapshot.name!r}: index={snapshot.index.name} n={snapshot.n} "
           f"fingerprint={snapshot.fingerprint[:12]}…")
-    workers = getattr(args, "workers", 0) or 0
     print(f"serving on http://{host}:{port}  (dispatch={service.dispatch}, "
-          f"edge={getattr(args, 'edge', 'threads')}, workers={workers})")
+          f"workers={args.workers})")
     print(f"  curl http://{host}:{port}/healthz")
     print(f"  curl -X POST http://{host}:{port}/v1/query -d "
           f"'{{\"snapshot\": \"{snapshot.name}\", \"op\": \"cluster\", \"dc\": 0.5}}'")
 
-    # SIGTERM/SIGINT trigger a graceful drain: stop accepting (clients fail
-    # over), flush in-flight requests under --drain-timeout-s, exit 0 when
-    # the flush completed cleanly, 1 when it was forced.
+    # SIGTERM/SIGINT trigger a graceful drain: stop accepting (new connects
+    # are refused, so clients fail over), flush in-flight requests under
+    # --drain-timeout-s, exit 0 when the flush completed cleanly, 1 when it
+    # was forced.
     stop = threading.Event()
     received = {}
 
@@ -243,24 +229,25 @@ def cmd_serve(args) -> int:
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
 
-    accept_thread = None
-    if hasattr(server, "serve_forever"):  # threading front-end
-        accept_thread = threading.Thread(
-            target=server.serve_forever, name="repro-serve-accept", daemon=True
-        )
-        accept_thread.start()
-    # The asyncio edge is already serving on its own loop thread.
+    accept_thread = threading.Thread(
+        target=server.serve_forever, name="repro-serve-accept", daemon=True
+    )
+    accept_thread.start()
 
-    stop.wait()
+    # Wait in short slices: a process-directed signal may land on another
+    # thread (e.g. one forking a respawned worker), and Python runs the
+    # handler only when the main thread next takes the GIL — an untimed
+    # wait would sleep through it and never drain.
+    while not stop.wait(0.25):
+        pass
     signum = received.get("signum")
     name = signal.Signals(signum).name if signum is not None else "stop"
-    drain_timeout = getattr(args, "drain_timeout_s", 10.0)
+    drain_timeout = args.drain_timeout_s
     print(f"{name}: draining (timeout {drain_timeout:g}s)…")
     clean = server.drain(timeout_s=drain_timeout)
     clean = service.drain(timeout_s=drain_timeout) and clean
     server.server_close()
-    if accept_thread is not None:
-        accept_thread.join(timeout=5.0)
+    accept_thread.join(timeout=5.0)
     print(f"drain {'clean' if clean else 'forced'}; exiting {0 if clean else 1}")
     return 0 if clean else 1
 
@@ -273,7 +260,8 @@ def cmd_info(_args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser: the one home of every CLI default."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Index-accelerated Density Peak Clustering.",
@@ -400,16 +388,6 @@ def main(argv=None) -> int:
         help="graceful-drain budget on SIGTERM/SIGINT: in-flight requests "
         "get this long to flush before a forced exit (exit code 1)",
     )
-    serve.add_argument(
-        "--edge", default="threads", choices=("threads", "asyncio"),
-        help="front-end flavour: thread-per-connection (default) or the "
-        "asyncio edge (one event loop, admission control at the door)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=None,
-        help="asyncio edge only: cap on concurrently served queries; excess "
-        "is shed with 503 + Retry-After before touching the dispatch queue",
-    )
     serve.add_argument("--verbose", action="store_true", help="log every HTTP request")
     serve.add_argument(
         "--no-observability", action="store_true",
@@ -421,8 +399,11 @@ def main(argv=None) -> int:
 
     info = sub.add_parser("info", help="list available indexes and datasets")
     info.set_defaults(func=cmd_info)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -106,6 +106,18 @@ class IndexStats:
         )
 
 
+def _require_finite(points: np.ndarray, name: str) -> None:
+    """``ValueError`` unless every coordinate is finite.
+
+    A NaN or ±inf coordinate fails differently per family (NaN δ on the
+    trees and ``list``, ``OverflowError`` in ``grid``, a negative bincount
+    length in ``ch``, an unresolved gather in ``partitioned``), so
+    :meth:`DPCIndex.fit` and :meth:`DPCIndex.add_points` refuse it up front.
+    """
+    if not np.isfinite(points).all():
+        raise ValueError(f"{name} must be finite: NaN and ±inf coordinates are rejected")
+
+
 class DPCIndex(abc.ABC):
     """Abstract base class for all DPC indexes.
 
@@ -183,6 +195,7 @@ class DPCIndex(abc.ABC):
                 f"{type(self).__name__} requires {self.required_ndim}-D points, "
                 f"got {points.shape[1]}-D"
             )
+        _require_finite(points, "points")
         self._stats.reset()
         self.points = points
         start = time.perf_counter()
@@ -249,6 +262,7 @@ class DPCIndex(abc.ABC):
                 f"dimension mismatch: index holds {self.points.shape[1]}-D points, "
                 f"got {new_points.shape[1]}-D"
             )
+        _require_finite(new_points, "new_points")
         self._release_shards()
         self._fingerprint_ = None
         self._append(new_points)

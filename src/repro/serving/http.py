@@ -403,12 +403,15 @@ class ClusteringServer(ThreadingHTTPServer):
     def drain(self, timeout_s: float = 10.0) -> bool:
         """Graceful drain: stop accepting, flush in-flight, report clean.
 
-        Sets :attr:`draining` (new requests get ``503`` immediately), stops
-        the accept loop, then waits up to ``timeout_s`` for every admitted
-        request to finish.  Returns ``True`` when the flush completed inside
-        the deadline (a *clean* drain), ``False`` when requests were still
-        running when time ran out (callers should exit non-zero).  Does not
-        close the socket — call :meth:`server_close` after, as usual.
+        Sets :attr:`draining` (requests on open connections get ``503``
+        immediately), stops the accept loop and closes the listening socket,
+        so a new connect is refused at once instead of waiting in the
+        kernel's backlog for an accept that never comes.  Then waits up to
+        ``timeout_s`` for every admitted request to finish.  Returns
+        ``True`` when the flush completed inside the deadline (a *clean*
+        drain), ``False`` when requests were still running when time ran
+        out (callers should exit non-zero).  Call :meth:`server_close`
+        after, as usual.
         """
         self.draining = True
         deadline = time.monotonic() + max(0.0, float(timeout_s))
@@ -416,6 +419,7 @@ class ClusteringServer(ThreadingHTTPServer):
             # Stops serve_forever's accept loop; safe here because drain()
             # is called from a different thread (e.g. the CLI signal path).
             self.shutdown()
+        self.socket.close()
         clean = True
         with self._inflight_cond:
             while self._inflight > 0:

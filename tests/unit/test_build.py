@@ -159,14 +159,20 @@ class TestBuilders:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf-inf centres
     def test_str_identity_with_inf_coordinates(self):
-        """fit() must not crash (or silently drop points) on +-inf coords."""
+        """fit() refuses +-inf coords; below it, the two STR builders still
+        agree on them (neither crashes or silently drops points)."""
         r = np.random.default_rng(10)
         pts = r.normal(size=(400, 2))
         pts[350:390, 1] = np.inf
         pts[390:, 1] = -np.inf
-        a = RTreeIndex(build="objects", max_entries=8).fit(pts)
-        b = RTreeIndex(build="bulk", max_entries=8).fit(pts)
-        fa, fb = flatten_tree(a.root), b._flat_tree()
+        for build in ("objects", "bulk"):
+            with pytest.raises(ValueError, match="points must be finite"):
+                RTreeIndex(build=build, max_entries=8).fit(pts)
+        index = RTreeIndex(max_entries=8)
+        index.points = pts  # what fit() would hand both builders
+        root = index._build_objects()
+        root.finalize_counts()
+        fa, fb = flatten_tree(root), index._bulk_build()
         for name in FlatTree.ARRAY_FIELDS:
             np.testing.assert_array_equal(getattr(fa, name), getattr(fb, name))
 

@@ -1,10 +1,17 @@
-"""A non-finite or non-positive ``dc`` is rejected at the library boundary.
+"""A non-finite or non-positive ``dc``, or a non-finite point, is rejected
+at the library boundary.
 
 ``dc = NaN`` used to come back as garbage that differed per family (ρ = -1
 on the trees, n - 1 on ``ch``, 0 on ``list``, an ``IndexError`` on ``grid``),
 and ``dc = inf`` passed serving admission (JSON ``Infinity``) only to fail a
 coalesced batch inside ``grid``.  Every public entry point now validates
 through :func:`repro.core.quantities.check_dc`.
+
+A NaN or ±inf *coordinate* failed per family too: NaN δ on the trees and
+``list``, a negative bincount length on ``ch``, ``ValueError`` or
+``OverflowError`` on ``grid``, and a fit that failed every later query on
+``partitioned``.  ``DPCIndex.fit`` and ``DPCIndex.add_points`` now refuse
+them with one ``ValueError``.
 """
 
 import numpy as np
@@ -17,6 +24,7 @@ from repro.indexes.registry import available_indexes, make_index
 PARAMS = {"rn-list": {"tau": 2.0}, "rn-ch": {"tau": 2.0}}
 
 BAD_DCS = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +54,29 @@ def test_quantities_multi_rejects_bad_dc(fitted, family, dc):
 def test_partitioned_rho_all_rejects_bad_dc(fitted, dc):
     with pytest.raises(ValueError, match="dc must be positive and finite"):
         fitted["partitioned"].rho_all(dc)
+
+
+def points_with(bad, n=60):
+    points = np.random.default_rng(3).normal(size=(n, 2))
+    points[n // 2, 1] = bad
+    return points
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("family", available_indexes())
+def test_fit_rejects_non_finite_points(family, bad):
+    with pytest.raises(ValueError, match="points must be finite"):
+        make_index(family, **PARAMS.get(family, {})).fit(points_with(bad))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("family", available_indexes())
+def test_add_points_rejects_non_finite_points(family, bad):
+    index = make_index(family, **PARAMS.get(family, {})).fit(points_with(0.0))
+    with pytest.raises(ValueError, match="new_points must be finite"):
+        index.add_points(points_with(bad, n=4))
+    assert index.n == 60  # the refused batch left the index untouched
+    assert np.isfinite(index.quantities(0.5).delta).all()
 
 
 def test_check_dc_passes_finite_positive_values_through():

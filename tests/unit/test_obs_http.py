@@ -38,7 +38,10 @@ def served(blobs):
     with ClusteringService(linger_ms=1.0) as service:
         server = make_server(service)  # enables obs before the fit below
         service.fit_snapshot("main", blobs, index="kdtree")
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # A short poll keeps teardown's shutdown() from waiting out 0.5 s.
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         host, port = server.server_address
         try:

@@ -1,7 +1,9 @@
-"""HTTP front-end: routes, JSON fidelity, error codes, CLI serve wiring."""
+"""HTTP front-end: routes, JSON fidelity, error codes, drain, CLI serve wiring."""
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -14,20 +16,40 @@ from repro.serving.http import make_server, serialize_value
 from repro.serving.service import ClusteringService
 
 
+def start(server):
+    """Run ``server``'s accept loop on a daemon thread.
+
+    A short poll interval keeps ``shutdown()`` (teardown, drain) from
+    waiting out the stdlib's default 0.5 s select timeout.
+    """
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    ).start()
+
+
+def base_url(server):
+    host, port = server.server_address
+    return f"http://{host}:{port}"
+
+
 @pytest.fixture
-def served(blobs):
-    """A live server over one published snapshot; yields (base_url, service)."""
+def live_server(blobs):
+    """A live server over one published snapshot ("main", kdtree)."""
     with ClusteringService(linger_ms=1.0) as service:
         service.fit_snapshot("main", blobs, index="kdtree")
         server = make_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address
+        start(server)
         try:
-            yield f"http://{host}:{port}", service
+            yield server
         finally:
             server.shutdown()
             server.server_close()
+
+
+@pytest.fixture
+def served(live_server):
+    """(base_url, service) of :func:`live_server`."""
+    return base_url(live_server), live_server.service
 
 
 def get(base, path):
@@ -167,6 +189,8 @@ class TestErrors:
             lambda: post(base, "/v1/query", {"snapshot": "main", "op": "cluster"}), 400
         )
         assert "dc" in body["error"]
+        body = self.expect_error(lambda: post(base, "/v1/query", {"dc": 0.5}), 400)
+        assert "snapshot" in body["error"]
 
     def test_bad_op_400(self, served):
         base, _ = served
@@ -203,6 +227,23 @@ class TestErrors:
             }),
             400,
         )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=repr)
+    @pytest.mark.parametrize("family", ["grid", "kdtree"])
+    def test_publish_non_finite_points_400(self, served, rng, family, bad):
+        # json.dumps writes NaN / Infinity, which the server's json parses;
+        # grid used to answer inf with a 500 (OverflowError), kdtree to fit.
+        base, service = served
+        points = rng.normal(size=(20, 2))
+        points[7, 1] = bad
+        body = self.expect_error(
+            lambda: post(base, "/v1/snapshots/bad", {
+                "points": points.tolist(), "index": family,
+            }),
+            400,
+        )
+        assert "must be finite" in body["error"]
+        assert "bad" not in service.store
 
     def test_delete_unknown_404(self, served):
         base, _ = served
@@ -271,6 +312,111 @@ class TestOverload:
         assert json.load(error)["type"] == "DeadlineExceededError"
 
 
+def query_with_dispatch_stall(base, delay_s):
+    """POST one uncached query while the dispatcher stalls ``delay_s``."""
+    from repro import faults
+    from repro.faults import FaultPlan, FaultSpec
+
+    plan = FaultPlan(
+        [FaultSpec("coalescer.dispatch", mode="sleep", times=1, delay_s=delay_s)]
+    )
+    with faults.inject(plan):
+        return post(base, "/v1/query", {
+            "snapshot": "main", "op": "quantities", "dc": 0.5, "use_cache": False,
+        })
+
+
+class TestDrain:
+    """Graceful drain: refuse new work, keep operators' routes, flush."""
+
+    def test_keep_alive_serves_sequential_requests(self, live_server):
+        host, port = live_server.server_address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            sockets = []
+            for _ in range(3):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert not response.will_close
+                json.loads(response.read())
+                sockets.append(conn.sock)
+            assert sockets[0] is not None
+            assert all(sock is sockets[0] for sock in sockets)
+        finally:
+            conn.close()
+
+    def test_draining_refuses_queries_but_serves_operators(self, live_server):
+        host, port = live_server.server_address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request("GET", "/healthz")  # open the connection pre-drain
+            conn.getresponse().read()
+            assert live_server.drain(timeout_s=10.0) is True
+            # Operators keep their eyes on an open connection.
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            health = json.loads(response.read())
+            assert health["status"] == "draining"
+            assert health["health"]["draining"] is True
+            conn.request("GET", "/metrics")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+            # Queries are refused with a retry hint, and the connection ends
+            # because the refused body was never read.
+            conn.request(
+                "POST", "/v1/query",
+                body=json.dumps({"snapshot": "main", "op": "quantities", "dc": 0.5}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 503
+            assert int(response.getheader("Retry-After")) >= 1
+            assert response.getheader("Connection") == "close"
+            body = json.loads(response.read())
+            assert body["type"] == "ServiceDrainingError"
+            assert body["retry_after_s"] > 0
+        finally:
+            conn.close()
+
+    def test_drain_flushes_inflight_query_bit_identical(self, live_server, blobs):
+        base = base_url(live_server)
+        results = []
+        client = threading.Thread(
+            target=lambda: results.append(query_with_dispatch_stall(base, 0.3))
+        )
+        client.start()
+        deadline = time.monotonic() + 30.0
+        while live_server.inflight() == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert live_server.inflight() == 1
+        assert live_server.drain(timeout_s=30.0) is True
+        assert live_server.inflight() == 0
+        client.join(timeout=30.0)
+        assert not client.is_alive()
+        reference = make_index("kdtree").fit(blobs).quantities(0.5)
+        assert results[0]["rho"] == reference.rho.tolist()
+        assert results[0]["mu"] == reference.mu.tolist()
+        np.testing.assert_array_equal(np.asarray(results[0]["delta"]), reference.delta)
+
+    def test_connect_after_drain_is_refused_at_once(self, live_server):
+        host, port = live_server.server_address
+        assert live_server.drain(timeout_s=10.0) is True
+        conn = http.client.HTTPConnection(host, port, timeout=2)
+        began = time.monotonic()
+        try:
+            # Before the listener closed with the drain, this connect was
+            # accepted by the kernel and the request hung until the timeout.
+            with pytest.raises(ConnectionRefusedError):
+                conn.request("GET", "/healthz")
+                conn.getresponse()
+        finally:
+            conn.close()
+        assert time.monotonic() - began < 1.0
+
+
 class TestSerialize:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError, match="cannot serialise"):
@@ -278,27 +424,28 @@ class TestSerialize:
 
 
 class TestCLIServe:
-    def test_build_server_and_query(self, tmp_path, blobs):
-        import argparse
+    @staticmethod
+    def parse(*argv):
+        from repro.__main__ import build_parser
 
+        return build_parser().parse_args(
+            ["serve", "--profile", "test", "--port", "0", *argv]
+        )
+
+    def test_build_server_and_query(self, tmp_path, blobs):
         from repro.__main__ import build_server
 
         csv = tmp_path / "points.csv"
         np.savetxt(csv, blobs, delimiter=",")
-        args = argparse.Namespace(
-            input=str(csv), delimiter=",", dataset=None, n=None, profile="test",
-            load=None, index="grid", snapshot="cli", tau=None, bin_width=None,
-            backend="serial", n_jobs=None, chunk_size=None,
-            host="127.0.0.1", port=0, dispatch="coalesce", max_batch=16,
-            linger_ms=1.0, cache_entries=16, cache_ttl=None, verbose=False, seed=0,
+        args = self.parse(
+            "--input", str(csv), "--index", "grid", "--snapshot", "cli",
+            "--max-batch", "16", "--linger-ms", "1.0", "--cache-entries", "16",
         )
         service, server, snapshot = build_server(args)
         try:
             assert snapshot.name == "cli"
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            host, port = server.server_address
-            out = post(f"http://{host}:{port}", "/v1/query", {
+            start(server)
+            out = post(base_url(server), "/v1/query", {
                 "snapshot": "cli", "op": "cluster", "dc": 0.5, "n_centers": 3,
             })
             reference = make_index("grid").fit(blobs).cluster(0.5, n_centers=3)
@@ -311,18 +458,15 @@ class TestCLIServe:
     def test_load_applies_execution_flags(self, blobs, tmp_path):
         """--backend/--n-jobs must reach a --load'ed index: persistence
         deliberately drops execution config, so the CLI re-applies it."""
-        import argparse
-
         from repro.__main__ import build_server
 
         path = str(tmp_path / "x.npz")
         save_index(make_index("kdtree").fit(blobs), path)
-        args = argparse.Namespace(
-            input=None, delimiter=",", dataset=None, n=None, profile="test",
-            load=path, index="ch", snapshot="x", tau=None, bin_width=None,
-            backend="threads", n_jobs=2, chunk_size=64,
-            host="127.0.0.1", port=0, dispatch="serial", max_batch=1,
-            linger_ms=0.0, cache_entries=0, cache_ttl=None, verbose=False, seed=0,
+        args = self.parse(
+            "--load", path, "--snapshot", "x",
+            "--backend", "threads", "--n-jobs", "2", "--chunk-size", "64",
+            "--dispatch", "serial", "--max-batch", "1", "--linger-ms", "0",
+            "--cache-entries", "0",
         )
         service, server, snapshot = build_server(args)
         try:
@@ -334,21 +478,63 @@ class TestCLIServe:
             service.close()
 
     def test_load_conflicts_with_dataset(self, blobs, tmp_path):
-        import argparse
-
         from repro.__main__ import build_server
 
         path = str(tmp_path / "x.npz")
         save_index(make_index("kdtree").fit(blobs), path)
-        args = argparse.Namespace(
-            input=None, delimiter=",", dataset="s1", n=None, profile="test",
-            load=path, index="ch", snapshot="x", tau=None, bin_width=None,
-            backend="serial", n_jobs=None, chunk_size=None,
-            host="127.0.0.1", port=0, dispatch="serial", max_batch=1,
-            linger_ms=0.0, cache_entries=0, cache_ttl=None, verbose=False, seed=0,
-        )
+        args = self.parse("--load", path, "--dataset", "s1", "--snapshot", "x")
         with pytest.raises(SystemExit, match="--load"):
             build_server(args)
+
+    def test_sigterm_handled_on_another_thread_still_drains(
+        self, tmp_path, blobs, monkeypatch
+    ):
+        """A process-directed SIGTERM may land on any thread; Python then
+        runs the handler only when the main thread next takes the GIL.  The
+        serve loop must notice it and drain, not sleep through it."""
+        import signal
+
+        import repro.__main__ as cli
+
+        csv = tmp_path / "points.csv"
+        np.savetxt(csv, blobs, delimiter=",")
+        args = self.parse("--input", str(csv), "--index", "kdtree")
+        built, ready, done, rescued = {}, threading.Event(), threading.Event(), []
+        build_server = cli.build_server
+
+        def record(parsed):
+            triple = build_server(parsed)
+            built["server"] = triple[1]
+            ready.set()
+            return triple
+
+        monkeypatch.setattr(cli, "build_server", record)
+        main_thread = threading.get_ident()
+
+        def signal_this_thread():
+            try:
+                assert ready.wait(30.0)
+                get(base_url(built["server"]), "/healthz")  # accept loop is up
+                signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+                done.wait(5.0)
+            finally:
+                if not done.is_set():
+                    rescued.append(True)  # unblock the main thread, then fail
+                    signal.pthread_kill(main_thread, signal.SIGTERM)
+
+        saved = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+        helper = threading.Thread(target=signal_this_thread, daemon=True)
+        helper.start()
+        try:
+            code = cli.cmd_serve(args)
+        finally:
+            done.set()
+            for sig, handler in saved.items():
+                signal.signal(sig, handler)
+            helper.join(timeout=30.0)
+        assert not helper.is_alive()
+        assert not rescued, "SIGTERM handled off the main thread was never noticed"
+        assert code == 0
 
     def test_serve_parser_registered(self):
         from repro.__main__ import main
