@@ -50,8 +50,8 @@ def check_dc(dc) -> float:
     A plain ``dc <= 0`` test lets NaN through (it compares false with
     everything) and ``inf`` (JSON's ``Infinity`` parses to it); either one
     turns Eq. 1 into nonsense that differs per index family.
-    ``DPCIndex.quantities``, the multi-``dc`` sweeps and serving admission
-    validate through this helper.
+    ``DPCIndex.quantities``, ``DPCIndex.rho_all``, the multi-``dc`` sweeps
+    and serving admission validate through this helper.
     """
     dc = float(dc)
     if not (np.isfinite(dc) and dc > 0):

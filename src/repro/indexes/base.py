@@ -330,8 +330,9 @@ class DPCIndex(abc.ABC):
         """Construct the index over ``self.points``."""
 
     @abc.abstractmethod
-    def rho_all(self, dc: float) -> np.ndarray:
-        """Local density of every object for cut-off ``dc`` (int64)."""
+    def _rho_all(self, dc: float) -> np.ndarray:
+        """The family's ρ pass behind :meth:`rho_all`; the index is fitted
+        and ``dc`` already validated."""
 
     @abc.abstractmethod
     def delta_all(self, order: DensityOrder) -> Tuple[np.ndarray, np.ndarray]:
@@ -349,6 +350,15 @@ class DPCIndex(abc.ABC):
         """Approximate resident size of the index structures, in bytes."""
 
     # -- template methods ------------------------------------------------------
+
+    def rho_all(self, dc: float) -> np.ndarray:
+        """Local density of every object for cut-off ``dc`` (int64).
+
+        ``dc`` goes through :func:`check_dc` here, so a bad cut-off fails
+        the same way on every family; families implement :meth:`_rho_all`.
+        """
+        self._require_fitted()
+        return self._rho_all(check_dc(dc))
 
     def quantities(
         self, dc: float, tie_break: "str | TieBreak" = TieBreak.ID

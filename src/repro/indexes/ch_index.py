@@ -182,8 +182,7 @@ class CHIndex(CumulativeHistogramMixin, ListIndex):
 
     # -- ρ query (Algorithm 4) ----------------------------------------------------
 
-    def rho_all(self, dc: float) -> np.ndarray:
-        self._require_fitted()
+    def _rho_all(self, dc: float) -> np.ndarray:
         return self._ch_rho_wave([float(dc)])[0]
 
     def rho_all_multi(self, dcs) -> np.ndarray:

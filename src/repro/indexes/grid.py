@@ -285,13 +285,12 @@ class GridIndex(DPCIndex):
 
     # -- ρ query -------------------------------------------------------------------
 
-    def rho_all(self, dc: float) -> np.ndarray:
+    def _rho_all(self, dc: float) -> np.ndarray:
         # Cell-batched Observation-1 classification, moved to
         # :func:`repro.indexes.kernels.grid_rho_batched` and sharded over
         # query chunks by the execution backend (bit-identical across
         # backends — each query's candidate cells and classification
         # sequence depend only on the query itself).
-        self._require_fitted()
         if self._delta_grid is not None:
             return self._rho_segmented(float(dc))
         return self._sharded_rho(parallel.grid_rho_task, [float(dc)])[0]

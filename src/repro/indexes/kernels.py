@@ -49,7 +49,11 @@ nearest the node for "discarded", the corner farthest from it for
 per-axis gap and reach, also under rounding, so that point's value bounds
 every member's, and each member would have decided the same on its own.
 The other pairs are classified member by member; a group whose members all
-intersect an inner node stays a group for its children.  Intersected
+intersect an inner node stays a group for its children.  Queries that are
+not members of the image group by a key the caller gives (the (base, delta)
+pair groups base points by their base leaf when it counts them in the delta
+image); the argument needs only the box of the group's points, so any
+grouping is sound.  Intersected
 leaves are scanned from fixed-width padded rows of leaf coordinates (width:
 the median leaf size; an oversized leaf spans several rows), through
 ``paired_distances`` like every other distance in the package.  ρ and
@@ -102,6 +106,23 @@ the paper's figures aggregate, but the traversal *schedule* differs from
 the scalar reference (level-synchronous vs depth-first), so per-object
 counter values are not reproduced term-for-term — use the ``"heap"`` /
 ``"stack"`` reference frontiers when the scalar schedule itself matters.
+
+**Carried-in answers.** :func:`tree_delta_batched` can start from an answer
+already known per query (``carry``: the best ``(distance, id)`` over some
+other point set).  The carried distance is the starting radius and the
+carried pair the starting best, so the search returns the lexicographic
+``(distance, id)`` minimum of the carried answer and this image's
+candidates — what :func:`merge_delta_candidates` makes of two independent
+searches.  It stays exact because Lemma 2 prunes a node only when its
+``mindist`` is *strictly* above the radius: such a node holds no point at a
+distance ≤ the carried one, so none that could beat it, not even on the
+smaller-id tie-break.  The (base, delta) image pair searches each query's
+own image first and the other image with that answer carried in, so most
+of the second search is pruned before it starts.  The counters count the
+work actually done: on the image pair they are not the sum of two
+independent per-image searches (``nodes_visited``, ``objects_scanned`` and
+``distance_evals`` come out lower); without a carry-in every counter equals
+the kernel kept in ``tests/tree_delta_reference.py``.
 """
 
 from __future__ import annotations
@@ -937,7 +958,7 @@ def _resolve_pairs(
     cand, rflat = cand[denser], rflat[denser]
     rows, sizes = rows[found], kept[found]
     seg_off = np.cumsum(sizes) - sizes
-    d = pair_fn(qpts[rflat], points[cand])
+    d = pair_fn(_rows(qpts, rflat), _rows(points, cand))
     stats.distance_evals += len(cand)
     dmin = np.minimum.reduceat(d, seg_off)
     # Ids tied at the segment minimum, reduced to the smallest.
@@ -971,6 +992,7 @@ def tree_delta_batched(
     distance_pruning: bool = True,
     maxrho: "np.ndarray | None" = None,
     own_leaf: "np.ndarray | None" = None,
+    carry: "Tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Frontier-batched best-first δ search over a flattened spatial tree.
 
@@ -1004,17 +1026,28 @@ def tree_delta_batched(
         a member of this image (a delta-segment query against the base
         image, or vice versa), for which the own-leaf/sibling seeding is
         skipped.  Seeding only affects pruning, never results.
+    carry:
+        Optional ``(best_d, best_id)`` per query, an answer already known
+        from another point set (the other image of a (base, delta) pair);
+        ``(inf, NO_NEIGHBOR)`` rows carry nothing.  The search starts with
+        it as the pruning radius and returns the lexicographic
+        ``(distance, id)`` minimum of it and this image's candidates.
 
     Returns
     -------
     ``(delta, mu)`` of shape ``(m,)``, aligned with ``qid`` — bit-identical
-    to running the per-object reference search per query.
+    to running the per-object reference search per query (merged with
+    ``carry`` by :func:`merge_delta_candidates`).
     """
     qid = np.asarray(qid, dtype=np.int64)
     qord = np.asarray(qord, dtype=np.int64)
     m = len(qid)
-    best_d = np.full(m, np.inf, dtype=np.float64)
-    best_id = np.full(m, NO_NEIGHBOR, dtype=np.int64)
+    if carry is None:
+        best_d = np.full(m, np.inf, dtype=np.float64)
+        best_id = np.full(m, NO_NEIGHBOR, dtype=np.int64)
+    else:
+        best_d = np.array(carry[0], dtype=np.float64)
+        best_id = np.array(carry[1], dtype=np.int64)
     if m == 0:
         return best_d, best_id
     if maxrho is None:
@@ -1024,15 +1057,16 @@ def tree_delta_batched(
     def pair_fn(a, b):
         return paired_distances(a, b, metric)
 
-    qpts = points[qid]
+    qpts = _rows(points, qid)
     rho_q = rho_rows[qord, qid]
     key_q = key_rows[qord, qid]
     # Pruning radius per query: min(best candidate so far, ub), where ub is
     # the sound upper bound from nodes whose maxrho is *strictly* above ρ(p)
     # (they certainly contain a denser object, so their maxdist bounds δ).
-    # Pruning always compares with strict '>', so equal-distance candidates
-    # stay reachable for the smaller-id tie-break.
-    radius = np.full(m, np.inf, dtype=np.float64)
+    # A carried-in answer is a candidate too.  Pruning always compares with
+    # strict '>', so equal-distance candidates stay reachable for the
+    # smaller-id tie-break.
+    radius = best_d.copy()
 
     seeded_parent = None
     if not distance_pruning:
@@ -1153,7 +1187,8 @@ def tree_delta_batched(
             child_maxrho = maxrho[qord[child_row], child_node]
         child_rho = rho_q[child_row]
         child_dmin = mind_pairs(
-            qpts[child_row], flat.lo[child_node], flat.hi[child_node]
+            _rows(qpts, child_row), _rows(flat.lo, child_node),
+            _rows(flat.hi, child_node),
         )
         # Both lemmas evaluated on the full pair array, one filter pass
         # (cheap vector arithmetic beats repeated boolean gathers).
@@ -1182,8 +1217,10 @@ def tree_delta_batched(
             )
             if sure.any():
                 sure_row = child_row[sure]
+                sure_node = child_node[sure]
                 dmax = maxd_pairs(
-                    qpts[sure_row], flat.lo[child_node[sure]], flat.hi[child_node[sure]]
+                    _rows(qpts, sure_row), _rows(flat.lo, sure_node),
+                    _rows(flat.hi, sure_node),
                 )
                 np.minimum.at(radius, sure_row, dmax)
         pair_node, pair_row, pair_dmin = child_node, child_row, child_dmin
@@ -1468,6 +1505,7 @@ def tree_rho_batched(
     metric,
     stats,
     qid: "np.ndarray | None" = None,
+    group: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Batched Algorithm 5 (ρ query) over a flattened spatial tree.
 
@@ -1492,8 +1530,11 @@ def tree_rho_batched(
     would be: a group whose members all intersect an inner node stays a
     group for its children, and the intersecting members of a mixed pair go
     on as single queries.  Queries that are not members of ``flat`` (delta
-    points against the base image, base points against the delta image) are
-    single queries from the root.
+    points against the base image, base points against the delta image)
+    group by ``group``, a full-length array of per-point keys (say, each
+    base point's leaf of the base image); a negative key, or no ``group``,
+    makes them single queries.  The box argument holds for any set of
+    points, so a caller's grouping changes locality only, never results.
 
     Intersected leaves are scanned from fixed-width padded rows of leaf
     coordinates (:func:`_leaf_rows`), contiguous blocks instead of per-point
@@ -1546,10 +1587,15 @@ def tree_rho_batched(
             found += np.bincount(q, weights=within, minlength=m)
         return found
 
-    # Groups: the queries that are members of one leaf, from leaf_ids.
+    # Groups: the queries that are members of one leaf, from leaf_ids, and
+    # non-members by the caller's key (offset past the node ids).
     member_leaf = np.full(n, -1, dtype=np.int64)
     member_leaf[leaf_pts] = leaf_owner
     own = member_leaf[qid]
+    if group is not None:
+        outside = np.flatnonzero(own < 0)
+        key = np.asarray(group, dtype=np.int64)[qid[outside]]
+        own[outside] = np.where(key >= 0, flat.n_nodes + key, -1)
     by_leaf = np.argsort(own, kind="stable")
     n_single = int(np.count_nonzero(own < 0))
     members = by_leaf[n_single:]

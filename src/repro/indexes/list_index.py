@@ -230,8 +230,7 @@ class ListIndex(DPCIndex):
 
     # -- ρ query (Algorithm 2, lines 2-6) --------------------------------------
 
-    def rho_all(self, dc: float) -> np.ndarray:
-        self._require_fitted()
+    def _rho_all(self, dc: float) -> np.ndarray:
         # searchsorted(side="left") == index of farthest object with
         # dist < dc, which *is* ρ(p) (Example 1 of the paper); one batched
         # binary search per object, sharded over row chunks.

@@ -68,7 +68,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.quantities import NO_NEIGHBOR, DensityOrder, check_dc
+from repro.core.quantities import NO_NEIGHBOR, DensityOrder
 from repro.geometry.distance import Metric, rect_bounds_many
 from repro.indexes.base import DPCIndex, IndexStats
 from repro.obs import metrics as obs_metrics
@@ -364,9 +364,8 @@ class PartitionedIndex(DPCIndex):
 
     # -- ρ: local counts + halo exchange -------------------------------------
 
-    def rho_all(self, dc: float) -> np.ndarray:
-        self._require_fitted()
-        return self.rho_all_multi([check_dc(dc)])[0]
+    def _rho_all(self, dc: float) -> np.ndarray:
+        return self.rho_all_multi([dc])[0]
 
     def rho_all_multi(self, dcs) -> np.ndarray:
         points = self._require_fitted()

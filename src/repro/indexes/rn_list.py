@@ -137,8 +137,7 @@ class RNListIndex(DPCIndex):
 
     # -- ρ query -------------------------------------------------------------------
 
-    def rho_all(self, dc: float) -> np.ndarray:
-        self._require_fitted()
+    def _rho_all(self, dc: float) -> np.ndarray:
         if dc > self.tau:
             # Paper 5.3.1: beyond τ no search happens; the truncated length is
             # the (approximate) answer.
@@ -268,10 +267,9 @@ class RNCHIndex(CumulativeHistogramMixin, RNListIndex):
         arrays["hist_values"] = self._hist_values
         return arrays
 
-    def rho_all(self, dc: float) -> np.ndarray:
-        self._require_fitted()
+    def _rho_all(self, dc: float) -> np.ndarray:
         if dc > self.tau:
-            return super().rho_all(dc)
+            return super()._rho_all(dc)
         return self._ch_rho_wave([float(dc)])[0]
 
     def rho_all_multi(self, dcs) -> np.ndarray:

@@ -59,7 +59,6 @@ from repro.indexes.kernels import (
     delta_multi_from_orders,
     flat_tree_maxrho,
     flatten_tree,
-    merge_delta_candidates,
     peak_delta_sweep,
     tree_delta_batched,
     tree_rho_batched,
@@ -437,7 +436,7 @@ class TreeIndexBase(DPCIndex):
 
     # -- ρ query (Algorithm 5 / Observation 1) -------------------------------------
 
-    def rho_all(self, dc: float) -> np.ndarray:
+    def _rho_all(self, dc: float) -> np.ndarray:
         # Batched Algorithm 5 over the flattened tree: the queries of each
         # leaf classify a node against Observation 1 — discarded /
         # contained / intersected — together when their bounding box
@@ -445,7 +444,6 @@ class TreeIndexBase(DPCIndex):
         # each point gets its per-point decisions (hence counts and probe
         # counters).  Sharded over query chunks by the execution backend
         # (bit-identical across backends).
-        self._require_fitted()
         self._flat_tree()  # materialise before the shard image is published
         base = self._sharded_rho(parallel.tree_rho_task, [float(dc)])[0]
         return self._rho_add_delta(base, float(dc))
@@ -464,12 +462,19 @@ class TreeIndexBase(DPCIndex):
         Each image's ρ pass subtracts one self-count uniformly, but every
         query is a member of exactly *one* of the two images, so the union
         count is ``base + delta + 1`` — the same strict ``< dc`` neighbour
-        set a single combined image would count.
+        set a single combined image would count.  Base points are not
+        members of the delta image; they travel through it grouped by their
+        leaf of the base image (spatially tight groups, so most of a group's
+        nodes are decided once), which changes neither ρ nor a probe
+        counter.
         """
         if self._delta_flat is None:
             return base_counts
+        group = np.full(len(self.points), -1, dtype=np.int64)
+        group[: self._base_n] = self._flat_tree().leaf_node_of
         extra = tree_rho_batched(
-            self._delta_flat, self.points, dc, self.metric, self._stats
+            self._delta_flat, self.points, dc, self.metric, self._stats,
+            group=group,
         )
         return base_counts + extra + 1
 
@@ -559,37 +564,54 @@ class TreeIndexBase(DPCIndex):
 
         Each image's engine is exact over its own member set when driven
         with the *global* density rows (leaf ids are global point ids in
-        both images); the union's nearest denser neighbour is then the
-        lexicographic ``(distance, id)`` minimum of the two per-image
-        candidates.  Queries that are members of the other image pass
-        ``own_leaf = -1`` — the own-leaf/sibling seeding is pruning-only,
-        so skipping it never changes results.  Runs serially on both
-        images (the delta segment is small and the sharded engine derives
-        member leaves itself); compaction restores the sharded path.
+        both images), and the union's nearest denser neighbour is the
+        lexicographic ``(distance, id)`` minimum over both images.  So each
+        query searches its own image first, seeded by its own leaf, and
+        then the other image with that answer carried in as its starting
+        radius (:func:`~repro.indexes.kernels.tree_delta_batched`'s
+        ``carry``): most of the second search is pruned by Lemma 2 before
+        it starts.  That is three engine calls — delta members on the delta
+        image; every query on the base image (delta members carrying the
+        first answer); base members on the delta image, carrying the
+        second.  Queries that are not members of an image pass
+        ``own_leaf = -1``; seeding and carried radii only prune, so the
+        result equals merging two independent per-image searches.  Runs
+        serially (the sharded engine derives member leaves itself);
+        compaction restores the sharded path.
         """
         points = self.points
         dflat = self._delta_flat
         base_n = self._base_n
 
         def run_engine(qid, qord, rho_rows, key_rows):
-            in_base = qid < base_n
+            in_delta = qid >= base_n
+            dq, bq = np.flatnonzero(in_delta), np.flatnonzero(~in_delta)
+            maxrho_d = flat_tree_maxrho(dflat, rho_rows)
+
+            def search(image, maxrho, rows, own_leaf, carry=None):
+                return tree_delta_batched(
+                    image, points, qid[rows], qord[rows], rho_rows, key_rows,
+                    self.metric, self._stats,
+                    self.density_pruning, self.distance_pruning,
+                    maxrho=maxrho, own_leaf=own_leaf, carry=carry,
+                )
+
+            best_d = np.full(len(qid), np.inf, dtype=np.float64)
+            best_id = np.full(len(qid), NO_NEIGHBOR, dtype=np.int64)
+            best_d[dq], best_id[dq] = search(
+                dflat, maxrho_d, dq, dflat.leaf_node_of[qid[dq] - base_n]
+            )
             own_b = np.full(len(qid), -1, dtype=np.int64)
-            own_b[in_base] = flat.leaf_node_of[qid[in_base]]
-            own_d = np.full(len(qid), -1, dtype=np.int64)
-            own_d[~in_base] = dflat.leaf_node_of[qid[~in_base] - base_n]
-            d_b, m_b = tree_delta_batched(
-                flat, points, qid, qord, rho_rows, key_rows,
-                self.metric, self._stats,
-                self.density_pruning, self.distance_pruning,
-                maxrho=flat_tree_maxrho(flat, rho_rows), own_leaf=own_b,
+            own_b[bq] = flat.leaf_node_of[qid[bq]]
+            best_d, best_id = search(
+                flat, flat_tree_maxrho(flat, rho_rows), slice(None), own_b,
+                carry=(best_d, best_id),
             )
-            d_d, m_d = tree_delta_batched(
-                dflat, points, qid, qord, rho_rows, key_rows,
-                self.metric, self._stats,
-                self.density_pruning, self.distance_pruning,
-                maxrho=flat_tree_maxrho(dflat, rho_rows), own_leaf=own_d,
+            best_d[bq], best_id[bq] = search(
+                dflat, maxrho_d, bq, np.full(len(bq), -1, dtype=np.int64),
+                carry=(best_d[bq], best_id[bq]),
             )
-            return merge_delta_candidates(d_b, m_b, d_d, m_d)
+            return best_d, best_id
 
         return delta_multi_from_orders(
             points, orders, run_engine, self.metric, self._stats

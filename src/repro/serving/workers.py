@@ -112,6 +112,9 @@ def _serving_worker_main(slot: int, conn, heartbeat_s: float, start_method: str)
         # The terminal's SIGINT goes to the whole foreground group; drain is
         # the parent's job — workers exit via ("stop",) or SIGTERM.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # A fork inherits the parent's Python SIGTERM handler (``cmd_serve``
+        # installs one to start a drain); a worker must die on SIGTERM.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - restricted platforms
         pass
     from repro.indexes import parallel as _parallel

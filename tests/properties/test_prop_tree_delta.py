@@ -1,0 +1,247 @@
+"""Tree δ kernel vs the kept reference: bit identity, carried answers, streams.
+
+``repro.indexes.kernels.tree_delta_batched`` accepts a carried-in
+``(best_d, best_id)`` per query and starts its search with that radius; the
+(base, delta) image pair uses it to search the second image with the first
+image's answer.  The contracts checked here:
+
+* without a carry-in, δ, μ *and* every
+  :class:`~repro.indexes.base.IndexStats` counter equal the kernel kept in
+  ``tests/tree_delta_reference.py``;
+* with one, δ and μ equal the reference's answer merged with the carried
+  one by ``merge_delta_candidates`` (lexicographic ``(distance, id)``);
+* a random ``StreamingDPC`` stream equals a fresh fit after every batch,
+  across compactions.
+
+Axes: every tree family × every rect-bounds metric × both tie-breaks, on
+corpora with duplicate points (δ ties at distance 0) and lattice points (ρ
+ties), several density orders in one call (multi-order ``qord``) and rows
+with ``own_leaf = -1`` (queries that are not members of the image).
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.quantities import NO_NEIGHBOR, DensityOrder
+from repro.extras import StreamingDPC
+from repro.geometry.distance import get_metric
+from repro.indexes.base import IndexStats
+from repro.indexes.kernels import (
+    density_order_key,
+    merge_delta_candidates,
+    tree_delta_batched,
+)
+from repro.indexes.registry import make_index
+
+from tests.tree_delta_reference import reference_tree_delta
+
+#: Small node capacities so every tree has several levels.
+FAMILIES = {
+    "kdtree": {"leaf_size": 6},
+    "quadtree": {"capacity": 6},
+    "rtree": {"max_entries": 5},
+}
+
+METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev", "minkowski[p=3]")
+
+TIE_BREAKS = ("id", "strict")
+
+#: (density_pruning, distance_pruning) — the Lemma 1 / Lemma 2 knobs.
+PRUNING = [(True, True), (False, True), (True, False)]
+
+
+def corpus(seed: int) -> np.ndarray:
+    """Duplicates, an integer lattice and a blob, in shuffled order."""
+    r = np.random.default_rng(seed)
+    blob = r.normal(0.0, 1.0, size=(30, 2))
+    lattice = r.integers(-2, 3, size=(25, 2)).astype(np.float64)
+    pts = np.concatenate([blob, blob[:10], lattice, np.round(blob[10:25], 1)])
+    return pts[r.permutation(len(pts))]
+
+
+def cutoffs(metric: str) -> "list[float]":
+    """Three cut-offs, in the metric's own units."""
+    dcs = [0.4, 0.9, 1.7]
+    return [d * d for d in dcs] if metric == "sqeuclidean" else dcs
+
+
+def sweep_queries(index, metric, tie_break):
+    """Density rows and the concatenated non-peak queries of three orders."""
+    orders = [DensityOrder(index.rho_all(dc), tie_break) for dc in cutoffs(metric)]
+    rho_rows = np.asarray([o.rho for o in orders])
+    key_rows = np.asarray([density_order_key(o) for o in orders])
+    qid, qord = [], []
+    for o, order in enumerate(orders):
+        peak = np.zeros(index.n, dtype=bool)
+        peak[order.global_peaks()] = True
+        qid.append(np.flatnonzero(~peak))
+        qord.append(np.full(len(qid[-1]), o, dtype=np.int64))
+    return rho_rows, key_rows, np.concatenate(qid), np.concatenate(qord)
+
+
+def own_leaves(image, qid, rng):
+    """Each query's leaf of ``image`` (``leaf_node_of`` is local to an
+    image's first id), ``-1`` for non-members and for a random quarter."""
+    first = int(image.leaf_ids.min())
+    local = qid - first
+    member = (local >= 0) & (local < len(image.leaf_node_of))
+    own = np.full(len(qid), -1, dtype=np.int64)
+    own[member] = image.leaf_node_of[local[member]]
+    own[rng.random(len(qid)) < 0.25] = -1
+    return own
+
+
+def grown(family, metric, points):
+    """A (base, delta) index: 60 % fitted, the rest in two batches."""
+    cut = int(len(points) * 0.6)
+    index = make_index(family, metric=metric, **FAMILIES[family]).fit(points[:cut])
+    for chunk in np.array_split(points[cut:], 2):
+        index.add_points(chunk)
+    assert index.delta_size == len(points) - cut
+    return index
+
+
+def images(family, metric, points):
+    """(name, image, index) for a plain fit and both images of a pair."""
+    index = make_index(family, metric=metric, **FAMILIES[family]).fit(points)
+    pair = grown(family, metric, points)
+    return [
+        ("fit", index._flat_tree(), index),
+        ("base", pair._flat_tree(), pair),
+        ("delta", pair._delta_flat, pair),
+    ]
+
+
+def run_both(image, index, args, own_leaf, pruning, carry=None):
+    rho_rows, key_rows, qid, qord = args
+    metric = get_metric(index.metric)
+    s_ref, s_new = IndexStats(), IndexStats()
+    ref = reference_tree_delta(
+        image, index.points, qid, qord, rho_rows, key_rows, metric, s_ref,
+        *pruning, own_leaf=own_leaf,
+    )
+    got = tree_delta_batched(
+        image, index.points, qid, qord, rho_rows, key_rows, metric, s_new,
+        *pruning, own_leaf=own_leaf, carry=carry,
+    )
+    return ref, got, s_ref, s_new
+
+
+@pytest.mark.parametrize("pruning", PRUNING, ids=str)
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_matches_reference_without_carry(family, metric, tie_break, pruning):
+    points = corpus(7)
+    rng = np.random.default_rng(1)
+    for name, image, index in images(family, metric, points):
+        args = sweep_queries(index, metric, tie_break)
+        qid = args[2]
+        for own_leaf in (None, own_leaves(image, qid, rng)):
+            if own_leaf is None and name != "fit":
+                continue  # the default lookup needs every query to be a member
+            ref, got, s_ref, s_new = run_both(image, index, args, own_leaf, pruning)
+            where = f"{family}/{metric}/{tie_break}/{pruning}/{name}"
+            np.testing.assert_array_equal(got[0], ref[0], err_msg=f"delta {where}")
+            np.testing.assert_array_equal(got[1], ref[1], err_msg=f"mu {where}")
+            assert s_new.as_dict() == s_ref.as_dict(), where
+
+
+def carried_answers(ref_d, ref_mu, n, rng):
+    """Per query: nothing, a strictly better or worse answer, or one tied
+    with the reference's distance under a smaller or larger id."""
+    m = len(ref_d)
+    kind = rng.integers(0, 5, size=m)
+    d = np.full(m, np.inf)
+    mu = np.full(m, NO_NEIGHBOR, dtype=np.int64)
+    finite = np.isfinite(ref_d)
+    base_d = np.where(finite, ref_d, 1.0)
+    pick = rng.integers(0, n, size=m)
+    better = kind == 1
+    d[better], mu[better] = base_d[better] * 0.5, pick[better]
+    worse = kind == 2
+    d[worse], mu[worse] = base_d[worse] * 2.0 + 0.1, pick[worse]
+    for k, step in ((3, -1), (4, 1)):  # ties: the id decides
+        tie = kind == k
+        d[tie] = base_d[tie]
+        mu[tie] = np.clip(np.where(finite, ref_mu, pick)[tie] + step, 0, n - 1)
+    return d, mu
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_carry_matches_merged_reference(family, metric, tie_break):
+    points = corpus(8)
+    rng = np.random.default_rng(2)
+    for name, image, index in images(family, metric, points):
+        args = sweep_queries(index, metric, tie_break)
+        own_leaf = own_leaves(image, args[2], rng)
+        for pruning in PRUNING:
+            ref, _, _, _ = run_both(image, index, args, own_leaf, pruning)
+            carry = carried_answers(ref[0], ref[1], index.n, rng)
+            kept = (carry[0].copy(), carry[1].copy())
+            _, got, _, _ = run_both(image, index, args, own_leaf, pruning, carry)
+            want = merge_delta_candidates(ref[0], ref[1], *carry)
+            where = f"{family}/{metric}/{tie_break}/{pruning}/{name}"
+            np.testing.assert_array_equal(got[0], want[0], err_msg=f"delta {where}")
+            np.testing.assert_array_equal(got[1], want[1], err_msg=f"mu {where}")
+            # The carried arrays are inputs, not outputs.
+            np.testing.assert_array_equal(carry[0], kept[0])
+            np.testing.assert_array_equal(carry[1], kept[1])
+
+
+def test_carry_on_empty_query_set_passes_through():
+    index = make_index("kdtree", leaf_size=4).fit(corpus(3))
+    args = sweep_queries(index, "euclidean", "id")
+    empty = np.zeros(0, dtype=np.int64)
+    d, mu = tree_delta_batched(
+        index._flat_tree(), index.points, empty, empty, args[0], args[1],
+        get_metric("euclidean"), IndexStats(),
+        carry=(np.zeros(0), np.zeros(0, dtype=np.int64)),
+    )
+    assert d.shape == mu.shape == (0,)
+
+
+def stream_points(seed: int) -> np.ndarray:
+    """Arrivals that repeat earlier points and sit on a lattice."""
+    r = np.random.default_rng(seed)
+    pts = [r.normal(0.0, 1.0, size=(40, 2))]
+    for _ in range(12):
+        k = int(r.integers(1, 20))
+        new = r.normal(0.0, 1.2, size=(k, 2))
+        seen = np.concatenate(pts)
+        dup = r.random(k) < 0.3
+        new[dup] = seen[r.integers(0, len(seen), size=int(dup.sum()))]
+        lat = r.random(k) < 0.2
+        new[lat] = np.round(new[lat])
+        pts.append(new)
+    return pts
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stream_equals_fresh_fit_after_every_batch(family, metric, tie_break):
+    spec = FAMILIES[family]
+    stream = StreamingDPC(
+        index_factory=lambda: make_index(family, metric=metric, **spec),
+        rebuild_factor=0.5,
+        min_buffer=8,
+    )
+    buffered = 0
+    seed = sorted(FAMILIES).index(family) + 10 * len(metric)
+    for i, batch in enumerate(stream_points(seed)):
+        stream.add(batch)
+        buffered = max(buffered, stream.n_buffered)
+        fresh = make_index(family, metric=metric, **spec).fit(stream.points())
+        for dc in (0.3, 0.8):
+            got = stream.quantities(dc, tie_break)
+            want = fresh.quantities(dc, tie_break)
+            for field in ("rho", "delta", "mu"):
+                np.testing.assert_array_equal(
+                    getattr(got, field), getattr(want, field),
+                    err_msg=f"{field} after batch {i}, dc={dc}",
+                )
+    assert buffered > 0, "no batch ever lived in a delta segment"
+    assert stream.rebuild_count >= 2, "the stream never compacted"

@@ -7,6 +7,8 @@ the per-``(query, node)`` kernel kept in ``tests/tree_rho_reference.py``,
 for every tree family, rect-capable metric, build path and query subset,
 on corpora chosen to put points exactly on node boundaries and exactly
 ``dc`` apart: duplicates, an integer lattice (ρ ties), and a mixed set.
+Queries that are not members of an image run alone or, given a caller's
+``group`` keys, as groups; both must match.
 """
 
 import numpy as np
@@ -71,14 +73,16 @@ def query_ids(kind: str, n: int):
     return np.zeros(0, dtype=np.int64)
 
 
-def assert_matches_reference(flat, points, metric, dcs, context=""):
+def assert_matches_reference(flat, points, metric, dcs, context="", group=None):
     metric = get_metric(metric)
     for kind in QUERY_SETS:
         qid = query_ids(kind, len(points))
         for dc in dcs:
             s_ref, s_new = IndexStats(), IndexStats()
             ref = reference_tree_rho(flat, points, dc, metric, s_ref, qid=qid)
-            got = tree_rho_batched(flat, points, dc, metric, s_new, qid=qid)
+            got = tree_rho_batched(
+                flat, points, dc, metric, s_new, qid=qid, group=group
+            )
             where = f"{context} qid={kind} dc={dc!r}"
             assert got.dtype == ref.dtype, where
             np.testing.assert_array_equal(got, ref, err_msg=f"rho differs {where}")
@@ -115,6 +119,37 @@ def test_matches_reference_on_base_and_delta_images(family, metric, corpus_name)
     context = f"{family}/{metric}/{corpus_name}"
     for name, image in (("base", index._flat_tree()), ("delta", index._delta_flat)):
         assert_matches_reference(image, index.points, metric, dcs, f"{context}/{name}")
+
+
+@pytest.mark.parametrize("corpus_name", CORPORA)
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_grouped_non_members_match_reference(family, metric, corpus_name):
+    """Non-members grouped by a caller's key — their leaf of the other
+    image, as the (base, delta) ρ pass groups them, or arbitrary keys with
+    some ``-1`` (single) rows — keep ρ and every counter."""
+    points = corpus(corpus_name)
+    cut = int(len(points) * 0.6)
+    index = make_index(family, metric=metric, **FAMILIES[family]).fit(points[:cut])
+    index.add_points(points[cut:])
+    base, delta = index._flat_tree(), index._delta_flat
+    n = len(points)
+    base_leaf = np.full(n, -1, dtype=np.int64)
+    base_leaf[:cut] = base.leaf_node_of
+    delta_leaf = np.full(n, -1, dtype=np.int64)
+    delta_leaf[cut:] = delta.leaf_node_of
+    arbitrary = np.random.default_rng(n).integers(-1, 4, size=n)
+    dcs = cutoffs(points, metric)
+    context = f"{family}/{metric}/{corpus_name}"
+    for name, image, group in (
+        ("delta/base-leaf", delta, base_leaf),
+        ("base/delta-leaf", base, delta_leaf),
+        ("delta/arbitrary", delta, arbitrary),
+        ("base/arbitrary", base, arbitrary),
+    ):
+        assert_matches_reference(
+            image, index.points, metric, dcs, f"{context}/{name}", group=group
+        )
 
 
 @pytest.mark.parametrize("build", ["bulk", "objects"])

@@ -5,7 +5,8 @@ at the library boundary.
 on the trees, n - 1 on ``ch``, 0 on ``list``, an ``IndexError`` on ``grid``),
 and ``dc = inf`` passed serving admission (JSON ``Infinity``) only to fail a
 coalesced batch inside ``grid``.  Every public entry point now validates
-through :func:`repro.core.quantities.check_dc`.
+through :func:`repro.core.quantities.check_dc`; ``rho_all`` does so in
+``DPCIndex`` before the family's own ``_rho_all`` runs.
 
 A NaN or ±inf *coordinate* failed per family too: NaN δ on the trees and
 ``list``, a negative bincount length on ``ch``, ``ValueError`` or
@@ -51,9 +52,10 @@ def test_quantities_multi_rejects_bad_dc(fitted, family, dc):
 
 
 @pytest.mark.parametrize("dc", BAD_DCS, ids=repr)
-def test_partitioned_rho_all_rejects_bad_dc(fitted, dc):
+@pytest.mark.parametrize("family", available_indexes())
+def test_rho_all_rejects_bad_dc(fitted, family, dc):
     with pytest.raises(ValueError, match="dc must be positive and finite"):
-        fitted["partitioned"].rho_all(dc)
+        fitted[family].rho_all(dc)
 
 
 def points_with(bad, n=60):

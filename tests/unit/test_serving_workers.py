@@ -205,3 +205,28 @@ class TestFailoverMechanics:
             assert pool.health()["state"] == "degraded"
             pool.reset_degradation()
             assert pool.degraded is None
+
+    def test_worker_exits_on_sigterm_under_a_parent_handler(self, store):
+        """``cmd_serve`` installs a Python SIGTERM handler before it forks
+        workers; a worker inherits it through ``fork`` and must still exit
+        on SIGTERM."""
+        store.fit("main", small_corpus(), index="ch")
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            with WorkerPool(
+                store,
+                workers=1,
+                heartbeat_s=0.05,
+                # Park the respawn far away so the exit is observable.
+                respawn_backoff_s=30.0,
+                respawn_backoff_cap_s=60.0,
+            ) as pool:
+                (pid,) = pool.worker_pids()
+                os.kill(pid, signal.SIGTERM)
+                assert wait_until(
+                    lambda: pool.stats_snapshot()["worker_deaths"] == 1,
+                    timeout_s=5.0,
+                ), "the worker ignored SIGTERM"
+                assert not pool.worker_pids()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
