@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--dataset", choices=sorted(available_datasets()))
     cluster.add_argument("--n", type=int, default=None, help="dataset size override")
     cluster.add_argument("--profile", default="bench", choices=("test", "bench", "large"))
-    cluster.add_argument("--index", default="ch", choices=sorted(available_indexes()))
+    cluster.add_argument("--index", default="kdtree", choices=sorted(available_indexes()))
     cluster.add_argument("--dc", type=float, default=None, help="cut-off distance (default: estimated)")
     cluster.add_argument("--n-centers", type=int, default=None)
     cluster.add_argument("--rho-min", type=float, default=None)
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="publish a persisted index (.npz from repro.indexes.persist) "
         "instead of fitting --input/--dataset",
     )
-    serve.add_argument("--index", default="ch", choices=sorted(available_indexes()))
+    serve.add_argument("--index", default="kdtree", choices=sorted(available_indexes()))
     serve.add_argument("--snapshot", default="default", help="snapshot name to publish")
     serve.add_argument("--tau", type=float, default=None, help="RN-List threshold (rn-* indexes)")
     serve.add_argument("--bin-width", type=float, default=None, help="CH bin width")

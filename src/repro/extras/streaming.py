@@ -21,6 +21,16 @@ This composes with every index family; the list/CH indexes merge their
 per-object sorted rows on every ingest (their ``delta_size`` stays 0), the
 tree and grid families carry a real delta segment between compactions.
 
+Answers are repaired, not recomputed.  The stream keeps its last
+:meth:`StreamingDPC.quantities` answer per ``(dc, tie_break)``; an ingest
+keeps it, a compaction drops it.  The next ask hands the kept answer to
+:meth:`~repro.indexes.base.DPCIndex.quantities_after_append`, which the tree
+families answer by recomputing only what the new points can change: ρ grows
+by the new neighbours of each point, and δ/μ move only where a new point or
+a point whose ρ rose is now the nearest denser one.  That is exact because
+nothing leaves an append-only stream, so no ρ falls.  The cost is one O(n)
+answer per asked key, held until the next compaction.
+
 Beyond the exact full-stream quantities, the stream offers two *recency*
 views for evolving data: :meth:`StreamingDPC.windowed_quantities` clusters
 only the trailing window, and :meth:`StreamingDPC.decayed_quantities`
@@ -78,7 +88,9 @@ class StreamingDPC:
         self._rebuild_subscribers: list = []
         self._ingest_subscribers: list = []
         self._points_cache: Optional[np.ndarray] = None
-        self._quantities_cache: dict = {}
+        # (dc, tie_break) -> the last answer; it covers the first len(answer)
+        # points.  Kept across ingests, dropped at a compaction.
+        self._answers: dict = {}
         self.rebuild_count: int = 0
 
     @property
@@ -143,7 +155,6 @@ class StreamingDPC:
                 f"got {points.shape[1]}-D"
             )
         self._points_cache = None
-        self._quantities_cache.clear()
         if self._index is None:
             self._index = self.index_factory().fit(points)
             self.rebuild_count += 1
@@ -188,6 +199,7 @@ class StreamingDPC:
         return False
 
     def _compact(self) -> None:
+        self._answers.clear()
         self._index.compact()
         self.rebuild_count += 1
         self._notify_rebuild()
@@ -203,18 +215,33 @@ class StreamingDPC:
     ) -> DPCQuantities:
         """Exact (ρ, δ, μ) over everything seen so far.
 
-        The delta-aware kernels answer over the (base, delta) image pair
-        directly — no brute-force patching, no rebuild.  Results for a
-        given ``(dc, tie_break)`` are cached until the next ingest.
+        The stream keeps its last answer per ``(dc, tie_break)`` and hands
+        it out again while no point has arrived.  After an ingest, that
+        answer goes to :meth:`~repro.indexes.base.DPCIndex.quantities_after_append`,
+        which the tree families answer by *repairing* it over the
+        (base, delta) image pair: only ρ of the points near the new ones,
+        and δ/μ of the points a change can reach, are computed again.  The
+        repair is exact because the stream is append-only — no ρ falls, so
+        a point can only gain denser neighbours among the new points and
+        the old points whose ρ rose (see the method for the argument).  A
+        first ask of a ``(dc, tie_break)``, or one after a compaction, runs
+        the full computation.  Answers returned earlier are never modified.
+
+        Memory: one O(n) answer per asked ``(dc, tie_break)`` until the next
+        compaction drops them all.
         """
         if self._index is None:
             raise ValueError("the stream is empty")
         key = (float(dc), str(TieBreak.coerce(tie_break)))
-        cached = self._quantities_cache.get(key)
-        if cached is None:
-            cached = self._index.quantities(dc, tie_break)
-            self._quantities_cache[key] = cached
-        return cached
+        prev = self._answers.get(key)
+        if prev is not None and len(prev) == self._index.n:
+            return prev
+        if prev is None:
+            answer = self._index.quantities(dc, tie_break)
+        else:
+            answer = self._index.quantities_after_append(prev, len(prev))
+        self._answers[key] = answer
+        return answer
 
     def cluster(self, dc: float, **kwargs):
         """Convenience: full DPC over the current stream contents.

@@ -366,13 +366,42 @@ class DPCIndex(abc.ABC):
         """Compute the full (ρ, δ, μ) triple for ``dc`` (steps 1–2)."""
         self._require_fitted()
         dc = check_dc(dc)
+        return self._traced_quantities(dc, tie_break, self.rho_all, self.delta_all)
+
+    def quantities_after_append(self, prev: DPCQuantities, n_prev: int) -> DPCQuantities:
+        """``quantities(prev.dc, tie_break)`` for an index that has grown.
+
+        ``prev`` is this index's answer when it held only its first
+        ``n_prev`` points (same ``dc``, same tie-break); points were only
+        appended since.  Families that can repair ``prev`` exactly override
+        this; the default recomputes everything with :meth:`quantities`.
+        Either way the result is bit-identical to a fresh fit's answer, and
+        ``prev`` is left untouched.
+        """
+        self._check_prev(prev, n_prev)
+        return self.quantities(prev.dc, prev.density_order.tie_break)
+
+    def _check_prev(self, prev: DPCQuantities, n_prev: int) -> None:
+        if len(prev) != n_prev or not 0 < n_prev <= self.n:
+            raise ValueError(
+                f"prev answers {len(prev)} points, n_prev is {n_prev}, "
+                f"the index holds {self.n}"
+            )
+
+    def _traced_quantities(self, dc: float, tie_break, rho_fn, delta_fn) -> DPCQuantities:
+        """``rho_fn(dc)`` then ``delta_fn(order)`` under the engine spans.
+
+        One place for the ``engine.quantities``/``engine.rho``/
+        ``engine.delta`` spans, the phase histograms and the probe-counter
+        increments, whichever way a family computes the two steps.
+        """
         probes_before = self._probe_snapshot()
         with obs_trace.span("engine.quantities", dc=float(dc)):
             with obs_trace.span("engine.rho") as sp_rho:
-                rho = self.rho_all(float(dc))
+                rho = rho_fn(float(dc))
             order = DensityOrder(rho, tie_break)
             with obs_trace.span("engine.delta") as sp_delta:
-                delta, mu = self.delta_all(order)
+                delta, mu = delta_fn(order)
         if obs_runtime._ENABLED:
             _observe_phase("rho", sp_rho)
             _observe_phase("delta", sp_delta)

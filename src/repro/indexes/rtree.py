@@ -41,8 +41,26 @@ def _union(lo1, hi1, lo2, hi2):
 
 def _area(lo, hi) -> float:
     # math.prod multiplies left to right as np.prod does (same products),
-    # without the ufunc overhead Guttman's split pays millions of times.
+    # without the ufunc overhead ChooseLeaf pays on every insertion.
     return math.prod((hi - lo).tolist())
+
+
+def _areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`_area` over the last axis of box arrays: the same left-to-right
+    per-axis products."""
+    ext = hi - lo
+    area = ext[..., 0]
+    for axis in range(1, ext.shape[-1]):
+        area = area * ext[..., axis]
+    return area
+
+
+def _first_max(values: np.ndarray) -> int:
+    """The index a ``>`` scan from ``-inf`` keeps — the first strict maximum,
+    never a NaN — or -1 when no value beats ``-inf``."""
+    values = np.where(np.isnan(values), -np.inf, values)
+    k = int(np.argmax(values))
+    return k if values[k] > -np.inf else -1
 
 
 class RTreeIndex(TreeIndexBase):
@@ -248,46 +266,56 @@ class RTreeIndex(TreeIndexBase):
             return [(self.points[i], self.points[i], i) for i in ids]
         return [(c.lo, c.hi, c) for c in node.children]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _quadratic_split(self, entries):
-        """Guttman's quadratic PickSeeds / PickNext distribution."""
+        """Guttman's quadratic PickSeeds / PickNext distribution.
+
+        Each pick scores all its candidates at once with the arithmetic of
+        the pairwise loops it replaces (kept in
+        ``tests/rtree_split_reference.py``) and keeps the same winner: the
+        first strict maximum, in the loops' order, that a NaN never takes.
+        Overflowing areas are inf (and ``inf - inf`` NaN) as in the loops,
+        without numpy's warnings.
+        """
         n = len(entries)
-        worst, seeds = -np.inf, (0, 1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                lo, hi = _union(entries[i][0], entries[i][1], entries[j][0], entries[j][1])
-                waste = _area(lo, hi) - _area(entries[i][0], entries[i][1]) - _area(
-                    entries[j][0], entries[j][1]
-                )
-                if waste > worst:
-                    worst, seeds = waste, (i, j)
+        lo = np.array([e[0] for e in entries])
+        hi = np.array([e[1] for e in entries])
+        area = _areas(lo, hi)
+        # PickSeeds: the pair i < j (row-major) whose union wastes most area.
+        waste = (
+            _areas(np.minimum(lo[:, None], lo[None, :]), np.maximum(hi[:, None], hi[None, :]))
+            - area[:, None]
+            - area[None, :]
+        )
+        waste[np.tril_indices(n)] = -np.inf
+        k = _first_max(waste.ravel())
+        seeds = divmod(k, n) if k >= 0 else (0, 1)
         group_a = [entries[seeds[0]]]
         group_b = [entries[seeds[1]]]
         box_a = (entries[seeds[0]][0].copy(), entries[seeds[0]][1].copy())
         box_b = (entries[seeds[1]][0].copy(), entries[seeds[1]][1].copy())
-        rest = [entries[k] for k in range(n) if k not in seeds]
+        rest = [k for k in range(n) if k not in seeds]
         while rest:
             # Honour the minimum fill requirement.
             if len(group_a) + len(rest) == self.min_entries:
-                group_a.extend(rest)
-                for e in rest:
-                    box_a = _union(box_a[0], box_a[1], e[0], e[1])
+                group_a.extend(entries[k] for k in rest)
+                for k in rest:
+                    box_a = _union(box_a[0], box_a[1], lo[k], hi[k])
                 break
             if len(group_b) + len(rest) == self.min_entries:
-                group_b.extend(rest)
-                for e in rest:
-                    box_b = _union(box_b[0], box_b[1], e[0], e[1])
+                group_b.extend(entries[k] for k in rest)
+                for k in rest:
+                    box_b = _union(box_b[0], box_b[1], lo[k], hi[k])
                 break
             # PickNext: entry with the greatest preference difference.
-            best_k, best_diff, best_growth = 0, -np.inf, (0.0, 0.0)
-            for k, e in enumerate(rest):
-                ga = _area(*_union(box_a[0], box_a[1], e[0], e[1])) - _area(*box_a)
-                gb = _area(*_union(box_b[0], box_b[1], e[0], e[1])) - _area(*box_b)
-                diff = abs(ga - gb)
-                if diff > best_diff:
-                    best_k, best_diff, best_growth = k, diff, (ga, gb)
-            e = rest.pop(best_k)
-            ga, gb = best_growth
-            pick_a = ga < gb or (ga == gb and _area(*box_a) <= _area(*box_b))
+            r_lo, r_hi = lo[rest], hi[rest]
+            area_a, area_b = _area(*box_a), _area(*box_b)
+            ga = _areas(*_union(box_a[0], box_a[1], r_lo, r_hi)) - area_a
+            gb = _areas(*_union(box_b[0], box_b[1], r_lo, r_hi)) - area_b
+            k = _first_max(np.abs(ga - gb))
+            k, (ga, gb) = (k, (ga[k], gb[k])) if k >= 0 else (0, (0.0, 0.0))
+            e = entries[rest.pop(k)]
+            pick_a = ga < gb or (ga == gb and area_a <= area_b)
             if pick_a:
                 group_a.append(e)
                 box_a = _union(box_a[0], box_a[1], e[0], e[1])

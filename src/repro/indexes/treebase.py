@@ -25,7 +25,10 @@ nodes expose a bounding box, a child list / leaf id array, an object count
   :func:`repro.indexes.kernels.tree_delta_batched` — whole blocks of
   unresolved query points advance through the tree per Python step, and a
   multi-``dc`` sweep (``delta_all_multi``) shares one maxrho annotation and
-  one traversal schedule across all of its density orders.
+  one traversal schedule across all of its density orders;
+* the exact repair of an answer after points were appended
+  (``quantities_after_append``), which reruns both engines only for what
+  the new points can change.
 
 Ablation knobs (DESIGN.md §3): both prunings can be disabled and the
 best-first frontier can be the batched engine (default), a per-object heap
@@ -50,13 +53,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.quantities import NO_NEIGHBOR, DensityOrder
+from repro.core.quantities import NO_NEIGHBOR, DensityOrder, DPCQuantities
 from repro.geometry.distance import Metric
 from repro.geometry.rect import Rect
 from repro.indexes import parallel
 from repro.indexes.base import DPCIndex
 from repro.indexes.kernels import (
     delta_multi_from_orders,
+    density_order_key,
     flat_tree_maxrho,
     flatten_tree,
     peak_delta_sweep,
@@ -281,20 +285,28 @@ class TreeIndexBase(DPCIndex):
         The base image and ``self.points`` prefix stay frozen (attributes
         are rebound, arrays never mutated in place, so snapshot copies keep
         answering for their content).  Configurations without a flat image
-        (``build_ == "objects"``) fall back to a full refit.
+        (``build_ == "objects"``), and the per-object reference frontiers,
+        which do not traverse a delta segment, fall back to a full refit.
         """
-        if self.build_ != "bulk" or self._flat is None:
+        if self.build_ != "bulk" or self._flat is None or self.frontier != "batched":
             super()._append(new_points)
             return
-        base_n = self._base_n
         combined = np.concatenate([self.points, new_points])
-        dflat = self._delta_image(combined[base_n:])
+        dflat = self._image_over(combined, np.arange(self._base_n, len(combined)))
         if dflat is None:
             super()._append(new_points)
             return
-        dflat.leaf_ids = dflat.leaf_ids + base_n  # ids global, leaf_node_of local
         self.points = combined
         self._delta_flat = dflat
+
+    def _image_over(self, points: np.ndarray, ids: np.ndarray):
+        """A :meth:`_delta_image` over ``points[ids]`` whose ``leaf_ids`` are
+        the global ``ids`` (``leaf_node_of`` stays indexed by position in
+        ``ids``); ``None`` when the family has no bulk path."""
+        image = self._delta_image(points[ids])
+        if image is not None:
+            image.leaf_ids = ids[image.leaf_ids]
+        return image
 
     @property
     def delta_size(self) -> int:
@@ -470,13 +482,21 @@ class TreeIndexBase(DPCIndex):
         """
         if self._delta_flat is None:
             return base_counts
-        group = np.full(len(self.points), -1, dtype=np.int64)
-        group[: self._base_n] = self._flat_tree().leaf_node_of
         extra = tree_rho_batched(
             self._delta_flat, self.points, dc, self.metric, self._stats,
-            group=group,
+            group=self._leaf_groups(),
         )
         return base_counts + extra + 1
+
+    def _leaf_groups(self) -> np.ndarray:
+        """Each point's leaf of the (base, delta) pair as a
+        :func:`~repro.indexes.kernels.tree_rho_batched` group key: base
+        leaves as they are, delta leaves offset past the base node ids."""
+        flat = self._flat_tree()
+        group = np.empty(len(self.points), dtype=np.int64)
+        group[: self._base_n] = flat.leaf_node_of
+        group[self._base_n :] = flat.n_nodes + self._delta_flat.leaf_node_of
+        return group
 
     # -- δ query (Algorithm 6) --------------------------------------------------------
 
@@ -530,9 +550,11 @@ class TreeIndexBase(DPCIndex):
             return [self.delta_all(order) for order in orders]
         if not orders:
             return []
-        flat = self._flat_tree()
         if self._delta_flat is not None:
-            return self._delta_all_multi_segmented(orders, flat)
+            return delta_multi_from_orders(
+                points, orders, self._segmented_search, self.metric, self._stats
+            )
+        flat = self._flat_tree()
 
         def run_engine(qid, qord, rho_rows, key_rows):
             # One vectorised maxrho pass annotates every order of the
@@ -559,8 +581,9 @@ class TreeIndexBase(DPCIndex):
             points, orders, run_engine, self.metric, self._stats
         )
 
-    def _delta_all_multi_segmented(self, orders, flat):
-        """δ sweep over the (base, delta) image pair.
+    def _segmented_search(self, qid, qord, rho_rows, key_rows):
+        """Nearest denser neighbour of the queries ``qid`` (non-peaks, with
+        their order rows ``qord``) over the (base, delta) image pair.
 
         Each image's engine is exact over its own member set when driven
         with the *global* density rows (leaf ids are global point ids in
@@ -580,42 +603,123 @@ class TreeIndexBase(DPCIndex):
         compaction restores the sharded path.
         """
         points = self.points
-        dflat = self._delta_flat
-        base_n = self._base_n
+        flat, dflat, base_n = self._flat_tree(), self._delta_flat, self._base_n
+        in_delta = qid >= base_n
+        dq, bq = np.flatnonzero(in_delta), np.flatnonzero(~in_delta)
+        maxrho_d = flat_tree_maxrho(dflat, rho_rows)
 
-        def run_engine(qid, qord, rho_rows, key_rows):
-            in_delta = qid >= base_n
-            dq, bq = np.flatnonzero(in_delta), np.flatnonzero(~in_delta)
-            maxrho_d = flat_tree_maxrho(dflat, rho_rows)
-
-            def search(image, maxrho, rows, own_leaf, carry=None):
-                return tree_delta_batched(
-                    image, points, qid[rows], qord[rows], rho_rows, key_rows,
-                    self.metric, self._stats,
-                    self.density_pruning, self.distance_pruning,
-                    maxrho=maxrho, own_leaf=own_leaf, carry=carry,
-                )
-
-            best_d = np.full(len(qid), np.inf, dtype=np.float64)
-            best_id = np.full(len(qid), NO_NEIGHBOR, dtype=np.int64)
-            best_d[dq], best_id[dq] = search(
-                dflat, maxrho_d, dq, dflat.leaf_node_of[qid[dq] - base_n]
+        def search(image, maxrho, rows, own_leaf, carry=None):
+            return tree_delta_batched(
+                image, points, qid[rows], qord[rows], rho_rows, key_rows,
+                self.metric, self._stats,
+                self.density_pruning, self.distance_pruning,
+                maxrho=maxrho, own_leaf=own_leaf, carry=carry,
             )
-            own_b = np.full(len(qid), -1, dtype=np.int64)
-            own_b[bq] = flat.leaf_node_of[qid[bq]]
-            best_d, best_id = search(
-                flat, flat_tree_maxrho(flat, rho_rows), slice(None), own_b,
-                carry=(best_d, best_id),
-            )
-            best_d[bq], best_id[bq] = search(
-                dflat, maxrho_d, bq, np.full(len(bq), -1, dtype=np.int64),
-                carry=(best_d[bq], best_id[bq]),
-            )
-            return best_d, best_id
 
-        return delta_multi_from_orders(
-            points, orders, run_engine, self.metric, self._stats
+        best_d = np.full(len(qid), np.inf, dtype=np.float64)
+        best_id = np.full(len(qid), NO_NEIGHBOR, dtype=np.int64)
+        best_d[dq], best_id[dq] = search(
+            dflat, maxrho_d, dq, dflat.leaf_node_of[qid[dq] - base_n]
         )
+        own_b = np.full(len(qid), -1, dtype=np.int64)
+        own_b[bq] = flat.leaf_node_of[qid[bq]]
+        best_d, best_id = search(
+            flat, flat_tree_maxrho(flat, rho_rows), slice(None), own_b,
+            carry=(best_d, best_id),
+        )
+        best_d[bq], best_id[bq] = search(
+            dflat, maxrho_d, bq, np.full(len(bq), -1, dtype=np.int64),
+            carry=(best_d[bq], best_id[bq]),
+        )
+        return best_d, best_id
+
+    # -- exact repair after an append (StreamingDPC) -----------------------------
+
+    def quantities_after_append(self, prev: DPCQuantities, n_prev: int) -> DPCQuantities:
+        """Repair ``prev`` (the answer over the first ``n_prev`` points)
+        into the answer over all points, bit-identical to a fresh fit.
+
+        Points only arrive, so no ρ falls, and the repair touches only what
+        an arrival can change:
+
+        * ρ — each old point adds its new neighbours (one
+          :func:`~repro.indexes.kernels.tree_rho_batched` pass of the old
+          points through an image of the new ones); new points count over
+          the (base, delta) pair.
+        * δ of an old point whose previous μ is still denser — its new
+          answer is the lexicographic minimum of ``(δ_prev, μ_prev)`` and
+          the nearest denser *changed* point (new, or old with a higher ρ).
+          A denser point that did not change was denser before too, and
+          μ_prev was the nearest of those.  One engine call over an image
+          of the changed points, ``(δ_prev, μ_prev)`` carried in.
+        * δ of every other non-peak (new points, old points whose μ fell
+          behind, former peaks) — the image-pair search of a full query;
+          peaks — :func:`~repro.indexes.kernels.peak_delta_sweep`.
+
+        Needs a (base, delta) pair, which only the batched frontier over a
+        bulk image keeps (and whose family therefore has an image path);
+        otherwise, and for an unchanged point count, the full computation
+        runs.  Serial, like the image-pair search.
+        """
+        self._check_prev(prev, n_prev)
+        if self._delta_flat is None or n_prev == self.n:
+            return super().quantities_after_append(prev, n_prev)
+        return self._traced_quantities(
+            prev.dc,
+            prev.density_order.tie_break,
+            lambda dc: self._rho_after_append(prev.rho, dc),
+            lambda order: self._delta_after_append(prev, order),
+        )
+
+    def _rho_after_append(self, rho_prev: np.ndarray, dc: float) -> np.ndarray:
+        points = self.points
+        fresh = self._image_over(points, np.arange(len(rho_prev), len(points)))
+        group = self._leaf_groups()
+
+        def count(image, qid):
+            return tree_rho_batched(
+                image, points, dc, self.metric, self._stats, qid=qid, group=group
+            )
+
+        # Each pass subtracts one self-count, but a query counts itself only
+        # in the one image of the pair that holds it (never in ``fresh``): + 1.
+        old, new = np.arange(len(rho_prev)), np.arange(len(rho_prev), len(points))
+        return np.concatenate([
+            rho_prev + count(fresh, old) + 1,
+            count(self._flat_tree(), new) + count(self._delta_flat, new) + 1,
+        ])
+
+    def _delta_after_append(self, prev: DPCQuantities, order: DensityOrder):
+        points = self.points
+        n, n_prev = len(points), len(prev)
+        rho_rows, key = order.rho[None, :], density_order_key(order)
+        key_rows = key[None, :]
+        delta = np.empty(n, dtype=np.float64)
+        mu = np.full(n, NO_NEIGHBOR, dtype=np.int64)
+        peaks = order.global_peaks()
+        delta[peaks] = peak_delta_sweep(points, peaks, self.metric, self._stats)
+        todo = np.ones(n, dtype=bool)
+        todo[peaks] = False
+        # Old points whose previous μ is still denser (so not peaks).
+        kept = np.flatnonzero(
+            (prev.mu != NO_NEIGHBOR) & (key[prev.mu] < key[:n_prev])
+        )
+        changed = np.concatenate(
+            [np.flatnonzero(order.rho[:n_prev] > prev.rho), np.arange(n_prev, n)]
+        )
+        delta[kept], mu[kept] = tree_delta_batched(
+            self._image_over(points, changed), points, kept,
+            np.zeros(len(kept), dtype=np.int64), rho_rows, key_rows,
+            self.metric, self._stats, self.density_pruning, self.distance_pruning,
+            own_leaf=np.full(len(kept), -1, dtype=np.int64),
+            carry=(prev.delta[kept], prev.mu[kept]),
+        )
+        todo[kept] = False
+        rest = np.flatnonzero(todo)
+        delta[rest], mu[rest] = self._segmented_search(
+            rest, np.zeros(len(rest), dtype=np.int64), rho_rows, key_rows
+        )
+        return delta, mu
 
     def _leaf_best(
         self, node: TreeNode, p: int, q: np.ndarray, order: DensityOrder

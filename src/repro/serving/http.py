@@ -21,7 +21,7 @@ Routes
 * ``GET  /healthz`` — liveness + snapshot count + health states.
 * ``GET  /v1/snapshots`` — published snapshots (name, fingerprint, version…).
 * ``POST /v1/snapshots/<name>`` — publish: body ``{"points": [[…]…],
-  "index": "ch", "params": {…}}`` fits in-process; ``{"path": "…"}`` loads
+  "index": "kdtree", "params": {…}}`` fits in-process; ``{"path": "…"}`` loads
   a persisted index (fingerprint-verified) instead.
 * ``DELETE /v1/snapshots/<name>`` — drop a snapshot (and its cache entries).
 * ``POST /v1/query`` — body ``{"snapshot": …, "op": "quantities"|"cluster",
@@ -283,7 +283,7 @@ class _Handler(BaseHTTPRequestHandler):
                 snapshot = self.service.fit_snapshot(
                     name,
                     points,
-                    index=str(body.get("index", "ch")),
+                    index=str(body.get("index", "kdtree")),
                     **dict(body.get("params") or {}),
                 )
             else:

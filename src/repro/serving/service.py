@@ -146,7 +146,7 @@ class ClusteringService:
     # -- snapshot lifecycle ---------------------------------------------------
 
     def fit_snapshot(
-        self, name: str, points: np.ndarray, index: str = "ch", **index_params: Any
+        self, name: str, points: np.ndarray, index: str = "kdtree", **index_params: Any
     ) -> Snapshot:
         """Fit an index over ``points`` in-process and publish it."""
         return self.store.fit(name, points, index=index, **index_params)

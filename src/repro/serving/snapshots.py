@@ -183,7 +183,7 @@ class SnapshotStore:
         self,
         name: str,
         points: np.ndarray,
-        index: "str | DPCIndex" = "ch",
+        index: "str | DPCIndex" = "kdtree",
         **index_params: Any,
     ) -> Snapshot:
         """Fit a fresh index over ``points`` and publish it under ``name``."""

@@ -76,6 +76,9 @@ _WORKER_INDEX_CAP = 4
 #: Exit status of a chaos-killed worker — recognisable in waitpid results.
 _KILL_EXIT_STATUS = 13
 
+#: Exit status of a worker whose parent died without stopping it.
+_ORPHAN_EXIT_STATUS = 14
+
 
 def _pick_context():
     """``fork`` where available (Linux: instant start, inherits numpy/module
@@ -91,7 +94,9 @@ def _pick_context():
 # --------------------------------------------------------------------------
 
 
-def _serving_worker_main(slot: int, conn, heartbeat_s: float, start_method: str) -> None:
+def _serving_worker_main(
+    slot: int, conn, heartbeat_s: float, start_method: str, parent_pid: int
+) -> None:
     """Entry point of one serving worker process.
 
     Protocol (parent → worker):
@@ -113,8 +118,10 @@ def _serving_worker_main(slot: int, conn, heartbeat_s: float, start_method: str)
         # the parent's job — workers exit via ("stop",) or SIGTERM.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         # A fork inherits the parent's Python SIGTERM handler (``cmd_serve``
-        # installs one to start a drain); a worker must die on SIGTERM.
+        # installs one to start a drain); a worker must die on SIGTERM.  The
+        # pool forks with SIGTERM blocked: unblock it only now.
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     except (ValueError, OSError):  # pragma: no cover - restricted platforms
         pass
     from repro.indexes import parallel as _parallel
@@ -133,8 +140,14 @@ def _serving_worker_main(slot: int, conn, heartbeat_s: float, start_method: str)
             return False
 
     def _heartbeat() -> None:
+        # A SIGKILLed parent never sends ("stop",), and the pipe never reads
+        # EOF while sibling workers hold its other end: the orphan would keep
+        # its shm image mapped.  Reparenting changes getppid, so die then.
+        # (The pool passes its pid: the parent may die before this runs.)
         seq = 0
         while not stop.wait(heartbeat_s):
+            if os.getppid() != parent_pid:
+                os._exit(_ORPHAN_EXIT_STATUS)
             seq += 1
             if not _send(("hb", seq)):
                 return
@@ -665,11 +678,19 @@ class WorkerPool:
                 child_conn,
                 self.heartbeat_s,
                 self._ctx.get_start_method(),
+                os.getpid(),
             ),
             name=f"repro-serve-worker-{worker.slot}",
             daemon=True,
         )
-        process.start()
+        # The child inherits the parent's Python SIGTERM handler until it
+        # installs SIG_DFL; forking with SIGTERM blocked makes a SIGTERM in
+        # that window wait (pending) instead of reaching the inherited one.
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         child_conn.close()
         worker.process = process
         worker.conn = parent_conn

@@ -21,6 +21,7 @@ from repro.indexes.registry import make_index
 from repro.indexes.rtree import RTreeIndex
 
 from tests.conftest import safe_dc
+from tests.rtree_split_reference import reference_quadratic_split
 
 #: Tree families with a bulk path; small structures so trees have depth.
 TREE_SPECS = {
@@ -181,3 +182,36 @@ class TestStreamingPublishesBulk:
         q = stream.quantities(dc)
         ref = RTreeIndex().fit(pts).quantities(dc)
         assert_identical_quantities(q, ref, context="[streaming]")
+
+
+def split_entries(seed: int, n: int, d: int):
+    """``n`` random R-tree entries: point entries (``lo == hi``) or boxes,
+    on a coarse lattice so areas tie, with repeated boxes, and some scaled
+    to 1e200 so areas overflow to inf and a waste is ``inf - inf`` (NaN)."""
+    r = np.random.default_rng(seed)
+    lo = r.integers(0, 4, size=(n, d)).astype(np.float64)
+    hi = lo + r.integers(0, 3, size=(n, d)) * (r.random((n, 1)) < 0.6)
+    again = r.random(n) < 0.3
+    src = r.integers(0, n, size=n)
+    lo[again], hi[again] = lo[src[again]], hi[src[again]]
+    if r.random() < 0.3:
+        huge = r.random(n) < 0.4
+        lo[huge] *= 1e200
+        hi[huge] *= 1e200
+    return [(lo[k].copy(), hi[k].copy(), k) for k in range(n)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadratic_split_matches_the_loop_reference(d):
+    """The vectorised PickSeeds / PickNext choose what the pairwise loops
+    chose: the same groups, in the same order, and bit-identical boxes."""
+    for seed in range(150):
+        max_entries = 2 + seed % 15
+        index = RTreeIndex(max_entries=max_entries, min_entries=1 + seed % (max_entries // 2))
+        entries = split_entries(seed, max_entries + 1, d)
+        got = index._quadratic_split(entries)
+        want = reference_quadratic_split(entries, index.min_entries)
+        for (g_group, g_box), (w_group, w_box) in zip(got, want):
+            assert [e[2] for e in g_group] == [e[2] for e in w_group], seed
+            for g, w in zip(g_box, w_box):
+                assert g.tobytes() == w.tobytes(), seed

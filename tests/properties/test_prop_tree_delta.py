@@ -11,7 +11,8 @@ image's answer.  The contracts checked here:
 * with one, δ and μ equal the reference's answer merged with the carried
   one by ``merge_delta_candidates`` (lexicographic ``(distance, id)``);
 * a random ``StreamingDPC`` stream equals a fresh fit after every batch,
-  across compactions.
+  across compactions, and the answers between compactions come from the
+  exact repair (``quantities_after_append``), not from a full run.
 
 Axes: every tree family × every rect-bounds metric × both tie-breaks, on
 corpora with duplicate points (δ ties at distance 0) and lattice points (ρ
@@ -219,29 +220,114 @@ def stream_points(seed: int) -> np.ndarray:
     return pts
 
 
+FIELDS = ("rho", "delta", "mu")
+
+
+def spied_factory(family, metric, **params):
+    """An index factory, and the list of point counts at which its indexes
+    ran a full ``quantities`` — the path a stream takes instead of a repair."""
+    full_runs = []
+
+    def factory():
+        index = make_index(family, metric=metric, **params)
+        full = index.quantities
+
+        def quantities(*args, **kwargs):
+            full_runs.append(index.n)
+            return full(*args, **kwargs)
+
+        index.quantities = quantities
+        return index
+
+    return factory, full_runs
+
+
+def drive(stream, batches, asks, fresh, tie_break):
+    """Feed ``batches``; after batch ``i`` ask each cut-off in ``asks(i)`` and
+    compare the answer with a fresh fit.
+
+    Returns ``(n_asks, n_first, buffered)``: answers asked for, how many of
+    them were a cut-off's first answer or its first after a compaction
+    (which a repair cannot serve), and the largest delta segment seen.
+    Every answer handed out must stay as it was.
+    """
+    last = {}  # dc -> rebuild_count at its previous answer
+    returned = []
+    n_first = buffered = 0
+    for i, batch in enumerate(batches):
+        stream.add(batch)
+        buffered = max(buffered, stream.n_buffered)
+        want_index = fresh().fit(stream.points())
+        for dc in asks(i):
+            n_first += last.get(dc) != stream.rebuild_count
+            last[dc] = stream.rebuild_count
+            got = stream.quantities(dc, tie_break)
+            want = want_index.quantities(dc, tie_break)
+            for field in FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(got, field), getattr(want, field),
+                    err_msg=f"{field} after batch {i}, dc={dc}",
+                )
+            returned.append((got, [getattr(got, f).copy() for f in FIELDS]))
+    for got, kept in returned:
+        for field, before in zip(FIELDS, kept):
+            np.testing.assert_array_equal(getattr(got, field), before, err_msg=field)
+    return len(returned), n_first, buffered
+
+
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_stream_equals_fresh_fit_after_every_batch(family, metric, tie_break):
     spec = FAMILIES[family]
-    stream = StreamingDPC(
-        index_factory=lambda: make_index(family, metric=metric, **spec),
-        rebuild_factor=0.5,
-        min_buffer=8,
-    )
-    buffered = 0
+    factory, full_runs = spied_factory(family, metric, **spec)
+    stream = StreamingDPC(index_factory=factory, rebuild_factor=0.5, min_buffer=8)
     seed = sorted(FAMILIES).index(family) + 10 * len(metric)
-    for i, batch in enumerate(stream_points(seed)):
-        stream.add(batch)
-        buffered = max(buffered, stream.n_buffered)
-        fresh = make_index(family, metric=metric, **spec).fit(stream.points())
-        for dc in (0.3, 0.8):
-            got = stream.quantities(dc, tie_break)
-            want = fresh.quantities(dc, tie_break)
-            for field in ("rho", "delta", "mu"):
-                np.testing.assert_array_equal(
-                    getattr(got, field), getattr(want, field),
-                    err_msg=f"{field} after batch {i}, dc={dc}",
-                )
+    n_asks, n_first, buffered = drive(
+        stream, stream_points(seed), lambda i: (0.3, 0.8),
+        lambda: make_index(family, metric=metric, **spec), tie_break,
+    )
     assert buffered > 0, "no batch ever lived in a delta segment"
     assert stream.rebuild_count >= 2, "the stream never compacted"
+    # Only first answers ran in full; every other answer was a repair.
+    assert len(full_runs) == n_first < n_asks
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_repair_spans_several_batches(family, tie_break):
+    """One cut-off asked every other batch, and right after one-point adds:
+    a repair then folds several batches (or a single point) at once."""
+    spec = FAMILIES[family]
+    factory, full_runs = spied_factory(family, "euclidean", **spec)
+    stream = StreamingDPC(index_factory=factory, rebuild_factor=0.5, min_buffer=8)
+    batches = stream_points(31 + sorted(FAMILIES).index(family))
+    for at in (3, 8, 9):
+        batches.insert(at, batches[at - 1][-1:])  # a duplicate, one point
+    one_point = {i for i, b in enumerate(batches) if len(b) == 1}
+    n_asks, n_first, _ = drive(
+        stream, batches,
+        lambda i: (0.5,) if i % 2 == 0 or i in one_point else (),
+        lambda: make_index(family, **spec), tie_break,
+    )
+    assert stream.rebuild_count >= 2, "the stream never compacted"
+    assert len(full_runs) == n_first < n_asks
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize(
+    "family, params",
+    [("rtree", {"max_entries": 5, "packing": "dynamic"}),
+     ("kdtree", {"leaf_size": 6, "frontier": "heap"})],
+    ids=["rtree-dynamic", "kdtree-heap"],
+)
+def test_configurations_without_a_delta_pair_answer_in_full(family, params, tie_break):
+    """A dynamic R-tree refits on every add and a reference frontier cannot
+    search a delta segment: no repair, every answer a full run, still exact."""
+    factory, full_runs = spied_factory(family, "euclidean", **params)
+    stream = StreamingDPC(index_factory=factory, rebuild_factor=0.5, min_buffer=8)
+    n_asks, _, _ = drive(
+        stream, stream_points(41)[:8], lambda i: (0.3, 0.8),
+        lambda: make_index(family, **params), tie_break,
+    )
+    assert len(full_runs) == n_asks

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.__main__ import build_parser
 from repro.__main__ import main as repro_main
 from repro.harness.__main__ import main as harness_main
 
 
 class TestClusterCommand:
+    def test_default_index_is_kdtree(self):
+        # ``ch`` keeps the full N-list: O(n^2) memory is no default.
+        for command in ("cluster", "serve"):
+            assert build_parser().parse_args([command]).index == "kdtree"
+
     def test_builtin_dataset(self, capsys):
         code = repro_main(
             [

@@ -134,6 +134,12 @@ class TestRoutes:
         reference = make_index("grid", target_occupancy=4).fit(points).cluster(0.8)
         assert out["labels"] == reference.labels.tolist()
 
+    def test_publish_points_defaults_to_kdtree(self, served, rng):
+        base, _ = served
+        points = rng.normal(size=(30, 2))
+        published = post(base, "/v1/snapshots/plain", {"points": points.tolist()})
+        assert published["published"]["index"] == "kdtree"
+
     def test_publish_from_persisted_path(self, served, blobs, tmp_path):
         base, _ = served
         path = str(tmp_path / "saved.npz")

@@ -19,6 +19,9 @@ def service(blobs):
 
 
 class TestExactness:
+    def test_fit_snapshot_defaults_to_kdtree(self, service, blobs):
+        assert service.fit_snapshot("plain", blobs).index.name == "kdtree"
+
     def test_quantities_matches_direct_call(self, service, blobs):
         direct = make_index("kdtree").fit(blobs)
         for dc in (0.3, 0.5, 0.9):

@@ -8,11 +8,14 @@ degradation, respawn — at unit granularity with one tiny corpus.
 
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.quantities import TieBreak
 from repro.indexes.parallel import SHM_PREFIX
 from repro.indexes.registry import make_index
@@ -230,3 +233,50 @@ class TestFailoverMechanics:
                 assert not pool.worker_pids()
         finally:
             signal.signal(signal.SIGTERM, previous)
+
+
+#: Builds a two-worker pool over a published snapshot, prints the worker
+#: pids and waits to be killed.
+_POOL_HELPER = """
+import time
+import numpy as np
+from repro.serving.snapshots import SnapshotStore
+from repro.serving.workers import WorkerPool
+store = SnapshotStore()
+store.fit("main", np.random.default_rng(5).normal(size=(64, 2)), index="kdtree")
+pool = WorkerPool(store, workers=2, heartbeat_s=0.05)
+print(*pool.worker_pids(), flush=True)
+time.sleep(60)
+"""
+
+
+def running(pid):
+    """Alive and not a zombie (an orphan's exit may wait for a reaper)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_the_parent_is_sigkilled():
+    """A SIGKILLed parent sends no ("stop",); its workers must notice the
+    reparenting and exit rather than keep the snapshot image mapped."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    helper = subprocess.Popen(
+        [sys.executable, "-c", _POOL_HELPER], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        pids = [int(pid) for pid in helper.stdout.readline().split()]
+    finally:
+        helper.kill()
+        helper.wait()
+        helper.stdout.close()
+    assert len(pids) == 2
+    wait_until(lambda: not any(running(pid) for pid in pids), timeout_s=2.0)
+    survivors = [pid for pid in pids if running(pid)]
+    for pid in survivors:  # do not leak them past a failing run
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == [], "serving workers outlived a SIGKILLed parent"

@@ -94,6 +94,65 @@ class TestExactness:
         assert_quantities_equal(expected, got)
 
 
+class TestStoredAnswers:
+    """The stream keeps one answer per (dc, tie_break) and repairs it."""
+
+    @staticmethod
+    def full_runs(stream):
+        """Count the stream index's full ``quantities`` runs from now on."""
+        index = stream._index
+        runs = []
+        full = index.quantities
+
+        def counted(*args, **kwargs):
+            runs.append(index.n)
+            return full(*args, **kwargs)
+
+        index.quantities = counted
+        return runs
+
+    def test_same_object_while_n_is_unchanged(self, stream_batches):
+        s = StreamingDPC(min_buffer=8)
+        s.add(stream_batches[0])
+        first = s.quantities(0.8)
+        assert s.quantities(0.8) is first
+        assert s.quantities(0.8, "strict") is not first  # another key
+        s.add(stream_batches[1])
+        second = s.quantities(0.8)
+        assert second is not first
+        assert s.quantities(0.8) is second
+
+    def test_ingest_repairs_the_stored_answer(self, stream_batches):
+        s = StreamingDPC(rebuild_factor=100.0, min_buffer=8)
+        s.add(stream_batches[0])
+        s.quantities(0.8)
+        runs = self.full_runs(s)
+        for batch in stream_batches[1:4]:
+            s.add(batch)
+            assert_quantities_equal(naive_quantities(s.points(), 0.8), s.quantities(0.8))
+        assert runs == []
+
+    def test_compaction_drops_the_stored_answer(self, stream_batches):
+        s = StreamingDPC(rebuild_factor=0.5, min_buffer=8)
+        s.add(stream_batches[0])
+        s.quantities(0.8)
+        runs = self.full_runs(s)
+        s.add(stream_batches[1])  # 40 pending > 0.5 x 40: compacts
+        assert s.rebuild_count == 2
+        s.add(stream_batches[2][:10])  # a delta segment again, no compaction
+        assert s.rebuild_count == 2 and s.n_buffered == 10
+        got = s.quantities(0.8)
+        assert runs == [s.n]  # the stored answer was gone: a full run
+        assert_quantities_equal(naive_quantities(s.points(), 0.8), got)
+
+    def test_prev_must_cover_n_prev_points(self, stream_batches):
+        index = KDTreeIndex().fit(stream_batches[0])
+        prev = index.quantities(0.8)
+        index.add_points(stream_batches[1])
+        with pytest.raises(ValueError, match="n_prev"):
+            index.quantities_after_append(prev, len(prev) - 1)
+
+
 class TestClustering:
     def test_cluster_over_stream(self, stream_batches):
         s = StreamingDPC()
