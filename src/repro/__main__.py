@@ -57,43 +57,16 @@ def _index_params(args) -> dict:
     return params
 
 
-def _resolve_index(args) -> "tuple[str, dict]":
-    """``(index_name, index_params)`` after the partitioning flags.
-
-    ``--partitions N`` wraps the chosen family in the dataset-sharded
-    :class:`~repro.indexes.partition.PartitionedIndex` (results stay
-    bit-identical); family-specific knobs move into ``family_params`` while
-    the execution knobs stay on the wrapper, whose backend every
-    per-partition sub-index shares.
-    """
-    params = _index_params(args)
-    partitions = args.partitions
-    if not partitions:
-        return args.index, params
-    family_params = {
-        key: params.pop(key) for key in ("tau", "bin_width") if key in params
-    }
-    params.update(
-        family=args.index,
-        partitions=partitions,
-        halo=args.halo_width,
-        scheme=args.partition_scheme,
-        family_params=family_params,
-    )
-    return "partitioned", params
-
-
 def cmd_cluster(args) -> int:
     points = _load_points(args)
-    index_name, index_params = _resolve_index(args)
     model = DensityPeakClustering(
-        index=index_name,
+        index=args.index,
         dc=args.dc,
         n_centers=args.n_centers,
         rho_min=args.rho_min,
         delta_min=args.delta_min,
         halo=args.halo,
-        index_params=index_params,
+        index_params=_index_params(args),
         seed=args.seed,
     )
     stats_json = args.stats_json
@@ -104,7 +77,7 @@ def cmd_cluster(args) -> int:
 
         obs.enable()
         root_span = obs_trace.begin_span(
-            "cli.cluster", index=index_name, n=len(points)
+            "cli.cluster", index=args.index, n=len(points)
         )
         try:
             with obs_trace.use_span(root_span):
@@ -115,13 +88,8 @@ def cmd_cluster(args) -> int:
         model.fit(points)
 
     n = len(points)
-    shown = (
-        f"{index_name}[{index_params['family']} x {index_params['partitions']}]"
-        if index_name == "partitioned" and "family" in index_params
-        else index_name
-    )
     sizes = np.bincount(model.labels_)
-    print(f"n = {n}, dc = {model.dc_:g}, index = {shown}")
+    print(f"n = {n}, dc = {model.dc_:g}, index = {args.index}")
     print(f"clusters: {model.n_clusters_}")
     print("sizes:", ", ".join(str(s) for s in sorted(sizes.tolist(), reverse=True)[:12]))
     if model.halo_ is not None:
@@ -145,7 +113,7 @@ def cmd_cluster(args) -> int:
             extra={
                 "provenance": provenance_block(),
                 "run": {
-                    "index": index_name,
+                    "index": args.index,
                     "n": n,
                     "dc": float(model.dc_),
                     "n_clusters": int(model.n_clusters_),
@@ -187,9 +155,8 @@ def build_server(args):
             chunk_size=args.chunk_size,
         )
     else:
-        index_name, index_params = _resolve_index(args)
         snapshot = service.fit_snapshot(
-            args.snapshot, _load_points(args), index=index_name, **index_params
+            args.snapshot, _load_points(args), index=args.index, **_index_params(args)
         )
     server = make_server(
         service,
@@ -296,19 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=None,
         help="queries per shard task (default: ~4 chunks per worker)",
     )
-    cluster.add_argument(
-        "--partitions", type=int, default=None,
-        help="shard the dataset into this many tiles (partitioned execution; "
-        "results stay bit-identical to the unpartitioned index)",
-    )
-    cluster.add_argument(
-        "--halo-width", type=float, default=None,
-        help="initial halo width in metric units (default: auto-grow to dc)",
-    )
-    cluster.add_argument(
-        "--partition-scheme", default="morton", choices=("morton", "grid"),
-        help="tiling curve for --partitions (locality only, never results)",
-    )
     cluster.add_argument("--out", default=None, help="write labels (one per row) here")
     cluster.add_argument(
         "--stats-json", default=None, metavar="PATH",
@@ -338,17 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", default="serial", choices=("serial", "threads", "process"))
     serve.add_argument("--n-jobs", type=int, default=None)
     serve.add_argument("--chunk-size", type=int, default=None)
-    serve.add_argument(
-        "--partitions", type=int, default=None,
-        help="shard the dataset into this many tiles (partitioned execution)",
-    )
-    serve.add_argument(
-        "--halo-width", type=float, default=None,
-        help="initial halo width in metric units (default: auto-grow to dc)",
-    )
-    serve.add_argument(
-        "--partition-scheme", default="morton", choices=("morton", "grid"),
-    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8030, help="0 picks a free port")
     serve.add_argument(

@@ -46,12 +46,6 @@ def main(argv=None) -> int:
         help="add multi-core columns (sharded process backend) to the "
         "experiments that support them (fig5, fig6-batched)",
     )
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=4,
-        help="tile count for the partitioned scale-out experiment",
-    )
     parser.add_argument("--csv", default=None, help="also write the table as CSV")
     parser.add_argument(
         "--chart",
@@ -68,8 +62,6 @@ def main(argv=None) -> int:
             kwargs["memory_budget_mb"] = args.memory_budget_mb
         if "n_jobs" in func.__code__.co_varnames:
             kwargs["n_jobs"] = args.n_jobs
-        if "partitions" in func.__code__.co_varnames:
-            kwargs["partitions"] = args.partitions
         started = time.perf_counter()
         table = func(**kwargs)
         elapsed = time.perf_counter() - started

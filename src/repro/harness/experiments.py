@@ -10,10 +10,7 @@ the reproduction target recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.assignment import assign_labels
 from repro.core.decision import select_centers_auto, select_centers_top_k
@@ -49,7 +46,6 @@ __all__ = [
     "fig9b_tau_memory",
     "fig10_quality",
     "serving_throughput",
-    "partitioned_scaleout",
     "EXPERIMENTS",
 ]
 
@@ -470,67 +466,6 @@ def serving_throughput(
     return table
 
 
-def partitioned_scaleout(
-    profile: str = "bench",
-    seed: int = 0,
-    datasets: Optional[Sequence[str]] = None,
-    partitions: int = 4,
-    n_jobs: int = 1,
-) -> Table:
-    """Partitioned execution check (not a paper figure — the scale-out).
-
-    Shards each dataset into ``partitions`` Morton tiles with a dc-width
-    halo (:mod:`repro.indexes.partition`), runs one (ρ+δ) pass both ways,
-    and reports the per-tile exchange counters next to the monolithic
-    timings.  The ``identical`` column is asserted, not just printed —
-    dataset sharding must never move a single bit of (ρ, δ, μ).
-    ``n_jobs > 1`` runs the per-partition kernels through the shared
-    ``process`` executor (one shared-memory image per tile).
-    """
-    table = Table(
-        "Partitioned execution — dataset tiles + halo exchange vs one index",
-        [
-            "dataset", "n", "dc", "partitions", "halo", "fit_seconds",
-            "mono_seconds", "part_seconds", "speedup", "halo_points",
-            "settled_local", "gathered", "identical",
-        ],
-    )
-    for ds in _datasets(datasets, profile, seed, ("s1",)):
-        dc = ds.params.dc_default
-        mono = RTreeIndex().fit(ds.points)
-        started = time.perf_counter()
-        q_mono = mono.quantities(dc)
-        mono_seconds = time.perf_counter() - started
-        part = mono.partitioned(partitions, halo=dc)
-        if n_jobs > 1:
-            part.set_execution(backend="process", n_jobs=n_jobs)
-        try:
-            part.fit(ds.points)
-            started = time.perf_counter()
-            q_part = part.quantities(dc)
-            part_seconds = time.perf_counter() - started
-            pstats = part.partition_stats()
-        finally:
-            part.release_execution()
-        identical = (
-            np.array_equal(q_mono.rho, q_part.rho)
-            and np.array_equal(q_mono.delta, q_part.delta)
-            and np.array_equal(q_mono.mu, q_part.mu)
-        )
-        assert identical, f"partitioned run diverged on {ds.name}"
-        table.add_row(
-            dataset=ds.name, n=ds.n, dc=dc, partitions=pstats["partitions"],
-            halo=pstats["halo"], fit_seconds=part.build_seconds,
-            mono_seconds=mono_seconds, part_seconds=part_seconds,
-            speedup=(mono_seconds / part_seconds if part_seconds > 0 else None),
-            halo_points=pstats["halo_points"],
-            settled_local=pstats["local_settled"],
-            gathered=pstats["gathered"],
-            identical=identical,
-        )
-    return table
-
-
 #: CLI name → experiment function (ablations are appended on import to
 #: avoid a circular dependency with repro.harness.ablations).
 EXPERIMENTS = {
@@ -545,5 +480,4 @@ EXPERIMENTS = {
     "fig9b": fig9b_tau_memory,
     "fig10": fig10_quality,
     "serving": serving_throughput,
-    "partitioned": partitioned_scaleout,
 }

@@ -111,8 +111,8 @@ def _require_finite(points: np.ndarray, name: str) -> None:
 
     A NaN or ±inf coordinate fails differently per family (NaN δ on the
     trees and ``list``, ``OverflowError`` in ``grid``, a negative bincount
-    length in ``ch``, an unresolved gather in ``partitioned``), so
-    :meth:`DPCIndex.fit` and :meth:`DPCIndex.add_points` refuse it up front.
+    length in ``ch``), so :meth:`DPCIndex.fit` and :meth:`DPCIndex.add_points`
+    refuse it up front.
     """
     if not np.isfinite(points).all():
         raise ValueError(f"{name} must be finite: NaN and ±inf coordinates are rejected")
@@ -565,37 +565,6 @@ class DPCIndex(abc.ABC):
         if obs_runtime._ENABLED:
             _observe_phase("assign", sp)
         return result
-
-    def partitioned(
-        self,
-        partitions: int,
-        halo: Optional[float] = None,
-        scheme: str = "morton",
-    ) -> "DPCIndex":
-        """A partitioned (dataset-sharded) index over this family + params.
-
-        Returns an *unfitted* :class:`~repro.indexes.partition.PartitionedIndex`
-        configured with this index's family, constructor parameters, metric
-        and execution knobs — the scale-out entry point:
-        ``RTreeIndex(max_entries=8).partitioned(4).fit(points)`` answers
-        every query bit-identically to the unpartitioned fit.
-        """
-        from repro.indexes.partition import PartitionedIndex
-        from repro.indexes.persist import _constructor_params
-
-        family_params = _constructor_params(self)
-        family_params.pop("metric", None)
-        return PartitionedIndex(
-            metric=self.metric,
-            family=self.name,
-            partitions=partitions,
-            halo=halo,
-            scheme=scheme,
-            family_params=family_params,
-            backend=self.backend,
-            n_jobs=self.n_jobs,
-            chunk_size=self.chunk_size,
-        )
 
     # -- execution backend (repro.indexes.parallel) -------------------------------
 

@@ -151,7 +151,6 @@ __all__ = [
     "density_order_key",
     "delta_multi_from_orders",
     "merge_delta_candidates",
-    "gather_min_denser",
     "FlatTree",
     "flatten_tree",
     "flat_tree_maxrho",
@@ -636,40 +635,6 @@ def merge_delta_candidates(
     """
     take_b = (d_b < d_a) | ((d_b == d_a) & (mu_b < mu_a))
     return np.where(take_b, d_b, d_a), np.where(take_b, mu_b, mu_a)
-
-
-def gather_min_denser(
-    q_points: np.ndarray,
-    cand_points: np.ndarray,
-    cand_ids: np.ndarray,
-    denser: np.ndarray,
-    metric,
-    stats=None,
-    no_candidate_id: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One scatter/gather probe: nearest denser candidate per query row.
-
-    ``denser`` is the ``(len(q_points), len(cand_points))`` boolean mask of
-    admissible candidates; rows with none get ``(inf, no_candidate_id)``.
-    ``cand_ids`` must be sorted ascending so the dense ``argmin`` — which
-    returns the first minimum — realises the same lexicographic
-    ``(distance, id)`` rule as the reference ``np.lexsort((cand, d))[0]``
-    within the probed candidate set.  Cross-probe results then merge exactly
-    with :func:`merge_delta_candidates`, so a gather spread over any number
-    of disjoint candidate partitions reproduces a single global scan bit for
-    bit (``metric.cross`` keeps distance arithmetic elementwise-identical
-    regardless of batch shape).
-    """
-    dists = metric.cross(q_points, cand_points)
-    if stats is not None:
-        stats.distance_evals += dists.size
-    masked = np.where(denser, dists, np.inf)
-    j = masked.argmin(axis=1)
-    rows = np.arange(len(masked))
-    d = masked[rows, j]
-    found = np.isfinite(d)
-    mu = np.where(found, np.asarray(cand_ids, dtype=np.int64)[j], no_candidate_id)
-    return d, mu
 
 
 def _expand_csr(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,9 @@ integrity-failing payload as a :class:`CorruptSnapshotError` (a
 ``ValueError``) and, by default, **quarantines** the bad file by renaming
 it to ``<path>.corrupt`` — a serving process restarted in a crash loop
 then gets a clean :exc:`FileNotFoundError` instead of re-tripping on the
-same bytes, and the evidence survives for the operator.
+same bytes, and the evidence survives for the operator.  A payload that
+names an index family this build does not register is not corrupt: it
+raises a plain ``ValueError`` and stays where it is.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from repro.indexes.base import DPCIndex
 from repro.indexes.ch_index import CHIndex
 from repro.indexes.kernels import FlatTree
 from repro.indexes.list_index import ListIndex
-from repro.indexes.partition import PartitionedIndex
 from repro.indexes.registry import INDEX_CLASSES
 from repro.indexes.rn_list import RNCHIndex, RNListIndex
 from repro.indexes.treebase import TreeIndexBase
@@ -162,16 +163,6 @@ def _constructor_params(index: DPCIndex) -> Dict[str, Any]:
         "density_pruning",
         "distance_pruning",
         "frontier",
-        # Partitioned layer (repro.indexes.partition).  ``halo`` here is the
-        # *configured* initial width; the fit-resolved ``halo_`` is excluded
-        # on purpose — results are independent of it, so two snapshots that
-        # only differ in how far their halos auto-grew must share answers
-        # (they still fingerprint apart via the configured params).
-        "family",
-        "partitions",
-        "halo",
-        "scheme",
-        "family_params",
     ):
         if hasattr(index, attr):
             params[attr] = getattr(index, attr)
@@ -242,29 +233,11 @@ def _flat_digest(flat: FlatTree) -> str:
     return digest.hexdigest()
 
 
-def _partition_digest(halo: float, assign: np.ndarray, members) -> str:
-    """SHA-256 over a partitioned layout (halo + assignment + member ids).
-
-    Same rationale as :func:`_flat_digest`: the per-partition payload is
-    loaded verbatim instead of being re-derived from the points, so it
-    carries its own integrity hash — a corrupted or hand-edited member
-    array would otherwise fit plausible sub-indexes that silently answer
-    wrong under an honest fingerprint.
-    """
-    digest = hashlib.sha256()
-    digest.update(repr(float(halo)).encode())
-    digest.update(np.ascontiguousarray(assign, dtype=np.int64).tobytes())
-    for mem in members:
-        digest.update(b"|")
-        digest.update(np.ascontiguousarray(mem, dtype=np.int64).tobytes())
-    return digest.hexdigest()
-
-
 def export_index_image(index: DPCIndex) -> "tuple[Dict[str, Any], Dict[str, np.ndarray]]":
     """A fitted index as ``(meta, arrays)`` — the persisted payload, in memory.
 
     ``meta`` is the JSON-safe header :func:`save_index` writes (format
-    version, constructor params, fingerprint, segment/flat/partition
+    version, constructor params, fingerprint, segment and flat-image
     layout); ``arrays`` the named numpy payload (``points``, per-family
     state, the flat query image).  :func:`restore_index_image` is the exact
     inverse.  ``save_index`` is this plus an atomic file write — the split
@@ -306,21 +279,6 @@ def export_index_image(index: DPCIndex) -> "tuple[Dict[str, Any], Dict[str, np.n
         arrays[f"state{attr}"] = value
     if hasattr(index, "_big_delta"):
         meta["big_delta"] = float(index._big_delta)
-    if isinstance(index, PartitionedIndex):
-        # Per-partition payload: the tile assignment, the resolved halo and
-        # each tile's member ids.  A load adopts the layout verbatim (no
-        # curve sort, no halo rect pass) and refits the per-tile
-        # sub-indexes deterministically over their stored members.
-        arrays["partassign"] = index._assign
-        for t, mem in enumerate(index._members):
-            arrays[f"partmembers{t}"] = mem
-        meta["partitioned"] = {
-            "partitions": int(index.partitions_),
-            "halo": float(index.halo_),
-            "digest": _partition_digest(
-                index.halo_, index._assign, index._members
-            ),
-        }
     if isinstance(index, TreeIndexBase):
         # Persist the flattened query image: a load (serving cold start)
         # then skips both the rebuild and the re-flatten.
@@ -429,8 +387,8 @@ def restore_index_image(
     The exact inverse of :func:`export_index_image`, and the shared tail of
     :func:`load_index`: list-based families restore their precomputed
     arrays without recomputation, tree families adopt the flat query image
-    verbatim (digest-checked), the partitioned wrapper adopts its stored
-    tile layout, and the grid refits deterministically from the points.
+    verbatim (digest-checked), and the grid refits deterministically from
+    the points.
     The restored index keeps **views** of the arrays it was handed wherever
     it can — restoring from shared-memory-attached arrays copies nothing
     big — and the stored content fingerprint is re-verified, so a corrupt
@@ -447,13 +405,6 @@ def restore_index_image(
         if flat_meta is not None
         else None
     )
-    part_meta = meta.get("partitioned")
-    part_assign = part_members = None
-    if part_meta is not None:
-        part_assign = arrays["partassign"]
-        part_members = [
-            arrays[f"partmembers{t}"] for t in range(int(part_meta["partitions"]))
-        ]
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported index file version {meta.get('format_version')!r}"
@@ -509,22 +460,6 @@ def restore_index_image(
         index.build_seconds = float(meta.get("build_seconds", float("nan")))
         if base_n < len(points):
             index.add_points(points[base_n:])
-    elif part_meta is not None and isinstance(index, PartitionedIndex):
-        # Adopt the per-partition layout verbatim; the per-tile sub-indexes
-        # refit deterministically over their stored member ids.
-        stored_digest = part_meta.get("digest")
-        actual_digest = _partition_digest(
-            part_meta["halo"], part_assign, part_members
-        )
-        if stored_digest is None or actual_digest != stored_digest:
-            raise CorruptSnapshotError(
-                "partition-layout digest mismatch — image corrupt or "
-                "hand-edited"
-            )
-        index._restore_layout(
-            points, part_meta["halo"], part_assign, part_members
-        )
-        index.build_seconds = float(meta.get("build_seconds", float("nan")))
     else:
         # Families that rebuild from points on load (the grid): refit the
         # base segment, then re-ingest the delta suffix so the restored

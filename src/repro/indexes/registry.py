@@ -15,7 +15,6 @@ from repro.indexes.ch_index import CHIndex
 from repro.indexes.grid import GridIndex
 from repro.indexes.kdtree import KDTreeIndex
 from repro.indexes.list_index import ListIndex
-from repro.indexes.partition import PartitionedIndex
 from repro.indexes.quadtree import QuadtreeIndex
 from repro.indexes.rn_list import RNCHIndex, RNListIndex
 from repro.indexes.rtree import RTreeIndex
@@ -31,7 +30,6 @@ INDEX_CLASSES: Dict[str, Type[DPCIndex]] = {
     RTreeIndex.name: RTreeIndex,
     KDTreeIndex.name: KDTreeIndex,
     GridIndex.name: GridIndex,
-    PartitionedIndex.name: PartitionedIndex,
 }
 
 

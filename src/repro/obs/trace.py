@@ -3,9 +3,9 @@
 A trace is a tree of :class:`Span` objects sharing one ``trace_id``.  The
 root opens at HTTP ingress / ``ClusteringService.submit()`` (or at the CLI
 entry point) and children open around each phase the request flows through
-— coalescer dispatch, ``quantities_multi``, partition local/gather passes,
-parallel task waves — so one trace shows the full phase breakdown of one
-request.  Timing uses ``time.perf_counter_ns`` (monotonic), so durations
+— coalescer dispatch, ``quantities_multi``, the engine's ρ/δ/assign
+phases, parallel task waves — so one trace shows the full phase breakdown
+of one request.  Timing uses ``time.perf_counter_ns`` (monotonic), so durations
 are non-negative by construction.
 
 Propagation is via a :data:`contextvars.ContextVar`, which flows through

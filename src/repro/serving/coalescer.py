@@ -491,7 +491,7 @@ class RequestCoalescer:
                 ).inc(len(group) - len(dcs))
         # The group's one engine call is traced under the *lead* request
         # (the first with a root span), so its trace shows the full
-        # coalescer -> quantities -> (partition|parallel) tree; batch-mates
+        # coalescer -> quantities -> parallel tree; batch-mates
         # get a "coalescer.ride" marker pointing at the lead trace.
         lead = next((r.span for r in group if r.span is not None), None)
         dispatch_span = obs_trace.begin_span(

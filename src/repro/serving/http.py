@@ -22,7 +22,10 @@ Routes
 * ``GET  /v1/snapshots`` — published snapshots (name, fingerprint, version…).
 * ``POST /v1/snapshots/<name>`` — publish: body ``{"points": [[…]…],
   "index": "kdtree", "params": {…}}`` fits in-process; ``{"path": "…"}`` loads
-  a persisted index (fingerprint-verified) instead.
+  a persisted index (fingerprint-verified) instead.  ``params`` naming
+  ``backend``, ``n_jobs`` or ``chunk_size`` is a 400: execution is set by
+  ``serve --backend/--n-jobs/--chunk-size``.  A path that fails to load is
+  a 400 and the file is left in place (never renamed to ``.corrupt``).
 * ``DELETE /v1/snapshots/<name>`` — drop a snapshot (and its cache entries).
 * ``POST /v1/query`` — body ``{"snapshot": …, "op": "quantities"|"cluster",
   "dc": …, "tie_break"?, "n_centers"?, "rho_min"?, "delta_min"?, "halo"?,
@@ -61,6 +64,10 @@ from repro.serving.service import ClusteringService
 __all__ = ["ClusteringServer", "make_server", "serialize_value"]
 
 _MAX_BODY_BYTES = 256 * 1024 * 1024  # refuse absurd uploads outright
+
+#: Index params a publish request may not set: how the engine runs (and how
+#: many processes it forks) is the operator's choice, not a client's.
+_SERVER_PARAMS = ("backend", "n_jobs", "chunk_size")
 
 
 def serialize_value(value: Any) -> Dict[str, Any]:
@@ -277,14 +284,26 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             if "path" in body:
-                snapshot = self.service.load_snapshot(name, str(body["path"]))
+                snapshot = self.service.load_snapshot(
+                    name, str(body["path"]), quarantine=False
+                )
             elif "points" in body:
+                params = dict(body.get("params") or {})
+                refused = sorted(set(params).intersection(_SERVER_PARAMS))
+                if refused:
+                    self._error(
+                        400,
+                        f"publish params may not set {', '.join(refused)}: "
+                        "execution is server configuration "
+                        "(serve --backend/--n-jobs/--chunk-size)",
+                    )
+                    return
                 points = np.asarray(body["points"], dtype=np.float64)
                 snapshot = self.service.fit_snapshot(
                     name,
                     points,
                     index=str(body.get("index", "kdtree")),
-                    **dict(body.get("params") or {}),
+                    **params,
                 )
             else:
                 self._error(400, 'publish needs "points" (fit) or "path" (load)')

@@ -151,9 +151,15 @@ class ClusteringService:
         """Fit an index over ``points`` in-process and publish it."""
         return self.store.fit(name, points, index=index, **index_params)
 
-    def load_snapshot(self, name: str, path: str) -> Snapshot:
-        """Load a persisted index from ``path`` and publish it."""
-        return self.store.load(name, path)
+    def load_snapshot(self, name: str, path: str, quarantine: bool = True) -> Snapshot:
+        """Load a persisted index from ``path`` and publish it.
+
+        ``serve --load`` keeps the default: a corrupt payload is renamed to
+        ``<path>.corrupt`` so a crash-looping restart fails cleanly.  The
+        HTTP publish route passes ``False``: a path a client names is
+        never renamed.
+        """
+        return self.store.load(name, path, quarantine=quarantine)
 
     def drop_snapshot(self, name: str) -> None:
         """Remove a snapshot; a stream attached under ``name`` is detached

@@ -191,13 +191,15 @@ class SnapshotStore:
         built.fit(np.ascontiguousarray(points, dtype=np.float64))
         return self.publish(name, built)
 
-    def load(self, name: str, path: str) -> Snapshot:
+    def load(self, name: str, path: str, quarantine: bool = True) -> Snapshot:
         """Load a persisted index (:func:`repro.indexes.persist.load_index`)
         and publish it under ``name``; the on-disk fingerprint is verified
-        during the load, so a corrupt payload never reaches the store."""
+        during the load, so a corrupt payload never reaches the store.
+        ``quarantine`` is passed through: ``False`` leaves a corrupt file
+        where it is instead of renaming it to ``<path>.corrupt``."""
         from repro.indexes.persist import load_index
 
-        return self.publish(name, load_index(path))
+        return self.publish(name, load_index(path, quarantine=quarantine))
 
     def drop(self, name: str) -> None:
         """Remove ``name``; subscribers are told so caches can purge."""

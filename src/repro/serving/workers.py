@@ -184,7 +184,7 @@ def _serving_worker_main(
         if entry is None:
             try:
                 views = attach_pack_views(handle)
-                # Verifies flat/partition digests and the content
+                # Verifies the flat-image digest and the content
                 # fingerprint — a worker can never serve from a torn image.
                 index = restore_index_image(meta, views)
             except BaseException as exc:

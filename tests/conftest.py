@@ -41,16 +41,17 @@ def assert_quantities_equal(a: DPCQuantities, b: DPCQuantities) -> None:
     np.testing.assert_array_equal(a.mu, b.mu, err_msg="mu differs")
 
 
-def safe_dc(points: np.ndarray, fraction: float = 0.3) -> float:
+def safe_dc(points: np.ndarray, fraction: float = 0.3, metric: str = "euclidean") -> float:
     """A dc that no pairwise distance sits near (for FP-robust exact tests).
 
-    Takes the ``fraction`` quantile of the pairwise distances and moves it to
-    the midpoint of the two unique distances bracketing it, so boundary
-    comparisons (< dc) can never flip between code paths.
+    Takes the ``fraction`` quantile of the pairwise distances under
+    ``metric`` and moves it to the midpoint of the two unique distances
+    bracketing it, so boundary comparisons (< dc) can never flip between
+    code paths.
     """
     from repro.geometry.distance import pairwise_distances
 
-    d = pairwise_distances(points)
+    d = pairwise_distances(points, metric)
     iu = np.triu_indices(len(points), k=1)
     flat = np.unique(d[iu])
     if len(flat) < 2:

@@ -27,7 +27,6 @@ INDEX_PARAMS = {
     "rtree": {},
     "kdtree": {},
     "grid": {},
-    "partitioned": {"partitions": 3},
 }
 
 

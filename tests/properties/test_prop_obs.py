@@ -3,8 +3,8 @@
 The PR-wide contract: turning metrics and tracing **on** changes nothing
 about what any layer computes.  (ρ, δ, μ) — and therefore labels — must be
 bit-identical with observability enabled vs disabled across every index
-family, every execution backend, and the partitioned composition; probe
-counters included, since the instrumentation reads (never writes) them.
+family and every execution backend; probe counters included, since the
+instrumentation reads (never writes) them.
 """
 
 import numpy as np
@@ -105,33 +105,6 @@ class TestBackends:
         finally:
             index.release_execution()
             index.set_execution(backend="serial")
-
-
-class TestPartitioned:
-    @pytest.mark.parametrize("partitions", [1, 2, 4])
-    def test_enabled_vs_disabled_partitioned(self, partitions):
-        points = corpus(23, 100)
-        dc = safe_dc(points)
-        index = make_index(
-            "partitioned",
-            family="kdtree",
-            partitions=partitions,
-            family_params={"leaf_size": 8},
-        ).fit(points)
-        baseline = index.quantities(dc)
-        observed = quantities_with_obs(index, dc, "id")
-        assert_quantities_equal(baseline, observed)
-
-    def test_partitioned_strict_tie_break(self):
-        points = corpus(29, 80)
-        dc = safe_dc(points)
-        index = make_index(
-            "partitioned", family="grid", partitions=4,
-            family_params={"target_occupancy": 4},
-        ).fit(points)
-        baseline = index.quantities(dc, tie_break="strict")
-        observed = quantities_with_obs(index, dc, "strict")
-        assert_quantities_equal(baseline, observed)
 
 
 class TestMultiDc:

@@ -9,10 +9,9 @@ through :func:`repro.core.quantities.check_dc`; ``rho_all`` does so in
 ``DPCIndex`` before the family's own ``_rho_all`` runs.
 
 A NaN or ±inf *coordinate* failed per family too: NaN δ on the trees and
-``list``, a negative bincount length on ``ch``, ``ValueError`` or
-``OverflowError`` on ``grid``, and a fit that failed every later query on
-``partitioned``.  ``DPCIndex.fit`` and ``DPCIndex.add_points`` now refuse
-them with one ``ValueError``.
+``list``, a negative bincount length on ``ch``, and ``ValueError`` or
+``OverflowError`` on ``grid``.  ``DPCIndex.fit`` and ``DPCIndex.add_points``
+now refuse them with one ``ValueError``.
 """
 
 import numpy as np
@@ -56,6 +55,14 @@ def test_quantities_multi_rejects_bad_dc(fitted, family, dc):
 def test_rho_all_rejects_bad_dc(fitted, family, dc):
     with pytest.raises(ValueError, match="dc must be positive and finite"):
         fitted[family].rho_all(dc)
+
+
+@pytest.mark.parametrize("dc", BAD_DCS, ids=repr)
+@pytest.mark.parametrize("family", available_indexes())
+def test_rho_all_multi_rejects_bad_dc(fitted, family, dc):
+    """Every family overrides ``rho_all_multi``; each must still validate."""
+    with pytest.raises(ValueError, match="dc must be positive and finite"):
+        fitted[family].rho_all_multi([0.5, dc])
 
 
 def points_with(bad, n=60):

@@ -7,8 +7,9 @@ from repro.indexes.ch_index import CHIndex
 from repro.indexes.grid import GridIndex
 from repro.indexes.kdtree import KDTreeIndex
 from repro.indexes.list_index import ListIndex
-from repro.indexes.persist import load_index, save_index
+from repro.indexes.persist import index_fingerprint, load_index, save_index
 from repro.indexes.quadtree import QuadtreeIndex
+from repro.indexes.registry import INDEX_CLASSES, make_index
 from repro.indexes.rn_list import RNCHIndex, RNListIndex
 from repro.indexes.rtree import RTreeIndex
 
@@ -106,6 +107,59 @@ def test_metric_preserved(tmp_path, rng):
     assert_quantities_equal(original.quantities(1.0), restored.quantities(1.0))
 
 
+#: ``index_fingerprint`` of every registered family over :func:`_pin_corpus`.
+#: A saved ``.npz`` stores its fingerprint and a load re-verifies it, and the
+#: serving cache keys on it: if the recipe drifts, every saved file fails its
+#: check (and is quarantined) and every cached result is re-keyed.  Change a
+#: value here only together with ``_FINGERPRINT_VERSION``.
+PINNED_FINGERPRINTS = {
+    "ch": "af8e167551c937734e8cc3c70fe46d31f77b6d72a629466eba6d536a1054670d",
+    "grid": "f17fdcb0ef4dc3ff126ef33815d2fcc624bfccec468a6ad9f797d31a20a622db",
+    "kdtree": "191faba4ebafece084560f38ea9531e63b4753763e6302c1f7f8aadb5db3d75f",
+    "list": "31490dfa5ec1726e8c0c28a899d19c6be9c225d304b9cd4c2d2751d72f1102cc",
+    "quadtree": "b1626832de22b788a827609ff90c60461a7f1e6309552e609b7e84a590fcf025",
+    "rn-ch": "b11afba024bbec7aa1c63e868d35651433b42fe64213dd0ebeb47306c284fd8b",
+    "rn-list": "574aa4cc12b1a901e44eea1e97481cae7927872a8cfcfc57745d0a262e95e5c2",
+    "rtree": "4e628318cbc331518bf1a8f9d8effb4c5f320e4d2d3da05de1d2c438446a11a0",
+}
+
+#: Constructor params of the pinned fits; explicit bin widths and cell size
+#: keep the fit-resolved params exact.
+PIN_PARAMS = {
+    "ch": {"bin_width": 0.5},
+    "rn-list": {"tau": 2.0},
+    "rn-ch": {"tau": 2.0, "bin_width": 0.25},
+    "grid": {"cell_size": 1.5},
+}
+
+
+def _pin_corpus() -> np.ndarray:
+    """48 points with dyadic coordinates: exact arithmetic, no RNG."""
+    i = np.arange(48, dtype=np.float64)
+    return np.column_stack([(i * 7) % 13 / 4 + i / 64, (i * 5) % 11 / 2 - i / 32])
+
+
+class TestFingerprintPinned:
+    """The fingerprint recipe itself, pinned per family (see above)."""
+
+    def test_every_registered_family_is_pinned(self):
+        assert set(PINNED_FINGERPRINTS) == set(INDEX_CLASSES)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_family_fingerprint_pinned(self, name):
+        index = make_index(name, **PIN_PARAMS.get(name, {})).fit(_pin_corpus())
+        assert index_fingerprint(index) == PINNED_FINGERPRINTS[name]
+
+    def test_segmented_fingerprint_pinned(self):
+        points = _pin_corpus()
+        index = make_index("kdtree").fit(points[:40])
+        index.add_points(points[40:])
+        assert index._segment_lengths() == (40, 8)
+        assert index_fingerprint(index) == (
+            "9989e9b6aa1dc3a68860b5fa65a4d88de9db7da7a7be3b591a79dc5ac74b1afd"
+        )
+
+
 class TestFingerprint:
     """The content fingerprint the serving cache keys on (index_fingerprint)."""
 
@@ -170,6 +224,23 @@ class TestFingerprint:
         np.savez_compressed(path, meta=json.dumps(meta), **arrays)
         with pytest.raises(ValueError, match="fingerprint mismatch"):
             load_index(path)
+
+    @pytest.mark.parametrize("factory", ALL_FACTORIES)
+    def test_tampered_points_rejected_for_every_family(self, factory, blobs, tmp_path):
+        """Every family's load re-verifies the stored fingerprint, the list
+        families that restore precomputed arrays included."""
+        import json
+
+        path = str(tmp_path / "fp.npz")
+        save_index(factory().fit(blobs), path)
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        arrays["points"] = arrays["points"][::-1].copy()  # same bytes, new order
+        np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+        with pytest.raises(ValueError, match="fingerprint mismatch"):
+            load_index(path, quarantine=False)
+        assert (tmp_path / "fp.npz").exists()
 
     def test_execution_backend_irrelevant(self, blobs):
         a = GridIndex().fit(blobs)

@@ -31,10 +31,15 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="unsupported index file version"):
             load_index(saved)
 
-    def test_unknown_index_type_rejected(self, saved):
-        _rewrite_meta(saved, lambda m: m.update(index_name="btree"))
-        with pytest.raises(ValueError, match="unknown index type"):
+    @pytest.mark.parametrize("name", ["btree", "partitioned"])
+    def test_unknown_index_type_rejected(self, saved, name):
+        # A wrong file, not a corrupt one: a typed ValueError, no quarantine.
+        _rewrite_meta(saved, lambda m: m.update(index_name=name))
+        with pytest.raises(ValueError, match="unknown index type") as excinfo:
             load_index(saved)
+        assert not isinstance(excinfo.value, CorruptSnapshotError)
+        assert os.path.exists(saved)
+        assert not os.path.exists(saved + ".corrupt")
 
     def test_not_an_index_file(self, tmp_path):
         path = str(tmp_path / "random.npz")

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import multiprocessing
 import threading
 import time
 import urllib.error
@@ -225,14 +226,55 @@ class TestErrors:
         base, _ = served
         self.expect_error(lambda: post(base, "/v1/snapshots/x", {"index": "ch"}), 400)
 
-    def test_publish_bad_index_name_400(self, served, rng):
+    @pytest.mark.parametrize("index", ["warp-drive", "partitioned"])
+    def test_publish_bad_index_name_400(self, served, rng, index):
         base, _ = served
         self.expect_error(
             lambda: post(base, "/v1/snapshots/x", {
-                "points": rng.normal(size=(10, 2)).tolist(), "index": "warp-drive",
+                "points": rng.normal(size=(10, 2)).tolist(), "index": index,
             }),
             400,
         )
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"backend": "process", "n_jobs": 24}, {"n_jobs": 24}, {"chunk_size": 1}],
+        ids=["backend+n_jobs", "n_jobs", "chunk_size"],
+    )
+    def test_publish_execution_params_400(self, served, rng, params):
+        # Execution is server configuration: one publish must not be able
+        # to make the server fork any number of processes.
+        base, service = served
+        before = {p.pid for p in multiprocessing.active_children()}
+        body = self.expect_error(
+            lambda: post(base, "/v1/snapshots/forky", {
+                "points": rng.normal(size=(300, 2)).tolist(), "params": params,
+            }),
+            400,
+        )
+        assert "server configuration" in body["error"]
+        assert "forky" not in service.store
+        self.expect_error(
+            lambda: post(base, "/v1/query", {
+                "snapshot": "forky", "op": "cluster", "dc": 0.5,
+            }),
+            404,
+        )
+        after = {p.pid for p in multiprocessing.active_children()}
+        assert after <= before
+
+    def test_publish_unreadable_path_leaves_the_file_alone(self, served, tmp_path):
+        # Quarantine is for a crash-looping ``serve --load``; a path a client
+        # names must never be renamed.
+        base, service = served
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b"not an index\n")
+        self.expect_error(
+            lambda: post(base, "/v1/snapshots/notes", {"path": str(path)}), 400
+        )
+        assert path.read_bytes() == b"not an index\n"
+        assert not (tmp_path / "notes.txt.corrupt").exists()
+        assert "notes" not in service.store
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=repr)
     @pytest.mark.parametrize("family", ["grid", "kdtree"])
@@ -482,6 +524,20 @@ class TestCLIServe:
         finally:
             server.server_close()
             service.close()
+
+    def test_load_quarantines_a_corrupt_payload(self, tmp_path):
+        """``serve --load`` keeps quarantine: a restart in a crash loop then
+        gets a clean FileNotFoundError instead of the same bad bytes."""
+        from repro.__main__ import build_server
+        from repro.indexes.persist import CorruptSnapshotError
+
+        path = tmp_path / "x.npz"
+        path.write_bytes(b"not an index")
+        args = self.parse("--load", str(path), "--snapshot", "x")
+        with pytest.raises(CorruptSnapshotError):
+            build_server(args)
+        assert not path.exists()
+        assert (tmp_path / "x.npz.corrupt").read_bytes() == b"not an index"
 
     def test_load_conflicts_with_dataset(self, blobs, tmp_path):
         from repro.__main__ import build_server
