@@ -4,7 +4,7 @@
 text exposition format (``# HELP`` / ``# TYPE`` comments, cumulative
 ``_bucket{le=...}`` / ``_sum`` / ``_count`` series for histograms) served
 by ``GET /metrics``.  :func:`parse_prometheus` is the inverse used by the
-test suite and the CI ``obs-smoke`` job to assert the endpoint stays
+test suite and the failover drill to assert the endpoint stays
 well-formed.  :func:`dump_stats_json` backs
 ``python -m repro cluster --stats-json PATH``.
 """

@@ -95,7 +95,12 @@ def _pick_context():
 
 
 def _serving_worker_main(
-    slot: int, conn, heartbeat_s: float, start_method: str, parent_pid: int
+    slot: int,
+    conn,
+    heartbeat_s: float,
+    start_method: str,
+    parent_pid: int,
+    inherited: Tuple,
 ) -> None:
     """Entry point of one serving worker process.
 
@@ -108,7 +113,13 @@ def _serving_worker_main(
       ``("load_failed", id, fingerprint, message)`` when the image cannot be
       attached/restored (segment unlinked, integrity failure),
       ``("error", id, type_name, message)`` for deterministic engine errors.
+
+    ``inherited`` are the pool-side pipe ends the fork copied into this
+    process.  They are closed first, so that ``conn`` reads EOF as soon as
+    the pool's process is gone.
     """
+    for end in inherited:
+        end.close()
     # Forked workers inherit the parent's installed fault plan; decisions
     # are parent-side only (markers ride the batch messages) — a worker
     # consulting the plan would double-count occurrences.
@@ -140,10 +151,12 @@ def _serving_worker_main(
             return False
 
     def _heartbeat() -> None:
-        # A SIGKILLed parent never sends ("stop",), and the pipe never reads
-        # EOF while sibling workers hold its other end: the orphan would keep
-        # its shm image mapped.  Reparenting changes getppid, so die then.
-        # (The pool passes its pid: the parent may die before this runs.)
+        # A SIGKILLed parent never sends ("stop",).  Its death reads as EOF
+        # only once every copy of the pool's pipe end is closed, and a
+        # process the parent forked for other work may still hold one: the
+        # orphan would keep its shm image mapped.  Reparenting changes
+        # getppid, so die then.  (The pool passes its pid: the parent may
+        # die before this runs.)
         seq = 0
         while not stop.wait(heartbeat_s):
             if os.getppid() != parent_pid:
@@ -352,13 +365,13 @@ class WorkerPool:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - tracker internals vary
             pass
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         self._workers = [_Worker(slot) for slot in range(int(workers))]
         self._by_conn: Dict[Any, _Worker] = {}
         now = time.monotonic()
         for worker in self._workers:
             self._spawn(worker, now)
 
-        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         self._stop = threading.Event()
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-serve-pool", daemon=True
@@ -671,6 +684,14 @@ class WorkerPool:
 
     def _spawn(self, worker: _Worker, now: float) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # The pool's ends the child must not keep: its own pipe's, its live
+        # siblings' and the wake pipe's.
+        inherited = (
+            parent_conn,
+            self._wake_r,
+            self._wake_w,
+            *(w.conn for w in self._workers if w.state == "live"),
+        )
         process = self._ctx.Process(
             target=_serving_worker_main,
             args=(
@@ -679,6 +700,7 @@ class WorkerPool:
                 self.heartbeat_s,
                 self._ctx.get_start_method(),
                 os.getpid(),
+                inherited,
             ),
             name=f"repro-serve-worker-{worker.slot}",
             daemon=True,

@@ -1,41 +1,10 @@
-"""The δ benchmark smoke must run end to end and write a sane phase split."""
+"""The benchmark scripts outside perfbench must run end to end and append
+sane records."""
 
 import json
 import sys
 
 import pytest
-
-
-@pytest.fixture(scope="module")
-def smoke_module():
-    sys.path.insert(0, "benchmarks")
-    try:
-        import bench_delta_smoke
-    finally:
-        sys.path.pop(0)
-    return bench_delta_smoke
-
-
-def test_run_produces_phase_split(smoke_module):
-    report = smoke_module.run(n=300, repeats=1)
-    assert set(report["methods"]) == {"rtree", "quadtree", "kdtree", "grid"}
-    for row in report["methods"].values():
-        assert row["rho_seconds"] > 0.0
-        assert row["delta_seconds"] > 0.0
-        assert row["delta_reference_seconds"] > 0.0
-        assert row["assign_seconds"] >= 0.0
-
-
-def test_main_writes_json(smoke_module, tmp_path):
-    out = tmp_path / "BENCH_delta.json"
-    smoke_module.main(["--quick", "--n", "300", "--out", str(out)])
-    records = json.loads(out.read_text())
-    assert isinstance(records, list) and len(records) == 1
-    report = records[-1]
-    assert report["benchmark"] == "delta_engine_phase_split"
-    assert report["n"] == 300
-    assert "rtree" in report["methods"]
-    assert report["provenance"]["schema_version"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -108,38 +77,3 @@ def test_serving_load_appends_records(serving_module, tmp_path):
     records = json.loads(out.read_text())
     assert isinstance(records, list) and len(records) == 2
     assert all(r["benchmark"] == "serving_load" for r in records)
-
-
-@pytest.fixture(scope="module")
-def build_module():
-    sys.path.insert(0, "benchmarks")
-    try:
-        import bench_build
-    finally:
-        sys.path.pop(0)
-    return bench_build
-
-
-def test_build_bench_record_shape(build_module):
-    report = build_module.run(n=400, repeats=1)
-    assert report["benchmark"] == "bulk_build_vs_objects"
-    assert set(report["families"]) == {"rtree", "kdtree", "quadtree"}
-    for row in report["families"].values():
-        assert row["objects_fit_seconds"] > 0.0
-        assert row["bulk_fit_seconds"] > 0.0
-        assert row["fit_speedup"] > 0.0
-    assert report["streaming"]["bulk"]["rebuilds"] >= 1
-    assert report["snapshot_publish"]["bulk"]["fit_publish_seconds"] > 0.0
-    # the >=5k regression gate must not trip at smoke sizes
-    assert report["gate"]["enforced"] is False and report["gate"]["ok"] is True
-
-
-def test_build_bench_main_writes_json(build_module, tmp_path):
-    out = tmp_path / "BENCH_build.json"
-    assert build_module.main(["--n", "400", "--repeats", "1", "--out", str(out)]) == 0
-    records = json.loads(out.read_text())
-    assert isinstance(records, list) and len(records) == 1
-    report = records[-1]
-    assert report["benchmark"] == "bulk_build_vs_objects"
-    assert report["n"] == 400
-    assert report["provenance"]["schema_version"] == 1

@@ -64,7 +64,7 @@ class TestTables34:
     def test_memory_ordering(self, small):
         """Table 3 shape: list-based ≫ tree-based memory."""
         t = table3_memory(**small)
-        for ds in ("s1", "query"):
+        for ds in set(t.column("dataset")):
             rows = {r["method"]: r["memory_mb"] for r in t.where(dataset=ds)}
             assert rows["List Index"] > 10 * rows["R-tree"]
             assert rows["CH Index"] >= rows["List Index"]
@@ -127,14 +127,16 @@ class TestFig8:
 
 class TestFig9:
     def test_histogram_memory_decreases_with_w(self, small):
-        t = fig9a_w_memory(**small, datasets=["birch"])
-        mems = t.column("histogram_mb")
-        assert mems == sorted(mems, reverse=True), "larger w -> fewer bins -> less memory"
+        t = fig9a_w_memory(**small, datasets=["birch", "range"])
+        for ds in ("birch", "range"):
+            mems = [r["histogram_mb"] for r in t.where(dataset=ds)]
+            assert mems == sorted(mems, reverse=True), "larger w -> fewer bins -> less memory"
 
     def test_list_memory_increases_with_tau(self, small):
-        t = fig9b_tau_memory(**small, datasets=["birch"])
-        mems = t.column("memory_mb")
-        assert mems == sorted(mems), "larger tau -> longer RN-Lists -> more memory"
+        t = fig9b_tau_memory(**small, datasets=["birch", "gowalla"])
+        for ds in ("birch", "gowalla"):
+            mems = [r["memory_mb"] for r in t.where(dataset=ds)]
+            assert mems == sorted(mems), "larger tau -> longer RN-Lists -> more memory"
 
 
 class TestFig10:
@@ -151,3 +153,6 @@ class TestFig10:
             assert 0.0 <= r["precision"] <= 1.0
             assert 0.0 <= r["recall"] <= 1.0
             assert 0.0 <= r["f1"] <= 1.0
+        for ds in ("birch", "range"):
+            by_tau = sorted(t.where(dataset=ds), key=lambda r: r["tau"])
+            assert by_tau[-1]["f1"] >= by_tau[0]["f1"], "largest tau worse than the smallest"

@@ -14,6 +14,7 @@ labels and halo.  The corpora mirror the bulk-build suite: duplicates
 import numpy as np
 import pytest
 
+from repro.datasets.loaders import load_dataset
 from repro.indexes.registry import make_index
 from repro.serving.snapshots import SnapshotStore
 
@@ -164,6 +165,31 @@ class TestIncrementalMechanics:
         segments = inc._segment_lengths()
         assert sum(segments) == inc.n == len(points)
         assert segments[0] == inc.n - inc.delta_size
+
+    @pytest.mark.parametrize("index_name", sorted(ALL_SPECS))
+    def test_stream_batches_ingest_without_a_build(self, index_name, monkeypatch):
+        """Five 100-point batches ingest without one ``_build`` call: into a
+        delta segment for the tree and grid families, by merging every
+        N-List for list and ch.  A refit per batch would answer the same,
+        at the cost of a whole build each time.  The N-List families hold
+        O(n²) rows (at 4,000 points their fit and five merges take 5-8 s
+        and 0.6 GB on a 2-vCPU VM), so they ingest into a 400-point fit."""
+        base_n = 4000 if index_name in SEGMENTED_SPECS else 400
+        points = load_dataset("s1", n=base_n + 500, seed=0).points
+        index = make_index(index_name).fit(points[:base_n])
+        builds = []
+        build = type(index)._build
+
+        def counting_build(self):
+            builds.append(self)
+            build(self)
+
+        monkeypatch.setattr(type(index), "_build", counting_build)
+        for start in range(base_n, base_n + 500, 100):
+            index.add_points(points[start : start + 100])
+        assert builds == []
+        assert index.n == base_n + 500
+        assert index.delta_size == (500 if index_name in SEGMENTED_SPECS else 0)
 
     @pytest.mark.parametrize("index_name", sorted(SEGMENTED_SPECS))
     def test_snapshot_copy_isolated_from_later_ingest(self, index_name):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets.loaders import load_dataset
 from repro.indexes.build import (
     _stable_argsort,
     bulk_build_kdtree,
@@ -239,6 +240,48 @@ class TestIterativeTreeNodeOps:
         assert_quantities_equal(
             naive_quantities(pts, 5.0), index.quantities(5.0)
         )
+
+
+@pytest.fixture(scope="module")
+def s1_5k():
+    return load_dataset("s1", n=5000, seed=0)
+
+
+@pytest.fixture
+def tree_nodes_made(monkeypatch):
+    """How many ``TreeNode`` objects have been constructed since setup."""
+    made = [0]
+    init = TreeNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TreeNode, "__init__", counting_init)
+    return made
+
+
+class TestBulkPathTaken:
+    """A default fit stays on the bulk builder.  A fall-back to the
+    per-node builders would change no answer, only the cost."""
+
+    @pytest.mark.parametrize("family", (RTreeIndex, KDTreeIndex, QuadtreeIndex))
+    def test_default_fit_and_batched_query_make_no_tree_nodes(
+        self, family, s1_5k, tree_nodes_made
+    ):
+        index = family().fit(s1_5k.points)
+        index.quantities(float(min(s1_5k.params.dc_grid)))
+        assert index.build_ == "bulk"
+        assert tree_nodes_made[0] == 0
+
+    @pytest.mark.parametrize("family", (RTreeIndex, KDTreeIndex, QuadtreeIndex))
+    def test_objects_fit_makes_one_tree_node_per_node(
+        self, family, s1_5k, tree_nodes_made
+    ):
+        index = family(build="objects").fit(s1_5k.points)
+        assert index.build_ == "objects"
+        assert tree_nodes_made[0] == sum(1 for _ in index.root.iter_nodes())
+        assert tree_nodes_made[0] > 100  # 348 / 511 / 553 nodes at n=5000
 
 
 class TestPersistedFlatImage:

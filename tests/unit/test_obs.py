@@ -9,10 +9,14 @@ provenance stamping).
 
 import json
 import threading
+from dataclasses import fields
 
 import pytest
 
 from repro import obs
+from repro.datasets.loaders import load_dataset
+from repro.indexes.base import IndexStats
+from repro.indexes.registry import available_indexes, make_index
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.export import (
@@ -193,6 +197,49 @@ class TestMetricsRegistry:
             t.join()
         [collected] = obs_metrics.REGISTRY.collect()
         assert collected["samples"][0]["value"] == 2000.0
+
+
+#: The most metric writes one ``quantities()`` makes with obs on, read off
+#: the engine: one ``repro_probe_ops_total`` increment per ``IndexStats``
+#: field that moved, the rho and delta ``repro_engine_phase_seconds``
+#: observations, and for each of the two ``parallel.tasks`` runs (rho, then
+#: delta) one ``repro_parallel_tasks_total`` increment and one
+#: ``repro_parallel_chunk_seconds`` observation (a serial run is one chunk).
+QUERY_WRITE_BOUND = len(fields(IndexStats)) + 2 + 2 * 2
+
+
+def span_shape(node):
+    return (node["name"], tuple(span_shape(child) for child in node["children"]))
+
+
+class TestQueryInstrumentationCost:
+    """What one query records does not grow with n, so the disabled
+    instruments' share of a query's time can only shrink as n grows.  (The
+    no-op singletons above pin what a disabled instrument costs.)"""
+
+    @staticmethod
+    def observed_query(index, dc):
+        writes = obs_metrics.REGISTRY.total_writes()
+        with obs.enabled_scope():
+            root = obs_trace.begin_span("test.query")
+            with obs_trace.use_span(root):
+                index.quantities(dc)
+            root.finish()
+        writes = obs_metrics.REGISTRY.total_writes() - writes
+        return writes, span_shape(obs_trace.get_trace(root.trace_id))
+
+    @pytest.mark.parametrize("family", available_indexes())
+    def test_writes_and_spans_do_not_grow_with_n(self, family):
+        shapes = []
+        for n in (250, 1000):
+            ds = load_dataset("s1", n=n, seed=0)
+            dc = float(min(ds.params.dc_grid))
+            params = {"tau": 4 * dc} if family.startswith("rn-") else {}
+            index = make_index(family, **params).fit(ds.points)
+            writes, shape = self.observed_query(index, dc)
+            assert writes <= QUERY_WRITE_BOUND, f"n={n}"
+            shapes.append(shape)
+        assert shapes[0] == shapes[1]
 
 
 class TestTrace:

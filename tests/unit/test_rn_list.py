@@ -108,10 +108,13 @@ class TestRNCH:
             )
 
     def test_rho_on_bin_edge(self, blobs, tau):
+        """dc == 2·w answers straight from the bin: no section search."""
         rnch = RNCHIndex(tau=tau, bin_width=0.25).fit(blobs)
+        rnch.reset_stats()
         np.testing.assert_array_equal(
             rnch.rho_all(0.5), naive_quantities(blobs, 0.5).rho
         )
+        assert rnch.stats().binary_searches == 0
 
     def test_rho_above_tau_falls_back_to_row_length(self, blobs, tau):
         rnch = RNCHIndex(tau=tau, bin_width=0.2).fit(blobs)

@@ -244,7 +244,7 @@ from repro.serving.snapshots import SnapshotStore
 from repro.serving.workers import WorkerPool
 store = SnapshotStore()
 store.fit("main", np.random.default_rng(5).normal(size=(64, 2)), index="kdtree")
-pool = WorkerPool(store, workers=2, heartbeat_s=0.05)
+pool = WorkerPool(store, workers=2, heartbeat_s={heartbeat_s})
 print(*pool.worker_pids(), flush=True)
 time.sleep(60)
 """
@@ -259,14 +259,16 @@ def running(pid):
         return False
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-def test_workers_exit_when_the_parent_is_sigkilled():
-    """A SIGKILLed parent sends no ("stop",); its workers must notice the
-    reparenting and exit rather than keep the snapshot image mapped."""
+def orphan_survivors(heartbeat_s, timeout_s):
+    """SIGKILL a pool owner; the pids of its workers still running
+    ``timeout_s`` later (killed here, so a failing run leaks none)."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     helper = subprocess.Popen(
-        [sys.executable, "-c", _POOL_HELPER], stdout=subprocess.PIPE, text=True, env=env
+        [sys.executable, "-c", _POOL_HELPER.format(heartbeat_s=heartbeat_s)],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
     )
     try:
         pids = [int(pid) for pid in helper.stdout.readline().split()]
@@ -275,8 +277,27 @@ def test_workers_exit_when_the_parent_is_sigkilled():
         helper.wait()
         helper.stdout.close()
     assert len(pids) == 2
-    wait_until(lambda: not any(running(pid) for pid in pids), timeout_s=2.0)
+    wait_until(lambda: not any(running(pid) for pid in pids), timeout_s=timeout_s)
     survivors = [pid for pid in pids if running(pid)]
-    for pid in survivors:  # do not leak them past a failing run
+    for pid in survivors:
         os.kill(pid, signal.SIGKILL)
-    assert survivors == [], "serving workers outlived a SIGKILLed parent"
+    return survivors
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_the_parent_is_sigkilled():
+    """A SIGKILLed parent sends no ("stop",); its workers must notice the
+    reparenting and exit rather than keep the snapshot image mapped."""
+    assert orphan_survivors(heartbeat_s=0.05, timeout_s=2.0) == [], (
+        "serving workers outlived a SIGKILLed parent"
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_orphaned_workers_exit_before_their_next_heartbeat():
+    """A worker holds no copy of any pool-side pipe end, so its pipe reads
+    EOF the moment the owner dies: it exits well inside a 5 s heartbeat,
+    without waiting for the getppid watch."""
+    assert orphan_survivors(heartbeat_s=5.0, timeout_s=1.0) == [], (
+        "orphaned serving workers waited for their heartbeat to exit"
+    )
