@@ -2,9 +2,10 @@
 
 Real check-in streams are non-stationary: the metro that dominates the
 volume changes over time.  This demo ingests a drifting simulated stream
-(:func:`repro.datasets.simulate_checkin_stream`) through the LSM-style
-delta path — every batch folds into a small side image, queries stay exact
-with no rebuild — and contrasts three density views at each checkpoint:
+(:func:`repro.datasets.simulate_checkin_stream`) into a
+:class:`~repro.extras.StreamingDPC` — every batch refits its R-tree, and
+each exact answer is repaired from the previous one instead of recomputed —
+and contrasts three density views at each checkpoint:
 
 * **cumulative** — exact ρ over everything seen (the old hotspot never
   fades: history dominates);
@@ -39,13 +40,13 @@ def main() -> None:
     window = 2 * batch_size
     half_life = 1.5 * batch_size
 
-    stream = StreamingDPC(rebuild_factor=0.5, min_buffer=128)
+    stream = StreamingDPC()
     print(
         f"drifting check-in stream: {n_batches} batches x {batch_size} points, "
         f"dc = {dc}\nwindow = {window} arrivals, half-life = {half_life:g} arrivals\n"
     )
     print(
-        f"{'batch':>5} {'points':>7} {'delta':>6} {'compactions':>11} "
+        f"{'batch':>5} {'points':>7} "
         f"{'hot(cumulative)':>15} {'hot(windowed)':>13} {'hot(decayed)':>12}"
     )
 
@@ -58,8 +59,7 @@ def main() -> None:
         win = stream.windowed_quantities(dc, window=window)
         dec = stream.decayed_quantities(dc, half_life=half_life)
         print(
-            f"{i:>5} {stream.n:>7} {stream.n_buffered:>6} "
-            f"{stream.rebuild_count - 1:>11} "
+            f"{i:>5} {stream.n:>7} "
             f"{'city ' + str(hot_city(pts, full.rho, centers)):>15} "
             f"{'city ' + str(hot_city(pts[-window:], win.rho, centers)):>13} "
             f"{'city ' + str(hot_city(pts, dec.rho, centers)):>12}"
@@ -68,10 +68,9 @@ def main() -> None:
     result = stream.cluster(dc)
     print(
         f"\nfinal exact clustering: {result.n_clusters} clusters over "
-        f"{stream.n} points, {stream.rebuild_count - 1} compactions total — "
-        "delta ingest kept every intermediate view exact without a single "
-        "from-scratch rebuild, and the recency views followed the hotspot "
-        "drift that the cumulative density hides."
+        f"{stream.n} points — every intermediate view was exact, and the "
+        "recency views followed the hotspot drift that the cumulative "
+        "density hides."
     )
 
 

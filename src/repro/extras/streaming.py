@@ -1,35 +1,22 @@
 """Streaming DPC: keep clustering as points arrive (extension).
 
 The paper's real datasets are check-in streams, but its indexes are static.
-This module used to answer that with the classic *amortised rebuild*
-(geometric rebuilding) technique — buffer arrivals, refit from scratch when
-the buffer outgrows the index, brute-force-patch queries in between.  It now
-rides the LSM-style delta segments the index families grew instead
-(:meth:`repro.indexes.base.DPCIndex.add_points`): every batch folds into a
-small sorted side image of the live index, queries merge the (base, delta)
-pair at kernel time and stay **exact** at every moment, and the side image
-compacts into the main image — a sorted-merge for the tree/grid families,
-far cheaper than a refit — only when it outgrows ``rebuild_factor`` times
-the base.
-
-Cost: for n arrivals the base image compacts O(log_f n) times and each
-ingest does O(batch) image-building work, so total maintenance stays within
-a constant factor of one final build — while every intermediate clustering
-is available without brute-force patching.
-
-This composes with every index family; the list/CH indexes merge their
-per-object sorted rows on every ingest (their ``delta_size`` stays 0), the
-tree and grid families carry a real delta segment between compactions.
+:class:`StreamingDPC` keeps one index over everything seen so far and grows
+it with :meth:`repro.indexes.base.DPCIndex.add_points`: the tree and grid
+families refit (their bulk builds take milliseconds), the list/CH indexes
+merge the new points into their per-object sorted rows instead of paying
+their ``O(n²)`` build again.  Every answer is **exact** at every moment.
 
 Answers are repaired, not recomputed.  The stream keeps its last
-:meth:`StreamingDPC.quantities` answer per ``(dc, tie_break)``; an ingest
-keeps it, a compaction drops it.  The next ask hands the kept answer to
-:meth:`~repro.indexes.base.DPCIndex.quantities_after_append`, which the tree
-families answer by recomputing only what the new points can change: ρ grows
-by the new neighbours of each point, and δ/μ move only where a new point or
-a point whose ρ rose is now the nearest denser one.  That is exact because
-nothing leaves an append-only stream, so no ρ falls.  The cost is one O(n)
-answer per asked key, held until the next compaction.
+:meth:`StreamingDPC.quantities` answer per ``(dc, tie_break)``; the next
+ask after an ingest hands it to
+:meth:`~repro.indexes.base.DPCIndex.quantities_after_append`, which the
+tree families answer by recomputing only what the new points can change:
+ρ grows by the new neighbours of each point, and δ/μ move only where a new
+point or a point whose ρ rose is now the nearest denser one.  That is exact
+because nothing leaves an append-only stream, so no ρ falls.  The cost is
+one O(n) answer per kept key; the stream keeps the
+:data:`MAX_ANSWERS` most recently asked.
 
 Beyond the exact full-stream quantities, the stream offers two *recency*
 views for evolving data: :meth:`StreamingDPC.windowed_quantities` clusters
@@ -40,6 +27,7 @@ the same δ/μ machinery).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,6 +40,10 @@ from repro.indexes.rtree import RTreeIndex
 
 __all__ = ["StreamingDPC"]
 
+#: Stored answers per stream: one per ``(dc, tie_break)``, the least
+#: recently asked evicted first.
+MAX_ANSWERS = 8
+
 
 class StreamingDPC:
     """Exact DPC over an append-only point stream.
@@ -61,36 +53,18 @@ class StreamingDPC:
     index_factory:
         Zero-argument callable producing a fresh unfitted index
         (default: STR R-tree).
-    rebuild_factor:
-        Compact the delta segment into the base image when
-        ``delta > rebuild_factor · base`` (and at least ``min_buffer``
-        points are pending).  Smaller = tighter base image, more
-        compaction work; queries are exact either way.
-    min_buffer:
-        Grace size below which no compaction triggers (tiny streams would
-        otherwise compact on every arrival).
     """
 
-    def __init__(
-        self,
-        index_factory: Optional[Callable[[], DPCIndex]] = None,
-        rebuild_factor: float = 0.5,
-        min_buffer: int = 64,
-    ):
-        if rebuild_factor <= 0:
-            raise ValueError(f"rebuild_factor must be positive, got {rebuild_factor}")
-        if min_buffer < 1:
-            raise ValueError(f"min_buffer must be >= 1, got {min_buffer}")
+    def __init__(self, index_factory: Optional[Callable[[], DPCIndex]] = None):
         self.index_factory = index_factory or (lambda: RTreeIndex())
-        self.rebuild_factor = rebuild_factor
-        self.min_buffer = min_buffer
         self._index: Optional[DPCIndex] = None
-        self._rebuild_subscribers: list = []
-        self._ingest_subscribers: list = []
+        self._subscribers: list = []
         self._points_cache: Optional[np.ndarray] = None
-        # (dc, tie_break) -> the last answer; it covers the first len(answer)
-        # points.  Kept across ingests, dropped at a compaction.
-        self._answers: dict = {}
+        # (dc, tie_break) -> the last answer, which covers the first
+        # len(answer) points; least recently asked first.
+        self._answers: "OrderedDict[tuple, DPCQuantities]" = OrderedDict()
+        #: Index builds from scratch: the first ``add`` fits, every later
+        #: one ingests into that index (1 once the stream holds a point).
         self.rebuild_count: int = 0
 
     @property
@@ -103,42 +77,20 @@ class StreamingDPC:
             return None
         return self._index.snapshot_copy()
 
-    def subscribe_rebuild(self, callback: Callable[[DPCIndex], None]) -> Callable[[], None]:
-        """Call ``callback(index_snapshot)`` after the initial fit and after
-        every compaction.
+    def subscribe(self, callback: Callable[[DPCIndex], None]) -> Callable[[], None]:
+        """Call ``callback(index_snapshot)`` after every :meth:`add`.
 
         This is how the serving layer keeps a hot snapshot of a stream:
         :meth:`repro.serving.service.ClusteringService.attach_stream`
-        registers a callback that atomically publishes the compacted index
-        (and invalidates the replaced snapshot's cache entries).  Returns
-        an unsubscribe function.
-        """
-        self._rebuild_subscribers.append(callback)
-
-        def unsubscribe() -> None:
-            if callback in self._rebuild_subscribers:
-                self._rebuild_subscribers.remove(callback)
-
-        return unsubscribe
-
-    def subscribe_ingest(
-        self, callback: Callable[[DPCIndex, np.ndarray], None]
-    ) -> Callable[[], None]:
-        """Call ``callback(index_snapshot, new_points)`` after every delta
-        ingest that did *not* trigger a compaction.
-
-        Together with :meth:`subscribe_rebuild` this gives downstream
-        consumers the full LSM event stream: small deltas arrive through
-        here (the serving layer forwards them as
-        :meth:`repro.serving.snapshots.SnapshotStore.publish_delta`), and
-        compactions arrive as full-image rebuild events.  Returns an
+        registers a callback that atomically publishes each snapshot (and
+        invalidates the replaced snapshot's cache entries).  Returns an
         unsubscribe function.
         """
-        self._ingest_subscribers.append(callback)
+        self._subscribers.append(callback)
 
         def unsubscribe() -> None:
-            if callback in self._ingest_subscribers:
-                self._ingest_subscribers.remove(callback)
+            if callback in self._subscribers:
+                self._subscribers.remove(callback)
 
         return unsubscribe
 
@@ -158,12 +110,10 @@ class StreamingDPC:
         if self._index is None:
             self._index = self.index_factory().fit(points)
             self.rebuild_count += 1
-            self._notify_rebuild()
-            return self
-        self._index.add_points(points)
-        if not self._maybe_compact():
-            for callback in tuple(self._ingest_subscribers):
-                callback(self._index.snapshot_copy(), points)
+        else:
+            self._index.add_points(points)
+        for callback in tuple(self._subscribers):
+            callback(self._index.snapshot_copy())
         return self
 
     @property
@@ -172,9 +122,9 @@ class StreamingDPC:
 
     @property
     def n_buffered(self) -> int:
-        """Points currently living in the delta segment (0 right after a
-        compaction, and always 0 for the merge-on-append list family)."""
-        return 0 if self._index is None else self._index.delta_size
+        """Points not yet folded into the index: always 0, every ``add``
+        ingests its batch at once."""
+        return 0
 
     def points(self) -> np.ndarray:
         """All stream points, in arrival order, as one array.
@@ -188,27 +138,7 @@ class StreamingDPC:
             self._points_cache = self._index.points
         return self._points_cache
 
-    def _maybe_compact(self) -> bool:
-        delta = self._index.delta_size
-        base = self._index.n - delta
-        if delta < self.min_buffer:
-            return False
-        if delta > self.rebuild_factor * base:
-            self._compact()
-            return True
-        return False
-
-    def _compact(self) -> None:
-        self._answers.clear()
-        self._index.compact()
-        self.rebuild_count += 1
-        self._notify_rebuild()
-
-    def _notify_rebuild(self) -> None:
-        for callback in tuple(self._rebuild_subscribers):
-            callback(self._index.snapshot_copy())
-
-    # -- exact queries over the (base, delta) pair ------------------------------
+    # -- exact queries ----------------------------------------------------------
 
     def quantities(
         self, dc: float, tie_break: "str | TieBreak" = TieBreak.ID
@@ -218,43 +148,42 @@ class StreamingDPC:
         The stream keeps its last answer per ``(dc, tie_break)`` and hands
         it out again while no point has arrived.  After an ingest, that
         answer goes to :meth:`~repro.indexes.base.DPCIndex.quantities_after_append`,
-        which the tree families answer by *repairing* it over the
-        (base, delta) image pair: only ρ of the points near the new ones,
-        and δ/μ of the points a change can reach, are computed again.  The
-        repair is exact because the stream is append-only — no ρ falls, so
-        a point can only gain denser neighbours among the new points and
-        the old points whose ρ rose (see the method for the argument).  A
-        first ask of a ``(dc, tie_break)``, or one after a compaction, runs
-        the full computation.  Answers returned earlier are never modified.
+        which the tree families answer by *repairing* it: only ρ of the
+        points near the new ones, and δ/μ of the points a change can reach,
+        are computed again.  The repair is exact because the stream is
+        append-only — no ρ falls, so a point can only gain denser
+        neighbours among the new points and the old points whose ρ rose
+        (see the method for the argument).  A first ask of a
+        ``(dc, tie_break)``, or one evicted since, runs the full
+        computation.  Answers returned earlier are never modified.
 
-        Memory: one O(n) answer per asked ``(dc, tie_break)`` until the next
-        compaction drops them all.
+        Memory: one O(n) answer for each of the :data:`MAX_ANSWERS` most
+        recently asked keys.
         """
         if self._index is None:
             raise ValueError("the stream is empty")
         key = (float(dc), str(TieBreak.coerce(tie_break)))
         prev = self._answers.get(key)
-        if prev is not None and len(prev) == self._index.n:
-            return prev
         if prev is None:
             answer = self._index.quantities(dc, tie_break)
+        elif len(prev) == self._index.n:
+            answer = prev
         else:
             answer = self._index.quantities_after_append(prev, len(prev))
         self._answers[key] = answer
+        self._answers.move_to_end(key)
+        if len(self._answers) > MAX_ANSWERS:
+            self._answers.popitem(last=False)
         return answer
 
     def cluster(self, dc: float, **kwargs):
         """Convenience: full DPC over the current stream contents.
 
-        Compacts any pending delta first — clustering goes through the
-        index pipeline, and the fold was going to happen at the next
-        threshold crossing anyway.  Accepts the same selection/halo
-        keywords as :meth:`repro.indexes.DPCIndex.cluster`.
+        Accepts the same selection/halo keywords as
+        :meth:`repro.indexes.DPCIndex.cluster`.
         """
         if self._index is None:
             raise ValueError("the stream is empty")
-        if self._index.delta_size:
-            self._compact()
         return self._index.cluster(dc, **kwargs)
 
     # -- recency-weighted views --------------------------------------------------

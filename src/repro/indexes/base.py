@@ -233,23 +233,21 @@ class DPCIndex(abc.ABC):
             self._fingerprint_ = index_fingerprint(self)
         return self._fingerprint_
 
-    # -- incremental maintenance (LSM-style delta segments) --------------------
+    # -- incremental maintenance ------------------------------------------------
 
     def add_points(self, new_points: np.ndarray) -> "DPCIndex":
-        """Append ``new_points`` to the fitted index without a full rebuild.
+        """Append ``new_points`` to the fitted index.
 
-        Families with a delta-segment implementation (:meth:`_append`)
-        ingest the batch into a small sorted side image that queries merge
-        with the frozen base image at kernel time — answers stay
-        bit-identical to a fresh fit over the combined points.  Families
-        without one fall back to a full refit over the combined array, which
-        preserves exactness trivially.
+        The default (:meth:`_append`) refits over the combined points, which
+        preserves exactness trivially and is cheap for the bulk-built tree
+        and grid families; the N-List families override it with a sorted
+        merge that skips their ``O(n²)`` build.  Either way the index is
+        indistinguishable from a fresh fit over the combined points.
 
         Published shard state and the cached fingerprint are invalidated:
-        an index with more points is new content.  The base image arrays are
-        never mutated in place (delta ingest rebinds attributes), so a
-        :meth:`snapshot_copy` taken earlier keeps answering for its own
-        point-in-time content.
+        an index with more points is new content.  Arrays are never mutated
+        in place (ingest rebinds attributes), so a :meth:`snapshot_copy`
+        taken earlier keeps answering for its own point-in-time content.
         """
         self._require_fitted()
         new_points = np.ascontiguousarray(np.atleast_2d(new_points), dtype=np.float64)
@@ -269,49 +267,18 @@ class DPCIndex(abc.ABC):
         return self
 
     def _append(self, new_points: np.ndarray) -> None:
-        """Family hook for delta-segment ingest; the default is a full refit."""
+        """Family hook for :meth:`add_points`; the default is a full refit."""
         self.fit(np.concatenate([self.points, new_points]))
-
-    @property
-    def delta_size(self) -> int:
-        """Points currently held in the delta segment (0 = fully compacted)."""
-        return 0
-
-    @property
-    def has_delta(self) -> bool:
-        return self.delta_size > 0
-
-    def compact(self) -> "DPCIndex":
-        """Fold the delta segment into the main image (no-op without one).
-
-        The post-compaction image is bit-identical to a fresh fit over the
-        combined points: families merge sorted base/delta orders where the
-        build permits it and fall back to a fresh bulk build otherwise.
-        """
-        if self.delta_size:
-            self._release_shards()
-            self._fingerprint_ = None
-            self._compact()
-        return self
-
-    def _compact(self) -> None:
-        """Family hook folding the delta segment; only called with one present."""
-        self.fit(self.points)
-
-    def _segment_lengths(self) -> Tuple[int, ...]:
-        """Segment layout ``(base_n, delta_n, ...)`` for the fingerprint recipe."""
-        delta = self.delta_size
-        return (self.n - delta, delta) if delta else (self.n,)
 
     def snapshot_copy(self) -> "DPCIndex":
         """A cheap, independently publishable copy of this fitted index.
 
-        The copy shares the (immutable) base arrays but owns its stats,
-        shard state and fingerprint cache.  Because delta ingest and
-        compaction rebind attributes instead of mutating arrays in place,
-        the copy keeps answering for the content it was taken at while the
-        original continues to evolve — this is what :class:`StreamingDPC`
-        hands to snapshot subscribers.
+        The copy shares the (immutable) arrays but owns its stats, shard
+        state and fingerprint cache.  Because :meth:`add_points` rebinds
+        attributes instead of mutating arrays in place, the copy keeps
+        answering for the content it was taken at while the original
+        continues to evolve — this is what :class:`StreamingDPC` hands to
+        its subscribers.
         """
         import copy
 

@@ -6,8 +6,8 @@ recursive Python ``TreeNode`` graph (per-node numpy calls, Python recursion)
 and only then flattened it into the structure-of-arrays image the batched
 kernels actually consume.  Construction therefore dominated exactly the hot
 paths the serving layer cares about — :class:`~repro.extras.streaming.StreamingDPC`
-amortised rebuilds and :class:`~repro.serving.snapshots.SnapshotStore`
-publishes.  This module builds the flat image *directly*, with level-
+ingests (an append refits a tree index) and
+:class:`~repro.serving.snapshots.SnapshotStore` publishes.  This module builds the flat image *directly*, with level-
 synchronous array operations and no intermediate object graph:
 
 * :func:`bulk_build_str` — Sort-Tile-Recursive R-tree packing as argsort-based
@@ -58,8 +58,6 @@ __all__ = [
     "bulk_build_str",
     "bulk_build_kdtree",
     "bulk_build_quadtree",
-    "merge_dim_perms",
-    "merge_morton_runs",
     "morton_keys",
     "tree_from_flat",
 ]
@@ -400,12 +398,7 @@ def bulk_build_str(points: np.ndarray, max_entries: int) -> FlatTree:
 # ---------------------------------------------------------------------------
 
 
-def bulk_build_kdtree(
-    points: np.ndarray,
-    leaf_size: int,
-    perms: Optional[np.ndarray] = None,
-    state_out: Optional[dict] = None,
-) -> FlatTree:
+def bulk_build_kdtree(points: np.ndarray, leaf_size: int) -> FlatTree:
     """Balanced k-d tree image built level-by-level from presorted perms.
 
     One permutation per dimension, each kept sorted by its coordinate within
@@ -414,27 +407,16 @@ def bulk_build_kdtree(
     widest-axis median split is *positional* in the split axis's permutation,
     and the other permutations follow through a vectorised stable two-way
     partition (exclusive-cumsum ranking) — no per-level sorting.
-
-    ``perms`` supplies precomputed ``(d, n)`` coordinate-sorted permutations
-    (any fixed tie order is a valid input — the split rule only needs sorted
-    order); delta compaction passes the :func:`merge_dim_perms` merge of the
-    previous fit's perms here, skipping the full re-sorts.  ``state_out``
-    (a dict) receives a pristine ``"perms"`` copy for exactly that reuse.
     """
     n, d = points.shape
     leaf_size = int(leaf_size)
     coords = [np.ascontiguousarray(points[:, k]) for k in range(d)]
     idx_dtype = np.int32 if n < 2**31 - 1 else np.int64
-    if perms is None:
-        P = np.empty((d, n), dtype=idx_dtype)
-        for k in range(d):
-            # Introsort: deterministic; the in-segment tie order is unspecified
-            # but fixed, which is all the bulk shape contract needs.
-            P[k] = np.argsort(coords[k]).astype(idx_dtype, copy=False)
-    else:
-        P = np.asarray(perms).astype(idx_dtype, copy=True)  # partitioned in place
-    if state_out is not None:
-        state_out["perms"] = P.copy()
+    P = np.empty((d, n), dtype=idx_dtype)
+    for k in range(d):
+        # Introsort: deterministic; the in-segment tie order is unspecified
+        # but fixed, which is all the bulk shape contract needs.
+        P[k] = np.argsort(coords[k]).astype(idx_dtype, copy=False)
 
     starts = np.zeros(1, dtype=idx_dtype)
     sizes = np.full(1, n, dtype=idx_dtype)
@@ -589,11 +571,7 @@ def morton_keys(
 
 
 def bulk_build_quadtree(
-    points: np.ndarray,
-    capacity: int,
-    max_depth: int,
-    presorted: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    state_out: Optional[dict] = None,
+    points: np.ndarray, capacity: int, max_depth: int
 ) -> Optional[FlatTree]:
     """PR-quadtree image from one Morton-key pass (2-D).
 
@@ -609,14 +587,6 @@ def bulk_build_quadtree(
 
     Returns ``None`` when ``max_depth`` exceeds the 32 levels a 64-bit
     Morton key can encode; the caller falls back to the object-graph build.
-
-    ``presorted`` supplies ``(sorted_keys, order)`` — Morton keys already in
-    sorted order plus the matching point-id permutation — skipping the key
-    derivation and sort entirely; delta compaction passes the
-    :func:`merge_morton_runs` merge of two sorted runs here (valid only when
-    the combined :func:`_padded_box` equals the one the keys were derived
-    from).  ``state_out`` (a dict) receives ``"box"``, ``"keys"`` and
-    ``"order"`` for exactly that reuse.
     """
     if max_depth > _MAX_MORTON_DEPTH:
         return None
@@ -625,26 +595,17 @@ def bulk_build_quadtree(
     D = int(max_depth)
     box_lo, box_hi = _padded_box(points)
     ext = box_hi - box_lo  # positive on both axes after padding
-    if presorted is None:
-        key = morton_keys(points, box_lo, box_hi, D)
-        if key is None:
-            # Denormal-scale extents underflow the depth-D cell width to zero
-            # (and infinite extents have no grid at all): no usable Morton
-            # lattice — fall back to the object-graph build.
-            return None
-        # Stable: ties (points sharing a final cell) land in id order inside
-        # their leaf — results never see the order, but it makes a
-        # merge-compacted image node-for-node identical to a fresh build.
-        order = _stable_argsort(key)
-        ks = key[order]
-    else:
-        ks, order = presorted
-        ks = np.asarray(ks, dtype=np.uint64)
-        order = np.asarray(order, dtype=np.int64)
-    if state_out is not None:
-        state_out["box"] = (box_lo, box_hi)
-        state_out["keys"] = ks
-        state_out["order"] = order
+    key = morton_keys(points, box_lo, box_hi, D)
+    if key is None:
+        # Denormal-scale extents underflow the depth-D cell width to zero
+        # (and infinite extents have no grid at all): no usable Morton
+        # lattice — fall back to the object-graph build.
+        return None
+    # Stable: ties (points sharing a final cell) land in id order inside
+    # their leaf; results never see the order, but the image is then a
+    # function of the points alone, whatever the sort's tie handling.
+    order = _stable_argsort(key)
+    ks = key[order]
 
     def _node_boxes(starts: np.ndarray, depth: int) -> Tuple[np.ndarray, np.ndarray]:
         L = len(starts)
@@ -733,58 +694,6 @@ def _padded_box(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     extent = hi - lo
     pad = np.where(extent == 0.0, 1.0, 0.0)
     return lo - pad, hi + pad
-
-
-# ---------------------------------------------------------------------------
-# Sorted-order merges (LSM-style delta compaction)
-# ---------------------------------------------------------------------------
-
-
-def merge_dim_perms(
-    points: np.ndarray, base_perms: np.ndarray, base_n: int
-) -> np.ndarray:
-    """Merge per-dimension sorted perms of a base prefix with its delta suffix.
-
-    ``base_perms`` is the ``(d, base_n)`` coordinate-sorted permutation set a
-    previous :func:`bulk_build_kdtree` ran from (its ``state_out["perms"]``);
-    ``points`` is the combined ``(n, d)`` array whose first ``base_n`` rows
-    are the base points.  Each dimension sorts the delta ids alone
-    (O(Δ log Δ)) and interleaves them into the base order with one
-    ``searchsorted`` — ``side="right"`` keeps base ids ahead of equal-valued
-    delta ids, so the result is a valid stable-ish sorted perm without
-    re-sorting the base.
-    """
-    n, d = points.shape
-    merged = np.empty((d, n), dtype=base_perms.dtype)
-    for k in range(d):
-        col = np.ascontiguousarray(points[:, k])
-        delta_order = np.argsort(col[base_n:]) + base_n
-        ins = np.searchsorted(col[base_perms[k]], col[delta_order], side="right")
-        merged[k] = np.insert(base_perms[k], ins, delta_order)
-    return merged
-
-
-def merge_morton_runs(
-    base_keys: np.ndarray,
-    base_order: np.ndarray,
-    delta_keys: np.ndarray,
-    base_n: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge a sorted base Morton run with an *unsorted* delta key array.
-
-    ``delta_keys[i]`` belongs to point ``base_n + i`` (keys must come from
-    the same root box / depth as ``base_keys``).  Returns the combined
-    ``(sorted_keys, order)`` pair for :func:`bulk_build_quadtree`'s
-    ``presorted`` input.  ``side="right"`` plus the stable delta sort makes
-    the merge exactly the stable argsort of the concatenated key array —
-    the compacted image is node-for-node what a fresh build would produce.
-    """
-    dord = _stable_argsort(delta_keys)
-    dks = delta_keys[dord]
-    ins = np.searchsorted(base_keys, dks, side="right")
-    merged_keys = np.insert(base_keys, ins, dks)
-    merged_order = np.insert(base_order, ins, dord.astype(np.int64) + base_n)
-    return merged_keys, merged_order
 
 
 # ---------------------------------------------------------------------------

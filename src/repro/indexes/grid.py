@@ -41,13 +41,7 @@ from repro.core.quantities import NO_NEIGHBOR, DensityOrder
 from repro.geometry.distance import Metric
 from repro.indexes import parallel
 from repro.indexes.base import DPCIndex
-from repro.indexes.kernels import (
-    delta_multi_from_orders,
-    grid_delta_batched,
-    grid_rho_batched,
-    merge_delta_candidates,
-    peak_delta_sweep,
-)
+from repro.indexes.kernels import delta_multi_from_orders, peak_delta_sweep
 
 __all__ = ["GridIndex"]
 
@@ -106,8 +100,6 @@ class GridIndex(DPCIndex):
         self._ids: Optional[np.ndarray] = None
         self._cell_of: Optional[np.ndarray] = None  # flat cell id per object
         self._cell_maxrho: Optional[np.ndarray] = None
-        self._delta_grid: Optional[dict] = None  # LSM-style CSR side image
-        self._base_n = 0  # points covered by the base CSR
 
     # -- construction -----------------------------------------------------------
 
@@ -148,117 +140,6 @@ class GridIndex(DPCIndex):
         self._offsets = offsets
         self._ids = np.arange(n, dtype=np.int64)[order]
         self._cell_of = flat
-        self._delta_grid = None
-        self._base_n = n
-
-    # -- LSM-style delta segment ---------------------------------------------------
-
-    #: Side grids larger than this many cells fall back to a full refit
-    #: (a scattered delta batch under a tiny base cell width would otherwise
-    #: allocate an offsets array dwarfing the data).
-    _MAX_DELTA_CELLS = 1 << 22
-
-    def _append(self, new_points: np.ndarray) -> None:
-        """Ingest a batch as a rebuilt CSR side image over all delta points.
-
-        The side grid keeps the base cell width (so the ring arithmetic of
-        the δ kernel is shared) but gets its *own* bounding box — every
-        stored candidate physically lies inside its cell, which the
-        pair-query pruning lemmas rely on.  Base arrays are never mutated
-        in place; attributes rebind (snapshot copies keep answering for
-        their content).
-        """
-        combined = np.concatenate([self.points, new_points])
-        base_n = self._base_n
-        delta = combined[base_n:]
-        w = float(self.cell_size_)
-        lo = delta.min(axis=0)
-        extent = np.maximum(delta.max(axis=0) - lo, 1e-300)
-        nx = max(1, int(np.floor(extent[0] / w)) + 1)
-        ny = max(1, int(np.floor(extent[1] / w)) + 1)
-        if nx * ny > max(self._MAX_DELTA_CELLS, 8 * len(combined)):
-            super()._append(new_points)
-            return
-        cx = np.minimum((delta[:, 0] - lo[0]) // w, nx - 1).astype(np.int64)
-        cy = np.minimum((delta[:, 1] - lo[1]) // w, ny - 1).astype(np.int64)
-        flat = cx * ny + cy
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=nx * ny)
-        offsets = np.zeros(nx * ny + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        self.points = combined
-        self._delta_grid = {
-            "lo": lo,
-            "shape": (nx, ny),
-            "offsets": offsets,
-            "ids": (np.arange(len(delta), dtype=np.int64) + base_n)[order],
-            "cell_of": flat,
-        }
-
-    @property
-    def delta_size(self) -> int:
-        if self._delta_grid is None or not self.is_fitted:
-            return 0
-        return len(self.points) - self._base_n
-
-    def _compact(self) -> None:
-        merged = self._merge_csr_append()
-        if merged is None:
-            self.fit(self.points)
-            return
-        self._offsets, self._ids, self._cell_of = merged
-        self._delta_grid = None
-        self._base_n = len(self.points)
-
-    def _merge_csr_append(self):
-        """Merged base+delta CSR, or ``None`` when only a refit is valid.
-
-        The merge requires the *same geometry* a fresh fit would resolve:
-        an explicitly configured ``cell_size`` (automatic sizing depends on
-        ``n``) and an unchanged bounding box / cell grid.  The merged
-        layout — each cell's base run followed by its delta ids in id
-        order — is then exactly the stable cell sort a fresh ``_build``
-        produces.
-        """
-        if self.cell_size is None:
-            return None
-        points = self.points
-        base_n = self._base_n
-        lo = points.min(axis=0)
-        if not np.array_equal(lo, self._lo):
-            return None
-        extent = np.maximum(points.max(axis=0) - lo, 1e-300)
-        w = float(self.cell_size_)
-        nx = max(1, int(np.floor(extent[0] / w)) + 1)
-        ny = max(1, int(np.floor(extent[1] / w)) + 1)
-        if (nx, ny) != self._shape:
-            return None
-        delta = points[base_n:]
-        cx = np.minimum((delta[:, 0] - lo[0]) // w, nx - 1).astype(np.int64)
-        cy = np.minimum((delta[:, 1] - lo[1]) // w, ny - 1).astype(np.int64)
-        flat = cx * ny + cy
-        order = np.argsort(flat, kind="stable")
-        ids_d = (np.arange(len(delta), dtype=np.int64) + base_n)[order]
-        new_ids = np.insert(self._ids, self._offsets[flat[order] + 1], ids_d)
-        new_offsets = self._offsets.copy()
-        new_offsets[1:] += np.cumsum(np.bincount(flat, minlength=nx * ny))
-        new_cell_of = np.concatenate([self._cell_of, flat])
-        return new_offsets, new_ids, new_cell_of
-
-    def _clamped_cells(self, lo: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
-        """Per-point grouping/home cells of *all* points w.r.t. a grid image.
-
-        Members get their true cell (same floor arithmetic as ``_build``);
-        points outside the box clamp per axis.  Clamping only contracts
-        per-axis distances to stored candidates — which all lie inside the
-        box — so every rect-bounds metric's ring pruning stays sound.
-        """
-        points = self.points
-        w = float(self.cell_size_)
-        nx, ny = shape
-        cx = np.clip(((points[:, 0] - lo[0]) // w).astype(np.int64), 0, nx - 1)
-        cy = np.clip(((points[:, 1] - lo[1]) // w).astype(np.int64), 0, ny - 1)
-        return cx * ny + cy
 
     def occupied_cells(self) -> int:
         self._require_fitted()
@@ -291,41 +172,13 @@ class GridIndex(DPCIndex):
         # query chunks by the execution backend (bit-identical across
         # backends — each query's candidate cells and classification
         # sequence depend only on the query itself).
-        if self._delta_grid is not None:
-            return self._rho_segmented(float(dc))
         return self._sharded_rho(parallel.grid_rho_task, [float(dc)])[0]
 
     def rho_all_multi(self, dcs) -> np.ndarray:
         """ρ for a whole cut-off grid as one sharded ``(dc, chunk)`` wave."""
         self._require_fitted()
         dcs = self._validate_dcs(dcs)
-        if self._delta_grid is not None:
-            return np.stack([self._rho_segmented(dc) for dc in dcs])
         return np.stack(self._sharded_rho(parallel.grid_rho_task, dcs))
-
-    def _rho_segmented(self, dc: float) -> np.ndarray:
-        """ρ over the (base, delta) CSR pair, serially.
-
-        Each image's pass counts the query's strict ``< dc`` neighbours
-        among its own members and subtracts one self-count; every query is
-        a member of exactly one image, so the union count is
-        ``base + delta + 1``.  (The sharded path slices the base-only
-        cell-sorted id array, so it resumes after compaction.)
-        """
-        points = self.points
-        dg = self._delta_grid
-        w = float(self.cell_size_)
-        base = grid_rho_batched(
-            points, None, dc, w, self._lo, self._shape,
-            self._offsets, self._ids, self._cell_of, self.metric, self._stats,
-            qcell=self._clamped_cells(self._lo, self._shape),
-        )
-        extra = grid_rho_batched(
-            points, None, dc, w, dg["lo"], dg["shape"],
-            dg["offsets"], dg["ids"], dg["cell_of"], self.metric, self._stats,
-            qcell=self._clamped_cells(dg["lo"], dg["shape"]),
-        )
-        return base + extra + 1
 
     def _sharded_rho(self, task, dcs) -> "list[np.ndarray]":
         """Cell-locality override of the generic ``(dc, chunk)`` sharding.
@@ -366,32 +219,20 @@ class GridIndex(DPCIndex):
         once (empty cells keep ``-inf``) — the same bottom-up reduction shape
         the trees use, replacing the per-order Python ``zip`` scatter loop.
         """
-        return self._cell_maxrho_rows(
-            rho_rows, self._offsets, self._ids, self._shape
-        )
-
-    @staticmethod
-    def _cell_maxrho_rows(rho_rows, offsets, ids_sorted, shape) -> np.ndarray:
-        """The reduction of :meth:`_annotate_cell_maxrho` over any CSR image."""
         rho_rows = np.asarray(rho_rows, dtype=np.float64)
-        nx, ny = shape
+        nx, ny = self._shape
         maxrho = np.full((len(rho_rows), nx * ny), -np.inf, dtype=np.float64)
-        occupied = np.flatnonzero(np.diff(offsets) > 0)
+        occupied = np.flatnonzero(np.diff(self._offsets) > 0)
         if len(occupied):
-            vals = rho_rows[:, ids_sorted]
+            vals = rho_rows[:, self._ids]
             maxrho[:, occupied] = np.maximum.reduceat(
-                vals, offsets[occupied], axis=1
+                vals, self._offsets[occupied], axis=1
             )
         return maxrho
 
     def delta_all(self, order: DensityOrder) -> Tuple[np.ndarray, np.ndarray]:
         if self.delta_mode == "batched":
             return self.delta_all_multi([order])[0]
-        if self._delta_grid is not None:
-            raise RuntimeError(
-                "the scalar reference expansion does not traverse the delta "
-                "segment; call compact() first (or use delta_mode='batched')"
-            )
         points = self._require_fitted()
         n = len(points)
         if len(order) != n:
@@ -429,8 +270,6 @@ class GridIndex(DPCIndex):
             return [self.delta_all(order) for order in orders]
         if not orders:
             return []
-        if self._delta_grid is not None:
-            return self._delta_all_multi_segmented(orders)
 
         def run_engine(qid, qord, rho_rows, key_rows):
             # Annotate every order in one pass; traverse per (order, chunk)
@@ -451,47 +290,6 @@ class GridIndex(DPCIndex):
                     "cell_maxrho": cell_maxrho,
                 },
             )
-
-        return delta_multi_from_orders(
-            points, orders, run_engine, self.metric, self._stats
-        )
-
-    def _delta_all_multi_segmented(self, orders):
-        """δ sweep over the (base, delta) CSR pair.
-
-        Each image's ring engine is exact over its own member set when
-        driven with the global density rows (stored ids are global point
-        ids in both images); the union's nearest denser neighbour is the
-        lexicographic ``(distance, id)`` minimum of the two per-image
-        candidates.  Non-member queries expand rings from their *clamped*
-        home cell — clamping only contracts per-axis distances to stored
-        candidates, so the ``(r-1)·w`` ring bound and both pruning lemmas
-        stay sound for every rect-bounds metric.  Runs serially on both
-        images; compaction restores the sharded path.
-        """
-        points = self.points
-        dg = self._delta_grid
-        w = float(self.cell_size_)
-        qcell_b = self._clamped_cells(self._lo, self._shape)
-        qcell_d = self._clamped_cells(dg["lo"], dg["shape"])
-
-        def run_engine(qid, qord, rho_rows, key_rows):
-            cmr_b = self._annotate_cell_maxrho(rho_rows)
-            self._cell_maxrho = cmr_b[-1]
-            cmr_d = self._cell_maxrho_rows(
-                rho_rows, dg["offsets"], dg["ids"], dg["shape"]
-            )
-            d_b, m_b = grid_delta_batched(
-                points, qid, qord, rho_rows, key_rows, cmr_b,
-                self._offsets, self._ids, self._cell_of, self._lo, w,
-                self._shape, self.metric, self._stats, qcell=qcell_b,
-            )
-            d_d, m_d = grid_delta_batched(
-                points, qid, qord, rho_rows, key_rows, cmr_d,
-                dg["offsets"], dg["ids"], dg["cell_of"], dg["lo"], w,
-                dg["shape"], self.metric, self._stats, qcell=qcell_d,
-            )
-            return merge_delta_candidates(d_b, m_b, d_d, m_d)
 
         return delta_multi_from_orders(
             points, orders, run_engine, self.metric, self._stats
@@ -577,7 +375,4 @@ class GridIndex(DPCIndex):
         total = self._offsets.nbytes + self._ids.nbytes + self._cell_of.nbytes
         if self._cell_maxrho is not None:
             total += self._cell_maxrho.nbytes
-        if self._delta_grid is not None:
-            dg = self._delta_grid
-            total += dg["offsets"].nbytes + dg["ids"].nbytes + dg["cell_of"].nbytes
         return int(total)

@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.geometry.distance import Metric
-from repro.indexes.build import bulk_build_kdtree, merge_dim_perms
+from repro.indexes.build import bulk_build_kdtree
 from repro.indexes.treebase import TreeIndexBase, TreeNode
 
 __all__ = ["KDTreeIndex"]
@@ -67,26 +67,8 @@ class KDTreeIndex(TreeIndexBase):
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
         self.leaf_size = leaf_size
 
-    def _bulk_build(self):
-        state: dict = {}
-        flat = bulk_build_kdtree(self.points, self.leaf_size, state_out=state)
-        self._dim_perms = state["perms"]  # pristine sorted perms, for compaction
-        return flat
-
-    def _delta_image(self, pts):
+    def _bulk_image(self, pts):
         return bulk_build_kdtree(pts, self.leaf_size)
-
-    def _merge_delta_image(self):
-        perms = getattr(self, "_dim_perms", None)
-        if perms is None or perms.shape[1] != self._base_n:
-            return None  # no fit-time perms (e.g. loaded payload): fresh build
-        merged = merge_dim_perms(self.points, perms, self._base_n)
-        state: dict = {}
-        flat = bulk_build_kdtree(
-            self.points, self.leaf_size, perms=merged, state_out=state
-        )
-        self._dim_perms = state["perms"]
-        return flat
 
     def _build_objects(self) -> TreeNode:
         ids = np.arange(len(self.points), dtype=np.int64)

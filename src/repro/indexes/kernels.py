@@ -50,10 +50,10 @@ per-axis gap and reach, also under rounding, so that point's value bounds
 every member's, and each member would have decided the same on its own.
 The other pairs are classified member by member; a group whose members all
 intersect an inner node stays a group for its children.  Queries that are
-not members of the image group by a key the caller gives (the (base, delta)
-pair groups base points by their base leaf when it counts them in the delta
-image); the argument needs only the box of the group's points, so any
-grouping is sound.  Intersected
+not members of the image group by a key the caller gives (the append repair
+groups the old points by their leaf of the index image when it counts them
+in an image of the new points); the argument needs only the box of the
+group's points, so any grouping is sound.  Intersected
 leaves are scanned from fixed-width padded rows of leaf coordinates (width:
 the median leaf size; an oversized leaf spans several rows), through
 ``paired_distances`` like every other distance in the package.  ρ and
@@ -112,17 +112,14 @@ already known per query (``carry``: the best ``(distance, id)`` over some
 other point set).  The carried distance is the starting radius and the
 carried pair the starting best, so the search returns the lexicographic
 ``(distance, id)`` minimum of the carried answer and this image's
-candidates — what :func:`merge_delta_candidates` makes of two independent
-searches.  It stays exact because Lemma 2 prunes a node only when its
-``mindist`` is *strictly* above the radius: such a node holds no point at a
-distance ≤ the carried one, so none that could beat it, not even on the
-smaller-id tie-break.  The (base, delta) image pair searches each query's
-own image first and the other image with that answer carried in, so most
-of the second search is pruned before it starts.  The counters count the
-work actually done: on the image pair they are not the sum of two
-independent per-image searches (``nodes_visited``, ``objects_scanned`` and
-``distance_evals`` come out lower); without a carry-in every counter equals
-the kernel kept in ``tests/tree_delta_reference.py``.
+candidates — the merge of two independent searches.  It stays exact
+because Lemma 2 prunes a node only when its ``mindist`` is *strictly* above
+the radius: such a node holds no point at a distance ≤ the carried one, so
+none that could beat it, not even on the smaller-id tie-break.  The append
+repair carries a point's previous answer into a search of an image of the
+points that changed, so most of that search is pruned before it starts.
+The counters count the work actually done; without a carry-in every
+counter equals the kernel kept in ``tests/tree_delta_reference.py``.
 """
 
 from __future__ import annotations
@@ -150,7 +147,6 @@ __all__ = [
     "peak_delta_sweep",
     "density_order_key",
     "delta_multi_from_orders",
-    "merge_delta_candidates",
     "FlatTree",
     "flatten_tree",
     "flat_tree_maxrho",
@@ -209,16 +205,35 @@ def row_searchsorted(rows: np.ndarray, needles, side: str = "left") -> np.ndarra
     scalar (one search per row, ``(n,)`` result), an ``(n,)`` vector (a
     different needle per row, ``(n,)`` result), or a ``(1, k)`` / ``(n, k)``
     grid (``(n, k)`` result).  Positions are **row-local** insertion indexes.
+
+    Every row has the same length, so the search needs no per-element
+    bounds: the first probe (at the largest power of two ``2^j ≤ m``)
+    leaves a range of ``2^j`` candidate counts, and each later pass halves
+    it with one gather, one comparison and one add.
     """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     rows = np.ascontiguousarray(rows)
     n, m = rows.shape
     needles = np.asarray(needles)
-    grid = needles.ndim == 2
-    starts = np.arange(n, dtype=np.int64) * m
-    if grid:
-        starts = starts[:, None]
-    pos = bounded_searchsorted(rows.reshape(-1), starts, starts + m, needles, side)
-    return pos - starts
+    # base + c is the flat index of a row's c-th element (1-based).
+    base = np.arange(n, dtype=np.int64) * m - 1
+    if needles.ndim == 2:
+        base = base[:, None]
+    base, needles = np.broadcast_arrays(base, needles)
+    if m == 0:
+        return np.zeros(needles.shape, dtype=np.int64)
+    flat = rows.reshape(-1)
+    before = np.less if side == "left" else np.less_equal
+    step = 1 << (m.bit_length() - 1)
+    # The count of elements before the needle is < step, or in
+    # [m - step + 1, m]: either way a range the halving steps cover.
+    pos = np.where(before(flat[base + step], needles), m - step + 1, 0)
+    step >>= 1
+    while step:
+        pos += before(flat[base + pos + step], needles) * step
+        step >>= 1
+    return pos
 
 
 def build_row_histograms(
@@ -618,25 +633,6 @@ def delta_multi_from_orders(
     return out
 
 
-def merge_delta_candidates(
-    d_a: np.ndarray,
-    mu_a: np.ndarray,
-    d_b: np.ndarray,
-    mu_b: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge per-image δ candidates by the lexicographic ``(distance, id)`` rule.
-
-    When an index holds a base image plus a delta segment, each image's δ
-    engine is exact over its own member set; the nearest denser neighbour
-    over the union is the lexicographic minimum of the two per-image
-    candidates — the same ``np.lexsort((cand, d))[0]`` rule the engines use
-    internally, so the merged result is bit-identical to a single engine run
-    over a combined image.
-    """
-    take_b = (d_b < d_a) | ((d_b == d_a) & (mu_b < mu_a))
-    return np.where(take_b, d_b, d_a), np.where(take_b, mu_b, mu_a)
-
-
 def _expand_csr(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gather indices for variable-length CSR segments, concatenated.
 
@@ -988,12 +984,12 @@ def tree_delta_batched(
     own_leaf:
         Optional per-query containing-leaf node ids overriding the default
         ``flat.leaf_node_of[qid]`` lookup; ``-1`` marks a query that is not
-        a member of this image (a delta-segment query against the base
-        image, or vice versa), for which the own-leaf/sibling seeding is
+        a member of this image (an old point against an image of the points
+        an append changed), for which the own-leaf/sibling seeding is
         skipped.  Seeding only affects pruning, never results.
     carry:
         Optional ``(best_d, best_id)`` per query, an answer already known
-        from another point set (the other image of a (base, delta) pair);
+        from another point set (a point's answer before an append);
         ``(inf, NO_NEIGHBOR)`` rows carry nothing.  The search starts with
         it as the pruning radius and returns the lexicographic
         ``(distance, id)`` minimum of it and this image's candidates.
@@ -1002,7 +998,7 @@ def tree_delta_batched(
     -------
     ``(delta, mu)`` of shape ``(m,)``, aligned with ``qid`` — bit-identical
     to running the per-object reference search per query (merged with
-    ``carry`` by :func:`merge_delta_candidates`).
+    ``carry`` by the lexicographic ``(distance, id)`` rule).
     """
     qid = np.asarray(qid, dtype=np.int64)
     qord = np.asarray(qord, dtype=np.int64)
@@ -1207,7 +1203,6 @@ def grid_delta_batched(
     shape: Tuple[int, int],
     metric,
     stats,
-    qcell: "np.ndarray | None" = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Expanding-ring cell-batched δ search over a uniform grid.
 
@@ -1227,14 +1222,6 @@ def grid_delta_batched(
     ``(offsets, ids_sorted)`` cell membership, ``cell_of`` flat home cells,
     ``grid_lo`` / ``cell_w`` / ``shape`` geometry, and ``cell_maxrho_rows``
     of shape ``(n_orders, nx · ny)``.
-
-    ``qcell`` overrides the ``cell_of`` home-cell lookup for queries that
-    are not members of this grid image (delta-segment queries against the
-    base CSR, or vice versa): a full-length array of per-point home cells,
-    clamped into the grid.  Ring expansion from a clamped home stays exact:
-    every stored candidate lies inside the grid rectangle, so per-axis
-    clamping of the query can only shrink its distance to a candidate —
-    a ring-``r`` cell is still at least ``(r-1)·w`` away from the query.
     """
     qid = np.asarray(qid, dtype=np.int64)
     qord = np.asarray(qord, dtype=np.int64)
@@ -1255,7 +1242,7 @@ def grid_delta_batched(
     qpts = points[qid]
     rho_q = rho_rows[qord, qid]
     key_q = key_rows[qord, qid]
-    home = (cell_of if qcell is None else qcell)[qid]
+    home = cell_of[qid]
     hx, hy = home // ny, home % ny
     max_ring = max(nx, ny)
 
@@ -1336,7 +1323,6 @@ def grid_rho_batched(
     cell_of: np.ndarray,
     metric,
     stats,
-    qcell: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Cell-batched Observation-1 ρ over a uniform grid.
 
@@ -1350,13 +1336,6 @@ def grid_rho_batched(
     cell range, classification sequence and counter contributions depend
     only on the query itself, so sharding over ``qid`` chunks is
     bit-identical to one whole-table call — the execution-backend contract.
-
-    ``qcell`` supports queries that are *not* members of this grid image
-    (delta-segment points queried against the base CSR, or vice versa): a
-    full-length array of per-point grouping cells — typically the clamped
-    home cell — used instead of the member-cell grouping.  Candidate cell
-    ranges always come from the query coordinates, so the grouping choice
-    affects locality only, never results.
 
     Parameters mirror :class:`~repro.indexes.grid.GridIndex` internals: CSR
     ``(offsets, ids_sorted)`` cell membership and the ``grid_lo`` /
@@ -1385,48 +1364,22 @@ def grid_rho_batched(
     # Restricting to a query subset visits only the subset's own home
     # cells (cell-sorted chunks touch a contiguous cell range, so a shard
     # pays for its cells alone, not a full occupied-cell sweep).
-    if qcell is not None:
-        # External-query grouping: the queries need not be CSR members, so
-        # group them by their provided grouping cell directly.  Grouping
-        # only batches work; each query's candidate ranges and
-        # classifications are its own either way.
-        qsel = (
-            np.asarray(qid, dtype=np.int64)
-            if qid is not None
-            else np.arange(n, dtype=np.int64)
-        )
-        if len(qsel):
-            order = np.argsort(qcell[qsel], kind="stable")
-            qsel = qsel[order]
-            cells = qcell[qsel]
-            starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-            stops = np.append(starts[1:], len(qsel))
-            groups = [qsel[a:b] for a, b in zip(starts, stops)]
-        else:
-            groups = iter(())
+    in_sel = None
+    if qid is not None:
+        qid = np.asarray(qid, dtype=np.int64)
+        in_sel = np.zeros(n, dtype=bool)
+        in_sel[qid] = True
+        occupied = np.unique(cell_of[qid])
     else:
-        in_sel = None
-        if qid is not None:
-            qid = np.asarray(qid, dtype=np.int64)
-            in_sel = np.zeros(n, dtype=bool)
-            in_sel[qid] = True
-            occupied = np.unique(cell_of[qid])
-        else:
-            occupied = np.flatnonzero(np.diff(offsets) > 0)
-
-        def _member_groups():
-            for home in occupied:
-                members = ids_sorted[offsets[home] : offsets[home + 1]]
-                if in_sel is not None:
-                    members = members[in_sel[members]]
-                    if len(members) == 0:
-                        continue
-                yield members
-
-        groups = _member_groups()
+        occupied = np.flatnonzero(np.diff(offsets) > 0)
 
     counts = np.zeros(n, dtype=np.int64)
-    for members in groups:
+    for home in occupied:
+        members = ids_sorted[offsets[home] : offsets[home + 1]]
+        if in_sel is not None:
+            members = members[in_sel[members]]
+            if len(members) == 0:
+                continue
         mx0, mx1 = ix0[members], ix1[members]
         my0, my1 = iy0[members], iy1[members]
         for fx in range(int(mx0.min()), int(mx1.max()) + 1):
@@ -1494,11 +1447,11 @@ def tree_rho_batched(
     other pairs are classified member by member, exactly as a lone query
     would be: a group whose members all intersect an inner node stays a
     group for its children, and the intersecting members of a mixed pair go
-    on as single queries.  Queries that are not members of ``flat`` (delta
-    points against the base image, base points against the delta image)
-    group by ``group``, a full-length array of per-point keys (say, each
-    base point's leaf of the base image); a negative key, or no ``group``,
-    makes them single queries.  The box argument holds for any set of
+    on as single queries.  Queries that are not members of ``flat`` (old
+    points against an image of the points an append brought) group by
+    ``group``, a full-length array of per-point keys (say, each point's leaf
+    of the index image); a negative key, or no ``group``, makes them single
+    queries.  The box argument holds for any set of
     points, so a caller's grouping changes locality only, never results.
 
     Intersected leaves are scanned from fixed-width padded rows of leaf

@@ -37,7 +37,7 @@ from repro.core.quantities import NO_NEIGHBOR, DensityOrder, DPCQuantities, TieB
 from repro.geometry.distance import Metric
 from repro.indexes import parallel
 from repro.indexes.base import DPCIndex
-from repro.indexes.kernels import density_order_key
+from repro.indexes.kernels import density_order_key, row_searchsorted
 
 __all__ = ["ListIndex"]
 
@@ -170,41 +170,49 @@ class ListIndex(DPCIndex):
         """Merge a batch into every N-List instead of refitting.
 
         The N-List rows are per-object sorted runs, so a batch folds in as
-        a sorted merge: each base row takes its ``k`` new entries at their
-        ``searchsorted`` positions (``side="right"`` — new ids are larger,
-        so distance ties keep ascending-id order), and each new object gets
-        a freshly sorted full row.  Only the ``O(k·n)`` new distances are
-        evaluated (elementwise, bit-identical to what a fresh build would
+        one batched sorted merge: each old row's ``k`` new distances are
+        sorted, one :func:`~repro.indexes.kernels.row_searchsorted` call
+        finds every insertion point (``side="right"`` — new ids are larger,
+        so distance ties keep ascending-id order), and new and old entries
+        scatter into the grown rows through a position mask.  Each new
+        object gets a freshly sorted full row.  Only the ``O(k·n)`` new
+        distances are evaluated (bit-identical to what a fresh build would
         compute), versus ``O(n²)`` for a refit; the result is
-        indistinguishable from ``fit`` on the combined points, so the list
-        family compacts on every append (``delta_size`` stays 0).
+        indistinguishable from ``fit`` on the combined points.
         """
         base = self.points
         base_n = len(base)
         combined = np.concatenate([base, new_points])
         n = len(combined)
         k = n - base_n
-        old_ids, old_dists = self._neighbor_ids, self._neighbor_dists
-        ids = np.empty((n, n - 1), dtype=np.int32)
-        dists = np.empty((n, n - 1), dtype=np.float64)
         cross_no = self.metric.cross(new_points, base)  # (k, base_n)
         cross_nn = self.metric.cross(new_points, new_points)
-        new_ids = np.arange(base_n, n, dtype=np.int32)
-        for p in range(base_n):
-            d_new = cross_no[:, p]
-            srt = np.argsort(d_new, kind="stable")
-            ins = np.searchsorted(old_dists[p], d_new[srt], side="right")
-            ids[p] = np.insert(old_ids[p], ins, new_ids[srt])
-            dists[p] = np.insert(old_dists[p], ins, d_new[srt])
-        all_ids = np.arange(n, dtype=np.int32)
-        for i in range(k):
-            p = base_n + i
-            row = np.concatenate([cross_no[i], cross_nn[i]])
-            keep = all_ids != p
-            d = row[keep]
-            sorting = np.argsort(d, kind="stable")
-            ids[p] = all_ids[keep][sorting]
-            dists[p] = d[sorting]
+        ids = np.empty((n, n - 1), dtype=np.int32)
+        dists = np.empty((n, n - 1), dtype=np.float64)
+        # Old rows: entry j of row p's sorted new distances lands at
+        # ins[p, j] + j, after the j new entries sorted before it.
+        d_new = np.ascontiguousarray(cross_no.T)
+        srt = np.argsort(d_new, axis=1, kind="stable")
+        d_new = np.take_along_axis(d_new, srt, axis=1)
+        ins = row_searchsorted(self._neighbor_dists, d_new, side="right")
+        pos = (ins + np.arange(base_n)[:, None] * (n - 1) + np.arange(k)).ravel()
+        is_new = np.zeros(base_n * (n - 1), dtype=bool)
+        is_new[pos] = True
+        old_ids, old_dists = ids[:base_n].reshape(-1), dists[:base_n].reshape(-1)
+        old_ids[pos] = (srt + base_n).ravel()
+        old_dists[pos] = d_new.ravel()
+        is_old = ~is_new
+        old_ids[is_old] = self._neighbor_ids.ravel()
+        old_dists[is_old] = self._neighbor_dists.ravel()
+        # New rows: every other object, sorted (ties by id).
+        row = np.concatenate([cross_no, cross_nn], axis=1)  # (k, n)
+        keep = np.ones((k, n), dtype=bool)
+        keep[np.arange(k), base_n + np.arange(k)] = False
+        d_row = row[keep].reshape(k, n - 1)
+        id_row = np.broadcast_to(np.arange(n, dtype=np.int32), (k, n))[keep]
+        sorting = np.argsort(d_row, axis=1, kind="stable")
+        ids[base_n:] = np.take_along_axis(id_row.reshape(k, n - 1), sorting, axis=1)
+        dists[base_n:] = np.take_along_axis(d_row, sorting, axis=1)
         self.points = combined
         self._neighbor_ids = ids
         self._neighbor_dists = dists

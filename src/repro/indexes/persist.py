@@ -103,10 +103,11 @@ _FORMAT_VERSION = 1
 #: Version of the fingerprint *recipe*; bumping it retires every cached
 #: result keyed on older fingerprints (the serving cache keys on the
 #: fingerprint string, so a recipe change must never collide with old keys).
-#: v2 added the ``segments`` entry (LSM base/delta layout): a segmented
-#: index and its compacted equivalent answer queries identically, but they
-#: are different *payloads* — restoring one must reproduce the other's
-#: layout exactly for the round-trip contract to stay checkable.
+#: v2 added the ``segments`` entry, the lengths of the point segments an
+#: index kept: ``[n]`` for every index today.  Indexes used to keep appended
+#: points in a second (delta) segment, and a payload saved with one stores
+#: ``[base_n, delta_n]``; :func:`restore_index_image` verifies such a
+#: payload under that layout and then refits all of its points.
 _FINGERPRINT_VERSION = 2
 
 #: Index classes whose heavy arrays are persisted (vs rebuilt on load).
@@ -192,15 +193,20 @@ def index_fingerprint(index: DPCIndex) -> str:
     """
     if not index.is_fitted:
         raise ValueError("cannot fingerprint an unfitted index; call fit(points) first")
-    points = index.points
+    return _fingerprint(index, index.points, _resolved_params(index), [index.n])
+
+
+def _fingerprint(index: DPCIndex, points: np.ndarray, resolved, segments) -> str:
+    """The fingerprint recipe: ``index`` supplies the family and constructor
+    params, the rest is passed in (a legacy payload's layout included)."""
     head = {
         "fingerprint_version": _FINGERPRINT_VERSION,
         "index": index.name,
         "params": _constructor_params(index),
-        "resolved": _resolved_params(index),
+        "resolved": resolved,
         "dtype": str(points.dtype),
         "shape": list(points.shape),
-        "segments": [int(s) for s in index._segment_lengths()],
+        "segments": [int(s) for s in segments],
     }
     digest = hashlib.sha256(json.dumps(head, sort_keys=True).encode())
     digest.update(np.ascontiguousarray(points).tobytes())
@@ -237,8 +243,8 @@ def export_index_image(index: DPCIndex) -> "tuple[Dict[str, Any], Dict[str, np.n
     """A fitted index as ``(meta, arrays)`` — the persisted payload, in memory.
 
     ``meta`` is the JSON-safe header :func:`save_index` writes (format
-    version, constructor params, fingerprint, segment and flat-image
-    layout); ``arrays`` the named numpy payload (``points``, per-family
+    version, constructor params, fingerprint, flat-image layout);
+    ``arrays`` the named numpy payload (``points``, per-family
     state, the flat query image).  :func:`restore_index_image` is the exact
     inverse.  ``save_index`` is this plus an atomic file write — the split
     exists so the serving tier can publish the same image into shared
@@ -255,12 +261,7 @@ def export_index_image(index: DPCIndex) -> "tuple[Dict[str, Any], Dict[str, np.n
         "build_seconds": index.build_seconds,
         "fingerprint": index_fingerprint(index),
         "fingerprint_version": _FINGERPRINT_VERSION,
-        # LSM segment layout.  Two entries mean the points array splits into
-        # a base prefix and a delta suffix; the load path restores the base
-        # structures verbatim and re-ingests the suffix through the same
-        # deterministic delta builders, reproducing the side image bit for
-        # bit (the list family merges on append, so it is always [n]).
-        "segments": [int(s) for s in index._segment_lengths()],
+        "segments": [index.n],
     }
     # The CH histograms were built with the *resolved* bin width, so a
     # restored index must query with it, not re-resolve.  (Indexes that
@@ -419,7 +420,8 @@ def restore_index_image(
 
     index = cls(**params)
     segments = meta.get("segments") or [len(points)]
-    base_n = int(segments[0])
+    if len(segments) > 1:
+        return _restore_segmented(index, meta, points, segments)
     if state:
         # Restore without rebuilding: place points + arrays directly.
         index.points = np.ascontiguousarray(points, dtype=np.float64)
@@ -432,9 +434,7 @@ def restore_index_image(
         index.build_seconds = float(meta.get("build_seconds", float("nan")))
     elif flat_arrays is not None and isinstance(index, TreeIndexBase):
         # Restore the flat query image directly — no rebuild, no flatten.
-        # The image covers the base segment; any delta suffix re-ingests
-        # below through the same deterministic side-image builder.
-        index.points = np.ascontiguousarray(points[:base_n], dtype=np.float64)
+        index.points = np.ascontiguousarray(points, dtype=np.float64)
         flat = FlatTree.from_arrays(
             flat_arrays, flat_meta["levels"], flat_meta["n_nodes"]
         )
@@ -456,33 +456,46 @@ def restore_index_image(
             )
         index._flat = flat
         index.build_ = flat_meta.get("build")
-        index._base_n = base_n
         index.build_seconds = float(meta.get("build_seconds", float("nan")))
-        if base_n < len(points):
-            index.add_points(points[base_n:])
     else:
-        # Families that rebuild from points on load (the grid): refit the
-        # base segment, then re-ingest the delta suffix so the restored
-        # side image — and therefore the v2 fingerprint — matches the
-        # saved one exactly.
-        if base_n < len(points):
-            index.fit(points[:base_n])
-            index.add_points(points[base_n:])
-        else:
-            index.fit(points)
-    stored = meta.get("fingerprint")
-    if stored is not None and meta.get("fingerprint_version") == _FINGERPRINT_VERSION:
-        # (A payload from an older/newer recipe skips verification; its
-        # fingerprint is simply recomputed lazily under the current recipe.)
-        # Integrity check: the restored index must hash to what was saved —
-        # a mismatch means the file was edited or the recipe drifted, and a
-        # serving cache keyed on the stale string would silently miss (or,
-        # worse, a hand-edited payload could impersonate another snapshot).
-        actual = index_fingerprint(index)
-        if actual != stored:
-            raise CorruptSnapshotError(
-                f"fingerprint mismatch: stored {stored[:12]}…, recomputed "
-                f"{actual[:12]}… — image corrupt or hand-edited"
-            )
-        index._fingerprint_ = stored
+        # Families that rebuild from points on load (the grid).
+        index.fit(points)
+    if _verify_fingerprint(meta, lambda: index_fingerprint(index)):
+        index._fingerprint_ = meta["fingerprint"]
     return index
+
+
+def _restore_segmented(index: DPCIndex, meta, points, segments) -> DPCIndex:
+    """A payload saved while its index kept appended points in a delta
+    segment (``segments == [base_n, delta_n]``).  Its fingerprint hashes
+    that layout and the fit-resolved params of the base: verify it so, then
+    refit all the points, which answers every query bit-identically (the
+    fresh index fingerprints under today's one-segment layout)."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    _verify_fingerprint(
+        meta, lambda: _fingerprint(index, points, meta.get("resolved", {}), segments)
+    )
+    return index.fit(points)
+
+
+def _verify_fingerprint(meta, recompute) -> bool:
+    """Check the stored fingerprint against ``recompute()``; ``False`` when
+    there is nothing to check.
+
+    A payload from an older/newer recipe skips verification; its
+    fingerprint is simply recomputed lazily under the current recipe.
+    Otherwise the restored content must hash to what was saved — a mismatch
+    means the file was edited or the recipe drifted, and a serving cache
+    keyed on the stale string would silently miss (or, worse, a hand-edited
+    payload could impersonate another snapshot).
+    """
+    stored = meta.get("fingerprint")
+    if stored is None or meta.get("fingerprint_version") != _FINGERPRINT_VERSION:
+        return False
+    actual = recompute()
+    if actual != stored:
+        raise CorruptSnapshotError(
+            f"fingerprint mismatch: stored {stored[:12]}…, recomputed "
+            f"{actual[:12]}… — image corrupt or hand-edited"
+        )
+    return True

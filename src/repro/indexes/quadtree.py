@@ -24,12 +24,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from repro.geometry.distance import Metric
-from repro.indexes.build import (
-    _padded_box,
-    bulk_build_quadtree,
-    merge_morton_runs,
-    morton_keys,
-)
+from repro.indexes.build import _padded_box, bulk_build_quadtree
 from repro.indexes.treebase import TreeIndexBase, TreeNode
 
 __all__ = ["QuadtreeIndex"]
@@ -82,41 +77,8 @@ class QuadtreeIndex(TreeIndexBase):
         self.capacity = capacity
         self.max_depth = max_depth
 
-    def _bulk_build(self):
-        state: dict = {}
-        flat = bulk_build_quadtree(
-            self.points, self.capacity, self.max_depth, state_out=state
-        )
-        # Sorted Morton run of this fit, for delta compaction by merge.
-        self._morton_state = state if flat is not None else None
-        return flat
-
-    def _delta_image(self, pts):
+    def _bulk_image(self, pts):
         return bulk_build_quadtree(pts, self.capacity, self.max_depth)
-
-    def _merge_delta_image(self):
-        state = getattr(self, "_morton_state", None)
-        if not state or len(state["order"]) != self._base_n:
-            return None  # no fit-time run (e.g. loaded payload): fresh build
-        box_lo, box_hi = state["box"]
-        new_lo, new_hi = _padded_box(self.points)
-        if not (np.array_equal(box_lo, new_lo) and np.array_equal(box_hi, new_hi)):
-            return None  # delta points moved the root box: keys incomparable
-        delta_keys = morton_keys(
-            self.points[self._base_n :], box_lo, box_hi, self.max_depth
-        )
-        if delta_keys is None:
-            return None
-        presorted = merge_morton_runs(
-            state["keys"], state["order"], delta_keys, self._base_n
-        )
-        out: dict = {}
-        flat = bulk_build_quadtree(
-            self.points, self.capacity, self.max_depth,
-            presorted=presorted, state_out=out,
-        )
-        self._morton_state = out if flat is not None else None
-        return flat
 
     def _build_objects(self) -> TreeNode:
         points = self.points

@@ -121,16 +121,12 @@ class RTreeIndex(TreeIndexBase):
     def _bulk_build(self):
         if self.packing != "str":
             return None  # dynamic insertion is inherently per-object
-        return bulk_build_str(self.points, self.max_entries)
+        return super()._bulk_build()
 
-    def _delta_image(self, pts):
-        # The side image never affects results, so STR packs it even though
-        # the base may be dynamic (a dynamic base resolves build_="objects"
-        # and takes the refit fallback before this hook is consulted).
+    def _bulk_image(self, pts):
+        # STR packs the append repair's images even when the index itself
+        # is dynamic: they never affect results.
         return bulk_build_str(pts, self.max_entries)
-
-    # Compaction keeps the default fresh-fit path: STR's slab arithmetic is
-    # global in n, so there is no sorted-run merge that reproduces it.
 
     def _build_objects(self) -> TreeNode:
         if self.packing == "str":

@@ -228,8 +228,6 @@ class TreeIndexBase(DPCIndex):
         self._root: Optional[TreeNode] = None
         self._flat = None  # FlatTree image (built at fit in bulk mode)
         self._root_views_flat = False  # nodes borrow the flat arrays
-        self._delta_flat = None  # LSM-style side image over appended points
-        self._base_n = 0  # points covered by the base image
 
     # -- construction routing ----------------------------------------------------
 
@@ -237,10 +235,12 @@ class TreeIndexBase(DPCIndex):
         """Template: bulk image by default, object graph as reference.
 
         Subclasses provide ``_build_objects()`` (the verbatim per-node
-        construction, returning the root) and ``_bulk_build()`` (a
-        :class:`~repro.indexes.kernels.FlatTree`, or ``None`` when the
-        family/configuration has no bulk path — e.g. dynamic R-tree
-        packing, quadtrees deeper than a Morton key can encode).
+        construction, returning the root) and ``_bulk_image(pts)`` (a
+        :class:`~repro.indexes.kernels.FlatTree` over ``pts``, or ``None``
+        when the family/configuration has no bulk path — e.g. quadtrees
+        deeper than a Morton key can encode); a configuration whose own
+        build is per-object (dynamic R-tree packing) overrides
+        ``_bulk_build()`` to return ``None``.
         """
         # Drop the previous tree's structures only now — after fit()'s
         # validation has accepted the new points (a rejected refit must
@@ -249,7 +249,6 @@ class TreeIndexBase(DPCIndex):
         self._flat = None
         self._root = None
         self._root_views_flat = False
-        self._delta_flat = None
         flat = self._bulk_build() if self.build == "bulk" else None
         if flat is None:
             root = self._build_objects()
@@ -259,75 +258,33 @@ class TreeIndexBase(DPCIndex):
         else:
             self._flat = flat
             self.build_ = "bulk"
-        self._base_n = len(self.points)
 
     def _build_objects(self) -> TreeNode:
         raise NotImplementedError
 
     def _bulk_build(self):
+        return self._bulk_image(self.points)
+
+    def _bulk_image(self, pts: np.ndarray):
+        """Bulk-build a :class:`FlatTree` over ``pts`` (``None`` = no path);
+        families override with their bulk builder."""
         return None
 
-    # -- LSM-style delta segment -------------------------------------------------
-
-    def _delta_image(self, pts: np.ndarray):
-        """Bulk-build a side :class:`FlatTree` over ``pts`` (``None`` = no path).
-
-        Families override with their bulk builder.  The delta image never
-        affects *results* — the ρ/δ engines are exact over any valid tree of
-        its member set — so every family uses its cheap bulk construction
-        here regardless of the base build's configuration.
-        """
-        return None
-
-    def _append(self, new_points: np.ndarray) -> None:
-        """Ingest a batch as a rebuilt delta side-image over all delta points.
-
-        The base image and ``self.points`` prefix stay frozen (attributes
-        are rebound, arrays never mutated in place, so snapshot copies keep
-        answering for their content).  Configurations without a flat image
-        (``build_ == "objects"``), and the per-object reference frontiers,
-        which do not traverse a delta segment, fall back to a full refit.
-        """
-        if self.build_ != "bulk" or self._flat is None or self.frontier != "batched":
-            super()._append(new_points)
-            return
-        combined = np.concatenate([self.points, new_points])
-        dflat = self._image_over(combined, np.arange(self._base_n, len(combined)))
-        if dflat is None:
-            super()._append(new_points)
-            return
-        self.points = combined
-        self._delta_flat = dflat
+    # -- images over point subsets (the append repair) ---------------------------
 
     def _image_over(self, points: np.ndarray, ids: np.ndarray):
-        """A :meth:`_delta_image` over ``points[ids]`` whose ``leaf_ids`` are
+        """A :meth:`_bulk_image` over ``points[ids]`` whose ``leaf_ids`` are
         the global ``ids`` (``leaf_node_of`` stays indexed by position in
-        ``ids``); ``None`` when the family has no bulk path."""
-        image = self._delta_image(points[ids])
+        ``ids``); ``None`` when the family has no bulk path.
+
+        Such an image never affects *results* — the ρ/δ engines are exact
+        over any valid tree of its member set — so it is bulk-built whatever
+        the index's own build configuration.
+        """
+        image = self._bulk_image(points[ids])
         if image is not None:
             image.leaf_ids = ids[image.leaf_ids]
         return image
-
-    @property
-    def delta_size(self) -> int:
-        if self._delta_flat is None or not self.is_fitted:
-            return 0
-        return len(self.points) - self._base_n
-
-    def _merge_delta_image(self):
-        """Family hook: merged base+delta image, or ``None`` for a fresh fit."""
-        return None
-
-    def _compact(self) -> None:
-        flat = self._merge_delta_image() if self.build_ == "bulk" else None
-        if flat is None:
-            self.fit(self.points)
-            return
-        self._delta_flat = None
-        self._flat = flat
-        self._root = None
-        self._root_views_flat = False
-        self._base_n = len(self.points)
 
     # -- bound-function selection -------------------------------------------------
 
@@ -457,57 +414,20 @@ class TreeIndexBase(DPCIndex):
         # counters).  Sharded over query chunks by the execution backend
         # (bit-identical across backends).
         self._flat_tree()  # materialise before the shard image is published
-        base = self._sharded_rho(parallel.tree_rho_task, [float(dc)])[0]
-        return self._rho_add_delta(base, float(dc))
+        return self._sharded_rho(parallel.tree_rho_task, [float(dc)])[0]
 
     def rho_all_multi(self, dcs) -> np.ndarray:
         """ρ for a whole cut-off grid as one sharded ``(dc, chunk)`` wave."""
         self._require_fitted()
         dcs = self._validate_dcs(dcs)
         self._flat_tree()
-        rows = self._sharded_rho(parallel.tree_rho_task, dcs)
-        return np.stack([self._rho_add_delta(row, dc) for row, dc in zip(rows, dcs)])
-
-    def _rho_add_delta(self, base_counts: np.ndarray, dc: float) -> np.ndarray:
-        """Fold the delta segment's neighbour counts into the base counts.
-
-        Each image's ρ pass subtracts one self-count uniformly, but every
-        query is a member of exactly *one* of the two images, so the union
-        count is ``base + delta + 1`` — the same strict ``< dc`` neighbour
-        set a single combined image would count.  Base points are not
-        members of the delta image; they travel through it grouped by their
-        leaf of the base image (spatially tight groups, so most of a group's
-        nodes are decided once), which changes neither ρ nor a probe
-        counter.
-        """
-        if self._delta_flat is None:
-            return base_counts
-        extra = tree_rho_batched(
-            self._delta_flat, self.points, dc, self.metric, self._stats,
-            group=self._leaf_groups(),
-        )
-        return base_counts + extra + 1
-
-    def _leaf_groups(self) -> np.ndarray:
-        """Each point's leaf of the (base, delta) pair as a
-        :func:`~repro.indexes.kernels.tree_rho_batched` group key: base
-        leaves as they are, delta leaves offset past the base node ids."""
-        flat = self._flat_tree()
-        group = np.empty(len(self.points), dtype=np.int64)
-        group[: self._base_n] = flat.leaf_node_of
-        group[self._base_n :] = flat.n_nodes + self._delta_flat.leaf_node_of
-        return group
+        return np.stack(self._sharded_rho(parallel.tree_rho_task, dcs))
 
     # -- δ query (Algorithm 6) --------------------------------------------------------
 
     def delta_all(self, order: DensityOrder) -> Tuple[np.ndarray, np.ndarray]:
         if self.frontier == "batched":
             return self.delta_all_multi([order])[0]
-        if self._delta_flat is not None:
-            raise RuntimeError(
-                "the per-object reference frontiers do not traverse the delta "
-                "segment; call compact() first (or use frontier='batched')"
-            )
         points = self._require_fitted()
         n = len(points)
         if len(order) != n:
@@ -550,10 +470,6 @@ class TreeIndexBase(DPCIndex):
             return [self.delta_all(order) for order in orders]
         if not orders:
             return []
-        if self._delta_flat is not None:
-            return delta_multi_from_orders(
-                points, orders, self._segmented_search, self.metric, self._stats
-            )
         flat = self._flat_tree()
 
         def run_engine(qid, qord, rho_rows, key_rows):
@@ -581,58 +497,6 @@ class TreeIndexBase(DPCIndex):
             points, orders, run_engine, self.metric, self._stats
         )
 
-    def _segmented_search(self, qid, qord, rho_rows, key_rows):
-        """Nearest denser neighbour of the queries ``qid`` (non-peaks, with
-        their order rows ``qord``) over the (base, delta) image pair.
-
-        Each image's engine is exact over its own member set when driven
-        with the *global* density rows (leaf ids are global point ids in
-        both images), and the union's nearest denser neighbour is the
-        lexicographic ``(distance, id)`` minimum over both images.  So each
-        query searches its own image first, seeded by its own leaf, and
-        then the other image with that answer carried in as its starting
-        radius (:func:`~repro.indexes.kernels.tree_delta_batched`'s
-        ``carry``): most of the second search is pruned by Lemma 2 before
-        it starts.  That is three engine calls — delta members on the delta
-        image; every query on the base image (delta members carrying the
-        first answer); base members on the delta image, carrying the
-        second.  Queries that are not members of an image pass
-        ``own_leaf = -1``; seeding and carried radii only prune, so the
-        result equals merging two independent per-image searches.  Runs
-        serially (the sharded engine derives member leaves itself);
-        compaction restores the sharded path.
-        """
-        points = self.points
-        flat, dflat, base_n = self._flat_tree(), self._delta_flat, self._base_n
-        in_delta = qid >= base_n
-        dq, bq = np.flatnonzero(in_delta), np.flatnonzero(~in_delta)
-        maxrho_d = flat_tree_maxrho(dflat, rho_rows)
-
-        def search(image, maxrho, rows, own_leaf, carry=None):
-            return tree_delta_batched(
-                image, points, qid[rows], qord[rows], rho_rows, key_rows,
-                self.metric, self._stats,
-                self.density_pruning, self.distance_pruning,
-                maxrho=maxrho, own_leaf=own_leaf, carry=carry,
-            )
-
-        best_d = np.full(len(qid), np.inf, dtype=np.float64)
-        best_id = np.full(len(qid), NO_NEIGHBOR, dtype=np.int64)
-        best_d[dq], best_id[dq] = search(
-            dflat, maxrho_d, dq, dflat.leaf_node_of[qid[dq] - base_n]
-        )
-        own_b = np.full(len(qid), -1, dtype=np.int64)
-        own_b[bq] = flat.leaf_node_of[qid[bq]]
-        best_d, best_id = search(
-            flat, flat_tree_maxrho(flat, rho_rows), slice(None), own_b,
-            carry=(best_d, best_id),
-        )
-        best_d[bq], best_id[bq] = search(
-            dflat, maxrho_d, bq, np.full(len(bq), -1, dtype=np.int64),
-            carry=(best_d[bq], best_id[bq]),
-        )
-        return best_d, best_id
-
     # -- exact repair after an append (StreamingDPC) -----------------------------
 
     def quantities_after_append(self, prev: DPCQuantities, n_prev: int) -> DPCQuantities:
@@ -644,8 +508,8 @@ class TreeIndexBase(DPCIndex):
 
         * ρ — each old point adds its new neighbours (one
           :func:`~repro.indexes.kernels.tree_rho_batched` pass of the old
-          points through an image of the new ones); new points count over
-          the (base, delta) pair.
+          points through an image of the new ones, grouped by their leaf of
+          the index image); new points take one pass of the index image.
         * δ of an old point whose previous μ is still denser — its new
           answer is the lexicographic minimum of ``(δ_prev, μ_prev)`` and
           the nearest denser *changed* point (new, or old with a higher ρ).
@@ -653,47 +517,61 @@ class TreeIndexBase(DPCIndex):
           μ_prev was the nearest of those.  One engine call over an image
           of the changed points, ``(δ_prev, μ_prev)`` carried in.
         * δ of every other non-peak (new points, old points whose μ fell
-          behind, former peaks) — the image-pair search of a full query;
-          peaks — :func:`~repro.indexes.kernels.peak_delta_sweep`.
+          behind, former peaks) — one search of the index image; peaks —
+          :func:`~repro.indexes.kernels.peak_delta_sweep`.
 
-        Needs a (base, delta) pair, which only the batched frontier over a
-        bulk image keeps (and whose family therefore has an image path);
-        otherwise, and for an unchanged point count, the full computation
-        runs.  Serial, like the image-pair search.
+        Runs with the batched frontier (the per-object reference frontiers
+        answer in full) when the family can build the images of the new and
+        the changed points (:meth:`_image_over`); otherwise, and for an
+        unchanged point count, the full computation runs.  Serial.
         """
         self._check_prev(prev, n_prev)
-        if self._delta_flat is None or n_prev == self.n:
+        fresh = None
+        if self.frontier == "batched" and n_prev < self.n:
+            fresh = self._image_over(self.points, np.arange(n_prev, self.n))
+        if fresh is None:
             return super().quantities_after_append(prev, n_prev)
         return self._traced_quantities(
             prev.dc,
             prev.density_order.tie_break,
-            lambda dc: self._rho_after_append(prev.rho, dc),
+            lambda dc: self._rho_after_append(prev.rho, fresh, dc),
             lambda order: self._delta_after_append(prev, order),
         )
 
-    def _rho_after_append(self, rho_prev: np.ndarray, dc: float) -> np.ndarray:
-        points = self.points
-        fresh = self._image_over(points, np.arange(len(rho_prev), len(points)))
-        group = self._leaf_groups()
-
-        def count(image, qid):
-            return tree_rho_batched(
-                image, points, dc, self.metric, self._stats, qid=qid, group=group
-            )
-
-        # Each pass subtracts one self-count, but a query counts itself only
-        # in the one image of the pair that holds it (never in ``fresh``): + 1.
-        old, new = np.arange(len(rho_prev)), np.arange(len(rho_prev), len(points))
-        return np.concatenate([
-            rho_prev + count(fresh, old) + 1,
-            count(self._flat_tree(), new) + count(self._delta_flat, new) + 1,
-        ])
+    def _rho_after_append(self, rho_prev: np.ndarray, fresh, dc: float) -> np.ndarray:
+        points, flat = self.points, self._flat_tree()
+        n_prev = len(rho_prev)
+        # Each pass subtracts one self-count, but the old points are not
+        # members of ``fresh``: + 1.
+        gained = tree_rho_batched(
+            fresh, points, dc, self.metric, self._stats,
+            qid=np.arange(n_prev), group=flat.leaf_node_of,
+        )
+        new = tree_rho_batched(
+            flat, points, dc, self.metric, self._stats,
+            qid=np.arange(n_prev, len(points)),
+        )
+        return np.concatenate([rho_prev + gained + 1, new])
 
     def _delta_after_append(self, prev: DPCQuantities, order: DensityOrder):
         points = self.points
         n, n_prev = len(points), len(prev)
+        changed = np.concatenate(
+            [np.flatnonzero(order.rho[:n_prev] > prev.rho), np.arange(n_prev, n)]
+        )
+        image = self._image_over(points, changed)
+        if image is None:
+            return self.delta_all(order)
         rho_rows, key = order.rho[None, :], density_order_key(order)
         key_rows = key[None, :]
+
+        def search(flat, qid, **kwargs):
+            return tree_delta_batched(
+                flat, points, qid, np.zeros(len(qid), dtype=np.int64),
+                rho_rows, key_rows, self.metric, self._stats,
+                self.density_pruning, self.distance_pruning, **kwargs,
+            )
+
         delta = np.empty(n, dtype=np.float64)
         mu = np.full(n, NO_NEIGHBOR, dtype=np.int64)
         peaks = order.global_peaks()
@@ -704,21 +582,13 @@ class TreeIndexBase(DPCIndex):
         kept = np.flatnonzero(
             (prev.mu != NO_NEIGHBOR) & (key[prev.mu] < key[:n_prev])
         )
-        changed = np.concatenate(
-            [np.flatnonzero(order.rho[:n_prev] > prev.rho), np.arange(n_prev, n)]
-        )
-        delta[kept], mu[kept] = tree_delta_batched(
-            self._image_over(points, changed), points, kept,
-            np.zeros(len(kept), dtype=np.int64), rho_rows, key_rows,
-            self.metric, self._stats, self.density_pruning, self.distance_pruning,
-            own_leaf=np.full(len(kept), -1, dtype=np.int64),
+        delta[kept], mu[kept] = search(
+            image, kept, own_leaf=np.full(len(kept), -1, dtype=np.int64),
             carry=(prev.delta[kept], prev.mu[kept]),
         )
         todo[kept] = False
         rest = np.flatnonzero(todo)
-        delta[rest], mu[rest] = self._segmented_search(
-            rest, np.zeros(len(rest), dtype=np.int64), rho_rows, key_rows
-        )
+        delta[rest], mu[rest] = search(self._flat_tree(), rest)
         return delta, mu
 
     def _leaf_best(
@@ -851,8 +721,6 @@ class TreeIndexBase(DPCIndex):
         total = 0
         if self._flat is not None:
             total += self._flat.nbytes()
-        if self._delta_flat is not None:
-            total += self._delta_flat.nbytes()
         if self._root is not None:
             owns_arrays = not self._root_views_flat
             for node in self._root.iter_nodes():

@@ -4,8 +4,7 @@ The paper makes one fitted index cheap to query for many ``dc``; this
 package makes that amortisation *multi-tenant*: a
 :class:`~repro.serving.snapshots.SnapshotStore` keeps named fitted indexes
 hot (fit in-process, loaded via :mod:`repro.indexes.persist`, or published
-by a :class:`~repro.extras.streaming.StreamingDPC` on every amortised
-rebuild), a :class:`~repro.serving.coalescer.RequestCoalescer` batches
+by a :class:`~repro.extras.streaming.StreamingDPC` after every add), a :class:`~repro.serving.coalescer.RequestCoalescer` batches
 concurrent requests through the multi-``dc`` kernels, and a
 :class:`~repro.serving.cache.ResultCache` memoises exact results keyed on
 content fingerprints.  :class:`~repro.serving.service.ClusteringService`

@@ -41,8 +41,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -366,6 +368,32 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+#: The servers whose listening socket is open in this process.  A fork hook
+#: is process-wide and cannot be unregistered, so one hook reads this
+#: registry instead of each server registering its own.
+_LIVE_SERVERS: "weakref.WeakSet[ClusteringServer]" = weakref.WeakSet()
+
+
+def _close_inherited_sockets() -> None:
+    """In a forked child, close every live server's listening socket and
+    the connections it has open.
+
+    A serving worker forked (or respawned) after the server bound would
+    otherwise hold the listener: after ``server_close()`` a new connect
+    would still be accepted into a backlog that nothing reads.  Only these
+    sockets are closed — a child's other inherited descriptors (its
+    ``Popen`` sentinel, the resource tracker's pipe) must stay open.
+    """
+    for server in list(_LIVE_SERVERS):
+        server.socket.close()
+        for conn in list(server._connections):
+            conn.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_inherited_sockets)
+
+
 class ClusteringServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`ClusteringService`.
 
@@ -386,7 +414,9 @@ class ClusteringServer(ThreadingHTTPServer):
     ):
         # Set before super().__init__: a failed bind calls server_close().
         self._obs_enabled_here = False
+        self._connections: set = set()
         super().__init__(address, _Handler)
+        _LIVE_SERVERS.add(self)
         self.service = service
         self.verbose = verbose
         self.draining = False
@@ -411,6 +441,14 @@ class ClusteringServer(ThreadingHTTPServer):
 
     def inflight(self) -> int:
         return self._inflight
+
+    def process_request(self, request, client_address) -> None:
+        self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self._connections.discard(request)
+        super().shutdown_request(request)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._serving = True
@@ -450,6 +488,7 @@ class ClusteringServer(ThreadingHTTPServer):
         return clean
 
     def server_close(self) -> None:
+        _LIVE_SERVERS.discard(self)
         super().server_close()
         # Only undo an enable *this* server performed — a process that was
         # already observing (CLI flag, another live server) keeps observing.

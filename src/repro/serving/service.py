@@ -10,7 +10,7 @@ benchmark harness) talks to.  Its contract, property-tested in
 * **Point-in-time consistency** — a request is answered entirely from the
   snapshot it resolved at admission; a hot swap mid-flight never mixes old
   and new data in one response.
-* **No stale serving** — after a snapshot swap (refit, streaming rebuild),
+* **No stale serving** — after a snapshot swap (refit, streaming ingest),
   no response derived from the replaced data is served to *new* requests:
   they resolve the new snapshot, whose fingerprint keys different cache
   entries; the old fingerprint's entries are purged on swap, and in-flight
@@ -163,21 +163,17 @@ class ClusteringService:
 
     def drop_snapshot(self, name: str) -> None:
         """Remove a snapshot; a stream attached under ``name`` is detached
-        first, so a later rebuild cannot resurrect the dropped name."""
+        first, so a later ingest cannot resurrect the dropped name."""
         self.detach_stream(name)
         self.store.drop(name)
 
     def attach_stream(self, name: str, stream: Any) -> Snapshot:
         """Serve a :class:`~repro.extras.streaming.StreamingDPC` under ``name``.
 
-        Every stream event atomically publishes a fresh frozen snapshot
-        (and, through the swap subscription, invalidates the replaced
-        fingerprint's cache entries): delta ingests arrive through
-        :meth:`SnapshotStore.publish_delta` carrying the new batch, while
-        the initial fit and every compaction publish a full image through
-        :meth:`SnapshotStore.publish`.  The served snapshot therefore
-        always reflects the *whole* stream — the delta segment answers
-        exactly, no staleness window.
+        Every :meth:`~repro.extras.streaming.StreamingDPC.add` atomically
+        publishes a fresh frozen snapshot of the whole stream (and, through
+        the swap subscription, invalidates the replaced fingerprint's cache
+        entries), so the served snapshot never lags the stream.
 
         Returns the initially published snapshot; the stream must hold at
         least one point.  Re-attaching a name replaces the previous
@@ -189,41 +185,30 @@ class ClusteringService:
 
         # Monotonic, detachable publisher.  The initial publish below and
         # the stream callbacks (which fire on the producer's thread) race;
-        # ordering by (points, rebuilds) of the published index guarantees
-        # an older snapshot can never overwrite a newer one: every add
-        # grows the point count, and the compaction a cluster() forces at
-        # constant n bumps the rebuild counter (read AFTER the event, so a
-        # later event can only make the token newer than the index it
-        # rides with, never older).  The same lock gates detachment: once
-        # detach flips `active`, no already-captured callback can
-        # republish a name after drop_snapshot removed it.
+        # ordering by the point count of the published index guarantees an
+        # older snapshot can never overwrite a newer one, since every add
+        # grows it.  The same lock gates detachment: once detach flips
+        # `active`, no already-captured callback can republish a name after
+        # drop_snapshot removed it.
         guard = threading.Lock()
-        latest = (-1, -1)
+        latest = -1
         active = True
 
-        def publish(
-            index: Any,
-            token,
-            new_points: Optional[np.ndarray] = None,
-            reraise: bool = False,
-        ) -> Optional[Snapshot]:
+        def publish(index: Any, reraise: bool = False) -> Optional[Snapshot]:
             nonlocal latest
             with guard:
-                if not active or token <= latest:
+                if not active or index.n <= latest:
                     return None
-                previous_token = latest
-                latest = token
+                previous_n = latest
+                latest = index.n
                 try:
-                    if new_points is not None:
-                        snapshot = self.store.publish_delta(name, index, new_points)
-                    else:
-                        snapshot = self.store.publish(name, index)
+                    snapshot = self.store.publish(name, index)
                 except BaseException as exc:
                     # Failed before the swap: the last good snapshot still
                     # serves.  Roll the ordering token back so a *later*
                     # stream event (which republishes the whole state) is
                     # not mistaken for stale and retries the publish.
-                    latest = previous_token
+                    latest = previous_n
                     self._record_publish_error(name, exc)
                     if reraise:
                         raise
@@ -231,35 +216,20 @@ class ClusteringService:
                 self._clear_publish_error(name)
                 return snapshot
 
-        unsubscribes = [
-            stream.subscribe_rebuild(
-                lambda rebuilt: publish(rebuilt, (rebuilt.n, stream.rebuild_count))
-            )
-        ]
-        if hasattr(stream, "subscribe_ingest"):
-            unsubscribes.append(
-                stream.subscribe_ingest(
-                    lambda snap, pts: publish(
-                        snap, (snap.n, stream.rebuild_count), pts
-                    )
-                )
-            )
+        unsubscribe = stream.subscribe(publish)
 
         def detach() -> None:
             nonlocal active
             with guard:
                 active = False
-            for unsubscribe in unsubscribes:
-                unsubscribe()
+            unsubscribe()
 
         self._streams[name] = detach
         # The initial publish re-raises: attach is a synchronous API call
         # and the caller must learn the snapshot never went live.  Callback
         # publishes (producer thread, no caller to tell) record instead.
         try:
-            snapshot = publish(
-                stream.index, (stream.n, stream.rebuild_count), reraise=True
-            )
+            snapshot = publish(stream.index, reraise=True)
         except BaseException:
             self.detach_stream(name)  # failed attach must not keep publishing
             raise

@@ -73,13 +73,6 @@ class Snapshot:
 #: (``new_snapshot`` is None for a drop).
 SwapCallback = Callable[[str, Optional[Snapshot], Optional[Snapshot]], None]
 
-#: ``callback(name, new_snapshot, old_snapshot_or_None, new_points_or_None)``
-#: fired on :meth:`SnapshotStore.publish_delta` — a publish whose index
-#: differs from the previous snapshot by an ingested delta batch only.
-DeltaCallback = Callable[
-    [str, Snapshot, Optional[Snapshot], Optional[np.ndarray]], None
-]
-
 
 class SnapshotStore:
     """Thread-safe registry of named snapshots with atomic hot-swap.
@@ -93,19 +86,22 @@ class SnapshotStore:
         self._lock = threading.RLock()
         self._snapshots: Dict[str, Snapshot] = {}
         self._subscribers: List[SwapCallback] = []
-        self._delta_subscribers: List[DeltaCallback] = []
         self._version = 0
-        #: Swap/delta callbacks that raised (swallowed; the swap itself is
+        #: Swap callbacks that raised (swallowed; the swap itself is
         #: already durable by the time subscribers run).
         self.subscriber_errors = 0
         self.last_subscriber_error: Optional[str] = None
 
     # -- publishing -----------------------------------------------------------
 
-    def _swap(self, name: str, index: DPCIndex):
-        """The shared atomic-swap body of :meth:`publish` and
-        :meth:`publish_delta`: fingerprint outside the lock, swap under it,
-        hand back everything the caller needs to notify after."""
+    def publish(self, name: str, index: DPCIndex) -> Snapshot:
+        """Atomically (re)bind ``name`` to a fitted ``index``.
+
+        The fingerprint is computed *before* the swap (it hashes the point
+        bytes); subscribers run after the swap, outside no lock — they see
+        a store in which the new snapshot is already the only resolvable
+        one for ``name``.
+        """
         if not isinstance(index, DPCIndex):
             raise TypeError(f"expected a DPCIndex, got {type(index).__name__}")
         if not index.is_fitted:
@@ -129,18 +125,6 @@ class SnapshotStore:
             )
             self._snapshots[name] = snapshot
             subscribers = tuple(self._subscribers)
-            delta_subscribers = tuple(self._delta_subscribers)
-        return snapshot, previous, subscribers, delta_subscribers
-
-    def publish(self, name: str, index: DPCIndex) -> Snapshot:
-        """Atomically (re)bind ``name`` to a fitted ``index``.
-
-        The fingerprint is computed *before* the swap (it hashes the point
-        bytes); subscribers run after the swap, outside no lock — they see
-        a store in which the new snapshot is already the only resolvable
-        one for ``name``.
-        """
-        snapshot, previous, subscribers, _ = self._swap(name, index)
         self._notify(subscribers, name, snapshot, previous)
         return snapshot
 
@@ -156,28 +140,6 @@ class SnapshotStore:
                 with self._lock:
                     self.subscriber_errors += 1
                     self.last_subscriber_error = f"{type(exc).__name__}: {exc}"
-
-    def publish_delta(
-        self,
-        name: str,
-        index: DPCIndex,
-        new_points: "Optional[np.ndarray]" = None,
-    ) -> Snapshot:
-        """Publish an index that extends the previous snapshot by a delta.
-
-        The swap itself is exactly :meth:`publish` — a full, atomic,
-        point-in-time-consistent snapshot (the index carries its delta
-        segment internally and answers exactly over base ⊕ delta).  On top
-        of it, delta subscribers (:meth:`subscribe_deltas`) are told which
-        batch arrived, so incremental consumers can forward just the new
-        points instead of re-reading the whole image; compactions and
-        refits go through plain :meth:`publish` and reach only the swap
-        subscribers, signalling "re-read the full image".
-        """
-        snapshot, previous, subscribers, delta_subscribers = self._swap(name, index)
-        self._notify(subscribers, name, snapshot, previous)
-        self._notify(delta_subscribers, name, snapshot, previous, new_points)
-        return snapshot
 
     def fit(
         self,
@@ -265,23 +227,6 @@ class SnapshotStore:
             with self._lock:
                 if callback in self._subscribers:
                     self._subscribers.remove(callback)
-
-        return unsubscribe
-
-    def subscribe_deltas(self, callback: DeltaCallback) -> Callable[[], None]:
-        """Register a delta-publish observer; returns an unsubscribe function.
-
-        Delta subscribers fire *after* the regular swap subscribers of the
-        same :meth:`publish_delta` call, with the ingested batch attached
-        (``None`` when the publisher did not say which points are new).
-        """
-        with self._lock:
-            self._delta_subscribers.append(callback)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                if callback in self._delta_subscribers:
-                    self._delta_subscribers.remove(callback)
 
         return unsubscribe
 

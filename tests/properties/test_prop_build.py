@@ -161,17 +161,16 @@ class TestStrStructureIdentity:
 
 
 class TestStreamingPublishesBulk:
-    """Amortised rebuilds construct their snapshots through the bulk path."""
+    """Stream ingests refit their snapshots through the bulk path."""
 
-    def test_rebuilds_publish_bulk_built_indexes(self):
+    def test_ingests_publish_bulk_built_indexes(self):
         published = []
-        stream = StreamingDPC(min_buffer=8, rebuild_factor=0.5)
-        stream.subscribe_rebuild(published.append)
+        stream = StreamingDPC()
+        stream.subscribe(published.append)
         r = np.random.default_rng(0)
         for _ in range(6):
             stream.add(r.normal(size=(20, 2)))
-        assert stream.rebuild_count >= 2
-        assert len(published) >= 1
+        assert [index.n for index in published] == [20, 40, 60, 80, 100, 120]
         for index in published:
             assert index.build_ == "bulk"
             assert index._flat is not None

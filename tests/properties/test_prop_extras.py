@@ -70,11 +70,7 @@ def test_streaming_always_equals_batch(batches, dc):
     """StreamingDPC's quantities equal a from-scratch run at every prefix."""
     d = batches[0].shape[1]
     assume(all(b.shape[1] == d for b in batches))
-    stream = StreamingDPC(
-        index_factory=lambda: KDTreeIndex(leaf_size=4),
-        rebuild_factor=0.7,
-        min_buffer=5,
-    )
+    stream = StreamingDPC(index_factory=lambda: KDTreeIndex(leaf_size=4))
     for batch in batches:
         stream.add(batch)
         expected = naive_quantities(stream.points(), dc)

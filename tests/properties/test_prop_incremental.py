@@ -1,40 +1,44 @@
-"""Incremental-maintenance bit-identity properties (LSM delta segments).
+"""Incremental-maintenance bit-identity properties.
 
-The delta-segment contract: an index grown by ``add_points`` answers every
+The ``add_points`` contract: an index grown by ``add_points`` answers every
 query **bit-identically** to a fresh fit over the concatenated points — at
-every moment.  With the delta segment live, the kernels merge the
-(base, delta) image pair; after ``compact()`` the delta has been folded
-into the main image by a sorted merge (Morton for quadtrees, STR re-tiling
-for R-trees, per-dim perm merge for kd-trees, CSR append for the grid) —
-and both states must be indistinguishable from a scratch build in ρ, δ, μ,
-labels and halo.  The corpora mirror the bulk-build suite: duplicates
-(δ ties at distance 0), an integer lattice (ρ/coordinate ties), mixed.
+every moment.  The tree and grid families refit over the combined points;
+the list and CH indexes merge the batch into their sorted N-List rows
+instead of paying their ``O(n²)`` build again.  Either way the grown index
+must be indistinguishable from a scratch build in ρ, δ, μ, labels and halo.
+The corpora mirror the bulk-build suite: duplicates (δ ties at distance 0),
+an integer lattice (ρ/coordinate ties), mixed.
 """
 
 import numpy as np
 import pytest
 
 from repro.datasets.loaders import load_dataset
-from repro.indexes.registry import make_index
-from repro.serving.snapshots import SnapshotStore
+from repro.extras import StreamingDPC
+from repro.indexes.persist import export_index_image
+from repro.indexes.registry import INDEX_CLASSES, make_index
 
 from tests.conftest import safe_dc
 
-#: Families with a real delta segment between compactions.
-SEGMENTED_SPECS = {
+#: Families whose append refits.
+REFIT_SPECS = {
     "kdtree": {"leaf_size": 8},
     "quadtree": {"capacity": 8},
     "rtree": {"max_entries": 6},
     "grid": {"cell_size": 0.75},
 }
 
-#: Families that merge on append (delta_size stays 0, still incremental).
+#: Families that merge the batch into their N-List rows.
 MERGING_SPECS = {
     "list": {},
     "ch": {"default_bins": 32},
 }
 
-ALL_SPECS = {**SEGMENTED_SPECS, **MERGING_SPECS}
+ALL_SPECS = {**REFIT_SPECS, **MERGING_SPECS}
+
+#: Families that repair a stored answer after an append (the others
+#: recompute it).
+TREE_SPECS = {name: REFIT_SPECS[name] for name in ("kdtree", "quadtree", "rtree")}
 
 RECT_METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev")
 
@@ -77,46 +81,54 @@ def assert_identical_quantities(qa, qb, context=""):
     np.testing.assert_array_equal(qa.mu, qb.mu, err_msg=f"mu differs {context}")
 
 
-class TestDeltaBitIdentity:
-    """(base ⊕ delta) vs fresh fit over family × metric × corpus × tie-break."""
+class TestAppendBitIdentity:
+    """Grown vs fresh fit over family × metric × corpus × tie-break."""
 
     @pytest.mark.parametrize("corpus_name", CORPORA)
     @pytest.mark.parametrize("metric", RECT_METRICS)
     @pytest.mark.parametrize("index_name", sorted(ALL_SPECS))
-    def test_quantities_bit_identical_with_delta_live(
+    def test_quantities_bit_identical_after_appends(
         self, index_name, metric, corpus_name
     ):
         points = corpus(corpus_name)
         dc = safe_dc(points)
         inc = grown(index_name, points, metric)
         ref = fresh(index_name, points, metric)
-        if index_name in SEGMENTED_SPECS:
-            assert inc.delta_size > 0, "delta segment should be live here"
         for tie_break in ("id", "strict"):
             assert_identical_quantities(
                 inc.quantities(dc, tie_break=tie_break),
                 ref.quantities(dc, tie_break=tie_break),
-                context=f"[{index_name}/{metric}/{corpus_name}/{tie_break}/delta]",
+                context=f"[{index_name}/{metric}/{corpus_name}/{tie_break}]",
             )
 
     @pytest.mark.parametrize("corpus_name", CORPORA)
     @pytest.mark.parametrize("metric", RECT_METRICS)
-    @pytest.mark.parametrize("index_name", sorted(SEGMENTED_SPECS))
-    def test_quantities_bit_identical_after_compaction(
-        self, index_name, metric, corpus_name
-    ):
+    @pytest.mark.parametrize("index_name", sorted(TREE_SPECS))
+    def test_repaired_quantities_bit_identical(self, index_name, metric, corpus_name):
+        """The tree families' repair (``quantities_after_append``) of the
+        answer before each batch is a fresh fit's answer, and it never
+        falls back to the full computation."""
         points = corpus(corpus_name)
         dc = safe_dc(points)
-        inc = grown(index_name, points, metric)
-        inc.compact()
-        assert inc.delta_size == 0
-        ref = fresh(index_name, points, metric)
-        for tie_break in ("id", "strict"):
-            assert_identical_quantities(
-                inc.quantities(dc, tie_break=tie_break),
-                ref.quantities(dc, tie_break=tie_break),
-                context=f"[{index_name}/{metric}/{corpus_name}/{tie_break}/compacted]",
-            )
+        cut = int(len(points) * 0.6)
+        inc = make_index(index_name, metric=metric, **ALL_SPECS[index_name])
+        inc.fit(points[:cut])
+        answers = {tb: inc.quantities(dc, tie_break=tb) for tb in ("id", "strict")}
+
+        def full_run(*args, **kwargs):
+            raise AssertionError("the repair ran the full computation")
+
+        inc.quantities = full_run
+        for i, chunk in enumerate(np.array_split(points[cut:], 2)):
+            inc.add_points(chunk)
+            ref = fresh(index_name, points[: inc.n], metric)
+            for tie_break, prev in answers.items():
+                answers[tie_break] = inc.quantities_after_append(prev, len(prev))
+                assert_identical_quantities(
+                    answers[tie_break],
+                    ref.quantities(dc, tie_break=tie_break),
+                    context=f"[{index_name}/{metric}/{corpus_name}/{tie_break}/batch {i}]",
+                )
 
     @pytest.mark.parametrize("corpus_name", CORPORA)
     @pytest.mark.parametrize("index_name", sorted(ALL_SPECS))
@@ -139,9 +151,28 @@ class TestDeltaBitIdentity:
         ):
             assert_identical_quantities(qa, qb, context=f"[{index_name}/multi-dc]")
 
-    @pytest.mark.parametrize("index_name", sorted(SEGMENTED_SPECS))
+    @pytest.mark.parametrize("tie_break", ("id", "strict"))
+    @pytest.mark.parametrize("index_name", sorted(INDEX_CLASSES))
+    def test_stream_equals_fresh_fit_after_every_batch(self, index_name, tie_break):
+        """Every registered family, through ``StreamingDPC``: each answer
+        after each batch, at two cut-offs, is a fresh fit's."""
+        spec = {**ALL_SPECS, "rn-list": {"tau": 2.0}, "rn-ch": {"tau": 2.0}}[index_name]
+        points = corpus("mixed")
+        dcs = [safe_dc(points, f) for f in (0.15, 0.4)]
+        stream = StreamingDPC(index_factory=lambda: make_index(index_name, **spec))
+        for i, chunk in enumerate(np.array_split(points, 5)):
+            stream.add(chunk)
+            ref = make_index(index_name, **spec).fit(stream.points())
+            for dc in dcs:
+                assert_identical_quantities(
+                    stream.quantities(dc, tie_break),
+                    ref.quantities(dc, tie_break),
+                    context=f"[{index_name}/{tie_break}/batch {i}/dc={dc}]",
+                )
+
+    @pytest.mark.parametrize("index_name", sorted(ALL_SPECS))
     def test_single_point_trickle(self, index_name):
-        """One-point adds — the degenerate ingest the LSM path must survive."""
+        """One-point adds — the degenerate ingest every family must survive."""
         points = corpus("duplicates")
         dc = safe_dc(points)
         cut = len(points) - 6
@@ -156,25 +187,25 @@ class TestDeltaBitIdentity:
 
 
 class TestIncrementalMechanics:
-    """The API contract around the segments, not just the answers."""
+    """The API contract around appends, not just the answers."""
 
     @pytest.mark.parametrize("index_name", sorted(ALL_SPECS))
-    def test_segment_lengths_sum_to_n(self, index_name):
+    def test_export_holds_one_segment(self, index_name):
         points = corpus("mixed")
         inc = grown(index_name, points)
-        segments = inc._segment_lengths()
-        assert sum(segments) == inc.n == len(points)
-        assert segments[0] == inc.n - inc.delta_size
+        meta, arrays = export_index_image(inc)
+        assert meta["segments"] == [inc.n] == [len(points)]
+        assert len(arrays["points"]) == inc.n
 
-    @pytest.mark.parametrize("index_name", sorted(ALL_SPECS))
+    @pytest.mark.parametrize("index_name", sorted(MERGING_SPECS))
     def test_stream_batches_ingest_without_a_build(self, index_name, monkeypatch):
-        """Five 100-point batches ingest without one ``_build`` call: into a
-        delta segment for the tree and grid families, by merging every
-        N-List for list and ch.  A refit per batch would answer the same,
-        at the cost of a whole build each time.  The N-List families hold
-        O(n²) rows (at 4,000 points their fit and five merges take 5-8 s
-        and 0.6 GB on a 2-vCPU VM), so they ingest into a 400-point fit."""
-        base_n = 4000 if index_name in SEGMENTED_SPECS else 400
+        """Five 100-point batches ingest without one ``_build`` call: list
+        and ch merge them into every N-List.  A refit per batch would
+        answer the same, at the cost of a whole O(n²) build each time (at
+        4,000 points their fit and five merges take 5-8 s and 0.6 GB on a
+        2-vCPU VM, so they ingest into a 400-point fit).  The tree and grid
+        families refit by design: their builds take milliseconds."""
+        base_n = 400
         points = load_dataset("s1", n=base_n + 500, seed=0).points
         index = make_index(index_name).fit(points[:base_n])
         builds = []
@@ -189,9 +220,8 @@ class TestIncrementalMechanics:
             index.add_points(points[start : start + 100])
         assert builds == []
         assert index.n == base_n + 500
-        assert index.delta_size == (500 if index_name in SEGMENTED_SPECS else 0)
 
-    @pytest.mark.parametrize("index_name", sorted(SEGMENTED_SPECS))
+    @pytest.mark.parametrize("index_name", sorted(ALL_SPECS))
     def test_snapshot_copy_isolated_from_later_ingest(self, index_name):
         points = corpus("mixed")
         dc = safe_dc(points)
@@ -201,7 +231,6 @@ class TestIncrementalMechanics:
         frozen = live.snapshot_copy()
         before = frozen.quantities(dc)
         live.add_points(points[cut + 5 :])
-        live.compact()
         # The snapshot still answers for exactly its prefix.
         assert frozen.n == cut + 5
         after = frozen.quantities(dc)
@@ -218,51 +247,23 @@ class TestIncrementalMechanics:
         inc = make_index(index_name, **ALL_SPECS[index_name]).fit(points[:cut])
         fp_base = inc.fingerprint()
         inc.add_points(points[cut:])
-        fp_delta = inc.fingerprint()
-        assert fp_delta != fp_base
-        if index_name in SEGMENTED_SPECS:
-            # Compaction changes the *layout* (segments enter the recipe),
-            # not the content hash inputs alone — the fingerprint moves.
-            inc.compact()
-            assert inc.fingerprint() != fp_delta
+        assert inc.fingerprint() != fp_base
+        # Grown or fresh, the same points make the same content.
+        assert inc.fingerprint() == fresh(index_name, points).fingerprint()
 
-    @pytest.mark.parametrize("index_name", sorted(SEGMENTED_SPECS))
-    def test_persist_roundtrip_with_live_delta(self, index_name, tmp_path):
+    @pytest.mark.parametrize("index_name", sorted(ALL_SPECS))
+    def test_persist_roundtrip_after_appends(self, index_name, tmp_path):
         from repro.indexes.persist import load_index, save_index
 
         points = corpus("mixed")
         dc = safe_dc(points)
         inc = grown(index_name, points)
-        assert inc.delta_size > 0
         path = str(tmp_path / f"{index_name}.npz")
         save_index(inc, path)
         restored = load_index(path)
-        assert restored.delta_size == inc.delta_size
         assert restored.fingerprint() == inc.fingerprint()
         assert_identical_quantities(
             restored.quantities(dc),
             inc.quantities(dc),
             context=f"[{index_name}/persist]",
         )
-
-    def test_publish_delta_notifies_with_batch(self):
-        points = corpus("mixed")
-        cut = int(len(points) * 0.7)
-        index = make_index("kdtree", **ALL_SPECS["kdtree"]).fit(points[:cut])
-        store = SnapshotStore()
-        store.publish("s", index.snapshot_copy())
-        swaps, deltas = [], []
-        store.subscribe(lambda name, new, old: swaps.append((name, new, old)))
-        store.subscribe_deltas(
-            lambda name, new, old, pts: deltas.append((name, new, old, pts))
-        )
-        index.add_points(points[cut:])
-        snapshot = store.publish_delta("s", index.snapshot_copy(), points[cut:])
-        # Delta publish is a full atomic swap *plus* the batch notification,
-        # and delta subscribers run after the swap subscribers.
-        assert [s[1] for s in swaps] == [snapshot]
-        assert len(deltas) == 1
-        name, new, old, pts = deltas[0]
-        assert name == "s" and new is snapshot and old is not None
-        np.testing.assert_array_equal(pts, points[cut:])
-        assert store.get("s") is snapshot

@@ -2,8 +2,8 @@
 
 ``repro.indexes.kernels.tree_delta_batched`` accepts a carried-in
 ``(best_d, best_id)`` per query and starts its search with that radius; the
-(base, delta) image pair uses it to search the second image with the first
-image's answer.  The contracts checked here:
+append repair uses it to search an image of the points that changed with
+each old point's previous answer.  The contracts checked here:
 
 * without a carry-in, δ, μ *and* every
   :class:`~repro.indexes.base.IndexStats` counter equal the kernel kept in
@@ -11,13 +11,14 @@ image's answer.  The contracts checked here:
 * with one, δ and μ equal the reference's answer merged with the carried
   one by ``merge_delta_candidates`` (lexicographic ``(distance, id)``);
 * a random ``StreamingDPC`` stream equals a fresh fit after every batch,
-  across compactions, and the answers between compactions come from the
-  exact repair (``quantities_after_append``), not from a full run.
+  and every answer after the first per cut-off comes from the exact repair
+  (``quantities_after_append``), not from a full run.
 
 Axes: every tree family × every rect-bounds metric × both tie-breaks, on
 corpora with duplicate points (δ ties at distance 0) and lattice points (ρ
 ties), several density orders in one call (multi-order ``qord``) and rows
-with ``own_leaf = -1`` (queries that are not members of the image).
+with ``own_leaf = -1`` (queries that are not members of the image: images
+over point subsets, built with ``_image_over`` as the repair builds them).
 """
 
 import numpy as np
@@ -27,14 +28,10 @@ from repro.core.quantities import NO_NEIGHBOR, DensityOrder
 from repro.extras import StreamingDPC
 from repro.geometry.distance import get_metric
 from repro.indexes.base import IndexStats
-from repro.indexes.kernels import (
-    density_order_key,
-    merge_delta_candidates,
-    tree_delta_batched,
-)
+from repro.indexes.kernels import density_order_key, tree_delta_batched
 from repro.indexes.registry import make_index
 
-from tests.tree_delta_reference import reference_tree_delta
+from tests.tree_delta_reference import merge_delta_candidates, reference_tree_delta
 
 #: Small node capacities so every tree has several levels.
 FAMILIES = {
@@ -80,36 +77,30 @@ def sweep_queries(index, metric, tie_break):
     return rho_rows, key_rows, np.concatenate(qid), np.concatenate(qord)
 
 
-def own_leaves(image, qid, rng):
-    """Each query's leaf of ``image`` (``leaf_node_of`` is local to an
-    image's first id), ``-1`` for non-members and for a random quarter."""
-    first = int(image.leaf_ids.min())
-    local = qid - first
-    member = (local >= 0) & (local < len(image.leaf_node_of))
+def own_leaves(image, ids, qid, rng):
+    """Each query's leaf of ``image``, an image over ``points[ids]`` (its
+    ``leaf_node_of`` is indexed by position in ``ids``), ``-1`` for
+    non-members and for a random quarter."""
+    at = np.full(int(max(ids.max(), qid.max())) + 1, -1, dtype=np.int64)
+    at[ids] = np.arange(len(ids))
     own = np.full(len(qid), -1, dtype=np.int64)
-    own[member] = image.leaf_node_of[local[member]]
+    member = at[qid] >= 0
+    own[member] = image.leaf_node_of[at[qid[member]]]
     own[rng.random(len(qid)) < 0.25] = -1
     return own
 
 
-def grown(family, metric, points):
-    """A (base, delta) index: 60 % fitted, the rest in two batches."""
-    cut = int(len(points) * 0.6)
-    index = make_index(family, metric=metric, **FAMILIES[family]).fit(points[:cut])
-    for chunk in np.array_split(points[cut:], 2):
-        index.add_points(chunk)
-    assert index.delta_size == len(points) - cut
-    return index
-
-
 def images(family, metric, points):
-    """(name, image, index) for a plain fit and both images of a pair."""
+    """``(name, image, member ids, index)`` for a plain fit and for images
+    over a random 60 % of the points and over the rest."""
     index = make_index(family, metric=metric, **FAMILIES[family]).fit(points)
-    pair = grown(family, metric, points)
+    ids = np.random.default_rng(len(points)).permutation(len(points))
+    cut = int(len(points) * 0.6)
+    part, rest = np.sort(ids[:cut]), np.sort(ids[cut:])
     return [
-        ("fit", index._flat_tree(), index),
-        ("base", pair._flat_tree(), pair),
-        ("delta", pair._delta_flat, pair),
+        ("fit", index._flat_tree(), np.arange(len(points)), index),
+        ("subset", index._image_over(index.points, part), part, index),
+        ("rest", index._image_over(index.points, rest), rest, index),
     ]
 
 
@@ -135,10 +126,10 @@ def run_both(image, index, args, own_leaf, pruning, carry=None):
 def test_matches_reference_without_carry(family, metric, tie_break, pruning):
     points = corpus(7)
     rng = np.random.default_rng(1)
-    for name, image, index in images(family, metric, points):
+    for name, image, ids, index in images(family, metric, points):
         args = sweep_queries(index, metric, tie_break)
         qid = args[2]
-        for own_leaf in (None, own_leaves(image, qid, rng)):
+        for own_leaf in (None, own_leaves(image, ids, qid, rng)):
             if own_leaf is None and name != "fit":
                 continue  # the default lookup needs every query to be a member
             ref, got, s_ref, s_new = run_both(image, index, args, own_leaf, pruning)
@@ -175,9 +166,9 @@ def carried_answers(ref_d, ref_mu, n, rng):
 def test_carry_matches_merged_reference(family, metric, tie_break):
     points = corpus(8)
     rng = np.random.default_rng(2)
-    for name, image, index in images(family, metric, points):
+    for name, image, ids, index in images(family, metric, points):
         args = sweep_queries(index, metric, tie_break)
-        own_leaf = own_leaves(image, args[2], rng)
+        own_leaf = own_leaves(image, ids, args[2], rng)
         for pruning in PRUNING:
             ref, _, _, _ = run_both(image, index, args, own_leaf, pruning)
             carry = carried_answers(ref[0], ref[1], index.n, rng)
@@ -246,21 +237,17 @@ def drive(stream, batches, asks, fresh, tie_break):
     """Feed ``batches``; after batch ``i`` ask each cut-off in ``asks(i)`` and
     compare the answer with a fresh fit.
 
-    Returns ``(n_asks, n_first, buffered)``: answers asked for, how many of
-    them were a cut-off's first answer or its first after a compaction
-    (which a repair cannot serve), and the largest delta segment seen.
-    Every answer handed out must stay as it was.
+    Returns ``(n_asks, n_first)``: answers asked for, and how many of them
+    were a cut-off's first answer (which a repair cannot serve).  Every
+    answer handed out must stay as it was.
     """
-    last = {}  # dc -> rebuild_count at its previous answer
+    asked = set()
     returned = []
-    n_first = buffered = 0
     for i, batch in enumerate(batches):
         stream.add(batch)
-        buffered = max(buffered, stream.n_buffered)
         want_index = fresh().fit(stream.points())
         for dc in asks(i):
-            n_first += last.get(dc) != stream.rebuild_count
-            last[dc] = stream.rebuild_count
+            asked.add(dc)
             got = stream.quantities(dc, tie_break)
             want = want_index.quantities(dc, tie_break)
             for field in FIELDS:
@@ -272,23 +259,31 @@ def drive(stream, batches, asks, fresh, tie_break):
     for got, kept in returned:
         for field, before in zip(FIELDS, kept):
             np.testing.assert_array_equal(getattr(got, field), before, err_msg=field)
-    return len(returned), n_first, buffered
+    return len(returned), len(asked)
+
+
+#: The configurations the repair runs for: every family's default build,
+#: and the two that fit through the object graph (their images of the new
+#: and the changed points are bulk-built all the same).
+REPAIRED = {
+    **{family: (family, spec) for family, spec in FAMILIES.items()},
+    "kdtree-objects": ("kdtree", {"leaf_size": 6, "build": "objects"}),
+    "rtree-dynamic": ("rtree", {"max_entries": 5, "packing": "dynamic"}),
+}
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_stream_equals_fresh_fit_after_every_batch(family, metric, tie_break):
-    spec = FAMILIES[family]
+@pytest.mark.parametrize("config", sorted(REPAIRED))
+def test_stream_equals_fresh_fit_after_every_batch(config, metric, tie_break):
+    family, spec = REPAIRED[config]
     factory, full_runs = spied_factory(family, metric, **spec)
-    stream = StreamingDPC(index_factory=factory, rebuild_factor=0.5, min_buffer=8)
-    seed = sorted(FAMILIES).index(family) + 10 * len(metric)
-    n_asks, n_first, buffered = drive(
+    stream = StreamingDPC(index_factory=factory)
+    seed = sorted(REPAIRED).index(config) + 10 * len(metric)
+    n_asks, n_first = drive(
         stream, stream_points(seed), lambda i: (0.3, 0.8),
         lambda: make_index(family, metric=metric, **spec), tie_break,
     )
-    assert buffered > 0, "no batch ever lived in a delta segment"
-    assert stream.rebuild_count >= 2, "the stream never compacted"
     # Only first answers ran in full; every other answer was a repair.
     assert len(full_runs) == n_first < n_asks
 
@@ -300,33 +295,35 @@ def test_repair_spans_several_batches(family, tie_break):
     a repair then folds several batches (or a single point) at once."""
     spec = FAMILIES[family]
     factory, full_runs = spied_factory(family, "euclidean", **spec)
-    stream = StreamingDPC(index_factory=factory, rebuild_factor=0.5, min_buffer=8)
+    stream = StreamingDPC(index_factory=factory)
     batches = stream_points(31 + sorted(FAMILIES).index(family))
     for at in (3, 8, 9):
         batches.insert(at, batches[at - 1][-1:])  # a duplicate, one point
     one_point = {i for i, b in enumerate(batches) if len(b) == 1}
-    n_asks, n_first, _ = drive(
+    n_asks, n_first = drive(
         stream, batches,
         lambda i: (0.5,) if i % 2 == 0 or i in one_point else (),
         lambda: make_index(family, **spec), tie_break,
     )
-    assert stream.rebuild_count >= 2, "the stream never compacted"
     assert len(full_runs) == n_first < n_asks
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize(
     "family, params",
-    [("rtree", {"max_entries": 5, "packing": "dynamic"}),
-     ("kdtree", {"leaf_size": 6, "frontier": "heap"})],
-    ids=["rtree-dynamic", "kdtree-heap"],
+    [("kdtree", {"leaf_size": 6, "frontier": "heap"}),
+     ("quadtree", {"capacity": 6, "frontier": "stack"}),
+     ("quadtree", {"capacity": 6, "max_depth": 40})],
+    ids=["kdtree-heap", "quadtree-stack", "quadtree-deep"],
 )
-def test_configurations_without_a_delta_pair_answer_in_full(family, params, tie_break):
-    """A dynamic R-tree refits on every add and a reference frontier cannot
-    search a delta segment: no repair, every answer a full run, still exact."""
+def test_configurations_without_a_repair_answer_in_full(family, params, tie_break):
+    """The per-object reference frontiers are what the batched engine is
+    checked against, so the repair (which runs that engine) leaves them
+    alone; a quadtree deeper than a Morton key has no bulk build for the
+    repair's images.  Every answer a full run, still exact."""
     factory, full_runs = spied_factory(family, "euclidean", **params)
-    stream = StreamingDPC(index_factory=factory, rebuild_factor=0.5, min_buffer=8)
-    n_asks, _, _ = drive(
+    stream = StreamingDPC(index_factory=factory)
+    n_asks, _ = drive(
         stream, stream_points(41)[:8], lambda i: (0.3, 0.8),
         lambda: make_index(family, **params), tie_break,
     )

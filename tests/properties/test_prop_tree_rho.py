@@ -103,21 +103,31 @@ def test_matches_reference(family, metric, corpus_name, build):
     )
 
 
+def subset_images(index):
+    """Images over a random 60 % of the index's points and over the rest,
+    built with ``_image_over`` as the append repair builds its images of
+    the new points; ``(name, image, member ids)``."""
+    n = index.n
+    ids = np.random.default_rng(n).permutation(n)
+    cut = int(n * 0.6)
+    part, rest = np.sort(ids[:cut]), np.sort(ids[cut:])
+    return [
+        ("subset", index._image_over(index.points, part), part),
+        ("rest", index._image_over(index.points, rest), rest),
+    ]
+
+
 @pytest.mark.parametrize("corpus_name", CORPORA)
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_matches_reference_on_base_and_delta_images(family, metric, corpus_name):
+def test_matches_reference_on_subset_images(family, metric, corpus_name):
     """Queries that are not members of an image run as single queries:
-    delta points against the base image, base points against the delta."""
+    every point against images over a part of the points."""
     points = corpus(corpus_name)
-    cut = int(len(points) * 0.6)
-    index = make_index(family, metric=metric, **FAMILIES[family]).fit(points[:cut])
-    index.add_points(points[cut : cut + 10])
-    index.add_points(points[cut + 10 :])
-    assert index.delta_size == len(points) - cut
+    index = make_index(family, metric=metric, **FAMILIES[family]).fit(points)
     dcs = cutoffs(points, metric)
     context = f"{family}/{metric}/{corpus_name}"
-    for name, image in (("base", index._flat_tree()), ("delta", index._delta_flat)):
+    for name, image, _ in subset_images(index):
         assert_matches_reference(image, index.points, metric, dcs, f"{context}/{name}")
 
 
@@ -125,27 +135,24 @@ def test_matches_reference_on_base_and_delta_images(family, metric, corpus_name)
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_grouped_non_members_match_reference(family, metric, corpus_name):
-    """Non-members grouped by a caller's key — their leaf of the other
-    image, as the (base, delta) ρ pass groups them, or arbitrary keys with
+    """Non-members grouped by a caller's key — their leaf of the index
+    image, as the append repair groups the old points in an image of the
+    new ones, their leaf of another subset's image, or arbitrary keys with
     some ``-1`` (single) rows — keep ρ and every counter."""
     points = corpus(corpus_name)
-    cut = int(len(points) * 0.6)
-    index = make_index(family, metric=metric, **FAMILIES[family]).fit(points[:cut])
-    index.add_points(points[cut:])
-    base, delta = index._flat_tree(), index._delta_flat
+    index = make_index(family, metric=metric, **FAMILIES[family]).fit(points)
     n = len(points)
-    base_leaf = np.full(n, -1, dtype=np.int64)
-    base_leaf[:cut] = base.leaf_node_of
-    delta_leaf = np.full(n, -1, dtype=np.int64)
-    delta_leaf[cut:] = delta.leaf_node_of
+    (_, part_image, part), (_, rest_image, rest) = subset_images(index)
+    part_leaf = np.full(n, -1, dtype=np.int64)
+    part_leaf[part] = part_image.leaf_node_of
     arbitrary = np.random.default_rng(n).integers(-1, 4, size=n)
     dcs = cutoffs(points, metric)
     context = f"{family}/{metric}/{corpus_name}"
     for name, image, group in (
-        ("delta/base-leaf", delta, base_leaf),
-        ("base/delta-leaf", base, delta_leaf),
-        ("delta/arbitrary", delta, arbitrary),
-        ("base/arbitrary", base, arbitrary),
+        ("rest/index-leaf", rest_image, index._flat_tree().leaf_node_of),
+        ("rest/subset-leaf", rest_image, part_leaf),
+        ("rest/arbitrary", rest_image, arbitrary),
+        ("subset/arbitrary", part_image, arbitrary),
     ):
         assert_matches_reference(
             image, index.points, metric, dcs, f"{context}/{name}", group=group

@@ -8,7 +8,7 @@ rows are gathered by fancy indexing.  Its δ, μ and ``IndexStats`` counters
 define what the production kernel must reproduce bit for bit when it runs
 without a carry-in (``tests/properties/test_prop_tree_delta.py``); with
 one, the production answer must equal this kernel's merged with the
-carried answer by :func:`repro.indexes.kernels.merge_delta_candidates`.
+carried answer by :func:`merge_delta_candidates`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,19 @@ from repro.indexes.kernels import (
     _pair_rect_bounds,
     flat_tree_maxrho,
 )
+
+
+def merge_delta_candidates(
+    d_a: np.ndarray,
+    mu_a: np.ndarray,
+    d_b: np.ndarray,
+    mu_b: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge two searches' δ candidates by the lexicographic
+    ``(distance, id)`` rule — the answer over the union of their point
+    sets, which is what a carried-in search must return."""
+    take_b = (d_b < d_a) | ((d_b == d_a) & (mu_b < mu_a))
+    return np.where(take_b, d_b, d_a), np.where(take_b, mu_b, mu_a)
 
 
 def _resolve_pairs(

@@ -224,15 +224,13 @@ class TestIterativeTreeNodeOps:
         assert root.height() == 5001
 
     def test_ascending_coordinate_stream_dynamic_rtree(self):
-        """The adversarial dynamic-insertion order from the issue: a stream
-        of strictly ascending coordinates fed point by point.  Dynamic
-        packing has no delta image, so every ``add_points`` takes the
-        refit fallback — re-finalizing the degenerate tree constantly."""
+        """The adversarial dynamic-insertion order: a stream of strictly
+        ascending coordinates fed point by point.  Every ``add_points``
+        refits, re-inserting and re-finalizing the degenerate tree."""
         pts = np.stack([np.arange(300.0), np.arange(300.0) * 2.0], axis=1)
         index = RTreeIndex(packing="dynamic").fit(pts[:1])
         for p in pts[1:]:
             index.add_points(p[None, :])
-            assert index.delta_size == 0  # refit fallback, no side image
         assert index.build_ == "objects"
         assert index.n == len(pts)
         from repro.core.baseline import naive_quantities

@@ -101,6 +101,20 @@ class TestRowSearchsorted:
             np.testing.assert_array_equal(got[p], np.searchsorted(rows[p], dcs))
 
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_every_row_length_with_ties(self, rng, side):
+        """Row lengths on and off powers of two, tied values and needles
+        equal to them, below the first and above the last entry."""
+        for m in range(41):
+            rows = np.sort(rng.integers(0, 5, size=(7, m)).astype(np.float64), axis=1)
+            needles = rng.integers(-1, 6, size=(7, 9)).astype(np.float64)
+            got = row_searchsorted(rows, needles, side=side)
+            for p in range(7):
+                np.testing.assert_array_equal(
+                    got[p], np.searchsorted(rows[p], needles[p], side=side), err_msg=f"m={m}"
+                )
+
+
 class TestBuildRowHistograms:
     def test_matches_per_row_searchsorted(self, rng):
         offsets, flat = random_csr(rng, 40)

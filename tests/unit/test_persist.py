@@ -1,5 +1,7 @@
 """Unit tests for index persistence (save_index / load_index)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from repro.indexes.ch_index import CHIndex
 from repro.indexes.grid import GridIndex
 from repro.indexes.kdtree import KDTreeIndex
 from repro.indexes.list_index import ListIndex
-from repro.indexes.persist import index_fingerprint, load_index, save_index
+from repro.indexes.persist import (
+    CorruptSnapshotError,
+    export_index_image,
+    index_fingerprint,
+    load_index,
+    save_index,
+)
 from repro.indexes.quadtree import QuadtreeIndex
 from repro.indexes.registry import INDEX_CLASSES, make_index
 from repro.indexes.rn_list import RNCHIndex, RNListIndex
@@ -133,6 +141,26 @@ PIN_PARAMS = {
 }
 
 
+#: Fingerprints of :func:`_pin_corpus` fitted on its first 40 points with
+#: the last 8 appended, as saved while appends went to a delta segment
+#: (``segments == [40, 8]``; the grid's auto cell size resolved on the 40).
+PINNED_SEGMENTED = {
+    "grid": "8bfdf544164c918dc81bb94f534668588623d56d1b541c17de47f56ac995c86f",
+    "kdtree": "9989e9b6aa1dc3a68860b5fa65a4d88de9db7da7a7be3b591a79dc5ac74b1afd",
+}
+
+
+def _save_two_segment_payload(name, points, base_n, fingerprint, path):
+    """Write a payload in the two-segment layout: the export of a fit over
+    the base points (its flat image and fit-resolved params), with all the
+    points and ``segments == [base_n, len(points) - base_n]``."""
+    meta, arrays = export_index_image(make_index(name).fit(points[:base_n]))
+    meta["segments"] = [base_n, len(points) - base_n]
+    meta["fingerprint"] = fingerprint
+    arrays = {**arrays, "points": points}
+    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+
+
 def _pin_corpus() -> np.ndarray:
     """48 points with dyadic coordinates: exact arithmetic, no RNG."""
     i = np.arange(48, dtype=np.float64)
@@ -150,14 +178,30 @@ class TestFingerprintPinned:
         index = make_index(name, **PIN_PARAMS.get(name, {})).fit(_pin_corpus())
         assert index_fingerprint(index) == PINNED_FINGERPRINTS[name]
 
-    def test_segmented_fingerprint_pinned(self):
+    @pytest.mark.parametrize("name", sorted(PINNED_SEGMENTED))
+    def test_segmented_fingerprint_pinned(self, name, tmp_path):
+        """A payload saved while an index kept its last 8 points in a delta
+        segment loads: it verifies against the fingerprint pinned for that
+        layout, then refits all its points and answers like a fresh fit."""
         points = _pin_corpus()
-        index = make_index("kdtree").fit(points[:40])
-        index.add_points(points[40:])
-        assert index._segment_lengths() == (40, 8)
-        assert index_fingerprint(index) == (
-            "9989e9b6aa1dc3a68860b5fa65a4d88de9db7da7a7be3b591a79dc5ac74b1afd"
+        path = str(tmp_path / f"{name}.npz")
+        _save_two_segment_payload(name, points, 40, PINNED_SEGMENTED[name], path)
+        restored = load_index(path, quarantine=False)
+        fresh = make_index(name).fit(points)
+        assert restored.n == len(points)
+        assert restored.fingerprint() == fresh.fingerprint()
+        for dc in (0.5, 1.0, 2.0):
+            assert_quantities_equal(fresh.quantities(dc), restored.quantities(dc))
+
+    def test_segmented_payload_verifies_its_points(self, tmp_path):
+        points = _pin_corpus()
+        points[45, 0] += 0.25  # the stored fingerprint no longer matches
+        path = str(tmp_path / "kdtree.npz")
+        _save_two_segment_payload(
+            "kdtree", points, 40, PINNED_SEGMENTED["kdtree"], path
         )
+        with pytest.raises(CorruptSnapshotError, match="fingerprint mismatch"):
+            load_index(path, quarantine=False)
 
 
 class TestFingerprint:

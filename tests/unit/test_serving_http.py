@@ -3,6 +3,9 @@
 import http.client
 import json
 import multiprocessing
+import os
+import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -374,6 +377,23 @@ def query_with_dispatch_stall(base, delay_s):
         })
 
 
+def wait_for_heartbeat_of_respawn(pool, killed, timeout_s=30.0):
+    """Wait until the worker respawned in place of ``killed`` has sent a
+    heartbeat: its pid shows once it is forked, a heartbeat once the child
+    runs Python code of its own (past the at-fork hooks)."""
+    deadline = time.monotonic() + timeout_s
+    seen = None
+    while time.monotonic() < deadline:
+        rows = [w for w in pool.health()["workers"] if w["pid"] not in (None, killed)]
+        if len(rows) == 2:
+            seen = seen or time.monotonic()
+            # heartbeat_age_s is rounded to 1 ms.
+            if max(w["heartbeat_age_s"] for w in rows) + 0.002 < time.monotonic() - seen:
+                return True
+        time.sleep(0.01)
+    return False
+
+
 class TestDrain:
     """Graceful drain: refuse new work, keep operators' routes, flush."""
 
@@ -463,6 +483,27 @@ class TestDrain:
         finally:
             conn.close()
         assert time.monotonic() - began < 1.0
+
+    def test_connect_is_refused_after_a_worker_respawned(self, blobs):
+        """A worker respawned after the bind is forked with the listening
+        socket open; it must not keep it, or a connect after
+        ``server_close()`` lands in a backlog that nothing reads."""
+        with ClusteringService(linger_ms=1.0, workers=2, heartbeat_s=0.05) as service:
+            service.fit_snapshot("main", blobs, index="kdtree")
+            server = make_server(service)
+            start(server)
+            address = server.server_address
+            try:
+                killed = service.pool.worker_pids()[0]
+                os.kill(killed, signal.SIGKILL)
+                assert wait_for_heartbeat_of_respawn(service.pool, killed)
+            finally:
+                server.shutdown()
+                server.server_close()
+            began = time.monotonic()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=1.0).close()
+            assert time.monotonic() - began < 1.0
 
 
 class TestSerialize:

@@ -108,21 +108,20 @@ class TestSubscriptions:
 
 
 class TestStreamingSource:
-    """Satellite: StreamingDPC as a snapshot source (publish-on-rebuild)."""
+    """StreamingDPC as a snapshot source (publish on every add)."""
 
-    def test_rebuild_publishes_new_snapshot(self, blobs):
+    def test_add_publishes_new_snapshot(self, blobs):
         with ClusteringService() as service:
-            stream = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=8)
+            stream = StreamingDPC(index_factory=lambda: KDTreeIndex())
             stream.add(blobs[:100])
             first = service.attach_stream("s", stream)
             assert service.store.get("s") is first
-            stream.add(blobs[100:])  # crosses the rebuild threshold
-            assert stream.rebuild_count >= 2
+            stream.add(blobs[100:])
             current = service.store.get("s")
             assert current is not first
             assert current.n == len(blobs)
             # The published snapshot answers exactly like a fresh index over
-            # the full stream (snapshot freshness = last rebuild).
+            # the full stream.
             reference = KDTreeIndex().fit(stream.points())
             np.testing.assert_array_equal(
                 current.index.quantities(0.5).rho, reference.quantities(0.5).rho
@@ -133,36 +132,47 @@ class TestStreamingSource:
             with pytest.raises(ValueError, match="empty stream"):
                 service.attach_stream("s", StreamingDPC())
 
-    def test_delta_ingest_publishes_fresh_snapshot(self, blobs):
-        # Below min_buffer the add stays in the delta segment (no
-        # compaction), but the served snapshot still advances: the ingest
-        # event publishes a delta snapshot that answers over base + delta.
+    def test_every_small_add_publishes_once(self, blobs):
+        # Each add, however small, publishes exactly one fresh snapshot
+        # through the one swap subscription.
         with ClusteringService() as service:
-            stream = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=10_000)
+            stream = StreamingDPC(index_factory=lambda: KDTreeIndex())
             stream.add(blobs)
-            deltas = []
-            service.store.subscribe_deltas(
-                lambda name, new, old, pts: deltas.append((name, new, pts))
-            )
+            swaps = []
+            service.store.subscribe(lambda name, new, old: swaps.append(new))
             first = service.attach_stream("s", stream)
-            stream.add(blobs[:3])  # stays in the delta segment: below min_buffer
-            assert stream.rebuild_count == 1  # no compaction happened
-            current = service.store.get("s")
-            assert current is not first
-            assert current.n == len(blobs) + 3
-            assert len(deltas) == 1
-            name, published, pts = deltas[0]
-            assert name == "s" and published is current
-            np.testing.assert_array_equal(pts, blobs[:3])
+            stream.add(blobs[:3])
+            stream.add(blobs[3:4])
+            assert len(swaps) == 3
+            assert swaps[0] is first and swaps[-1] is service.store.get("s")
+            assert [snap.n for snap in swaps] == [len(blobs) + k for k in (0, 3, 4)]
+
+    def test_failed_publish_keeps_last_snapshot_until_the_next_add(self, blobs):
+        from repro import faults
+        from repro.faults import FaultPlan, FaultSpec
+
+        with ClusteringService() as service:
+            stream = StreamingDPC(index_factory=lambda: KDTreeIndex())
+            stream.add(blobs[:100])
+            first = service.attach_stream("s", stream)
+            plan = FaultPlan([FaultSpec("snapshots.publish", mode="raise", times=1)])
+            with faults.inject(plan):
+                stream.add(blobs[100:150])  # the publish fails; the add does not
+            assert stream.n == 150
+            assert service.store.get("s") is first
+            assert service.health()["snapshots"]["s"]["publish_error"]
+            stream.add(blobs[150:])  # the next add publishes the whole stream
+            assert service.store.get("s").n == len(blobs)
+            assert service.health()["snapshots"]["s"]["publish_error"] is None
 
     def test_swap_invalidates_cache_entries(self, blobs):
         with ClusteringService() as service:
-            stream = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=8)
+            stream = StreamingDPC(index_factory=lambda: KDTreeIndex())
             stream.add(blobs[:100])
             service.attach_stream("s", stream)
             warm = service.cluster("s", 0.5, n_centers=3)
             assert service.cluster("s", 0.5, n_centers=3).meta["cache_hit"]
-            stream.add(blobs[100:])  # rebuild -> swap -> invalidation
+            stream.add(blobs[100:])  # ingest -> swap -> invalidation
             after = service.cluster("s", 0.5, n_centers=3)
             assert not after.meta["cache_hit"]
             assert after.meta["fingerprint"] != warm.meta["fingerprint"]
@@ -170,24 +180,24 @@ class TestStreamingSource:
 
     def test_failed_attach_leaves_no_subscription(self, blobs):
         with ClusteringService() as service:
-            stream = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=8)
+            stream = StreamingDPC(index_factory=lambda: KDTreeIndex())
             with pytest.raises(ValueError, match="empty stream"):
                 service.attach_stream("s", stream)
-            stream.add(blobs)  # a later rebuild must NOT publish "s"
+            stream.add(blobs)  # a later add must NOT publish "s"
             assert "s" not in service.store
 
     def test_drop_detaches_stream(self, blobs):
         with ClusteringService() as service:
-            stream = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=8)
+            stream = StreamingDPC(index_factory=lambda: KDTreeIndex())
             stream.add(blobs[:100])
             service.attach_stream("s", stream)
             service.drop_snapshot("s")
-            stream.add(blobs[100:])  # rebuild after the drop
+            stream.add(blobs[100:])  # an add after the drop
             assert "s" not in service.store, "a dropped name must stay dropped"
 
     def test_close_detaches_stream(self, blobs):
         service = ClusteringService()
-        stream = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=8)
+        stream = StreamingDPC(index_factory=lambda: KDTreeIndex())
         stream.add(blobs[:100])
         service.attach_stream("s", stream)
         service.close()
@@ -197,10 +207,10 @@ class TestStreamingSource:
 
     def test_reattach_replaces_previous_stream(self, blobs):
         with ClusteringService() as service:
-            old = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=8)
+            old = StreamingDPC(index_factory=lambda: KDTreeIndex())
             old.add(blobs[:60])
             service.attach_stream("s", old)
-            new = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=8)
+            new = StreamingDPC(index_factory=lambda: KDTreeIndex())
             new.add(blobs[:80])
             service.attach_stream("s", new)
             current = service.store.get("s")
@@ -208,10 +218,10 @@ class TestStreamingSource:
             assert service.store.get("s") is current
             assert current.n == 80
 
-    def test_unsubscribe_rebuild(self, blobs):
-        stream = StreamingDPC(index_factory=lambda: KDTreeIndex(), min_buffer=8)
+    def test_unsubscribe(self, blobs):
+        stream = StreamingDPC(index_factory=lambda: KDTreeIndex())
         calls = []
-        unsubscribe = stream.subscribe_rebuild(lambda index: calls.append(index))
+        unsubscribe = stream.subscribe(lambda index: calls.append(index))
         stream.add(blobs[:50])
         assert len(calls) == 1
         unsubscribe()

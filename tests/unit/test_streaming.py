@@ -1,10 +1,10 @@
-"""Unit tests for StreamingDPC (amortised-rebuild streaming clustering)."""
+"""Unit tests for StreamingDPC (exact clustering over an append-only stream)."""
 
 import numpy as np
 import pytest
 
 from repro.core.baseline import naive_quantities
-from repro.extras.streaming import StreamingDPC
+from repro.extras.streaming import MAX_ANSWERS, StreamingDPC
 from repro.indexes.kdtree import KDTreeIndex
 
 from tests.conftest import assert_quantities_equal
@@ -28,17 +28,20 @@ class TestIngestion:
         assert s.n == 400
 
     def test_single_point_add(self):
-        s = StreamingDPC(min_buffer=4)
+        s = StreamingDPC()
         s.add(np.array([1.0, 2.0]))
         s.add(np.array([[2.0, 3.0], [3.0, 4.0]]))
         assert s.n == 3
 
-    def test_amortised_rebuild_count(self, stream_batches):
-        s = StreamingDPC(rebuild_factor=0.5, min_buffer=16)
+    def test_one_build_and_nothing_buffered(self, stream_batches):
+        """Only the first add builds a new index; every later one ingests
+        into it, and nothing waits in a buffer."""
+        s = StreamingDPC()
+        assert s.rebuild_count == 0
         for batch in stream_batches:
             s.add(batch)
-        # Geometric rebuilding: far fewer rebuilds than batches.
-        assert s.rebuild_count <= 6
+            assert s.rebuild_count == 1
+            assert s.n_buffered == 0
 
     def test_dimension_mismatch(self, stream_batches):
         s = StreamingDPC()
@@ -53,17 +56,11 @@ class TestIngestion:
         with pytest.raises(ValueError, match="empty"):
             s.points()
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="rebuild_factor"):
-            StreamingDPC(rebuild_factor=0.0)
-        with pytest.raises(ValueError, match="min_buffer"):
-            StreamingDPC(min_buffer=0)
-
 
 class TestExactness:
     def test_quantities_match_batch_at_every_step(self, stream_batches):
         """The streaming answer equals a from-scratch run after each batch."""
-        s = StreamingDPC(rebuild_factor=1.0, min_buffer=8)
+        s = StreamingDPC()
         seen = []
         for batch in stream_batches[:5]:
             s.add(batch)
@@ -72,18 +69,6 @@ class TestExactness:
             expected = naive_quantities(points, 0.8)
             got = s.quantities(0.8)
             assert_quantities_equal(expected, got)
-
-    def test_buffered_and_rebuilt_paths_agree(self, stream_batches):
-        buffered = StreamingDPC(rebuild_factor=100.0, min_buffer=1_000_000)
-        eager = StreamingDPC(rebuild_factor=0.0001, min_buffer=1)
-        for batch in stream_batches[:4]:
-            buffered.add(batch)
-            eager.add(batch)
-        assert buffered.n_buffered > 0  # still un-indexed
-        assert eager.n_buffered == 0  # always folded
-        a = buffered.quantities(0.8)
-        b = eager.quantities(0.8)
-        assert_quantities_equal(a, b)
 
     def test_custom_index_factory(self, stream_batches):
         s = StreamingDPC(index_factory=lambda: KDTreeIndex(leaf_size=8))
@@ -112,7 +97,7 @@ class TestStoredAnswers:
         return runs
 
     def test_same_object_while_n_is_unchanged(self, stream_batches):
-        s = StreamingDPC(min_buffer=8)
+        s = StreamingDPC()
         s.add(stream_batches[0])
         first = s.quantities(0.8)
         assert s.quantities(0.8) is first
@@ -123,7 +108,7 @@ class TestStoredAnswers:
         assert s.quantities(0.8) is second
 
     def test_ingest_repairs_the_stored_answer(self, stream_batches):
-        s = StreamingDPC(rebuild_factor=100.0, min_buffer=8)
+        s = StreamingDPC()
         s.add(stream_batches[0])
         s.quantities(0.8)
         runs = self.full_runs(s)
@@ -132,18 +117,25 @@ class TestStoredAnswers:
             assert_quantities_equal(naive_quantities(s.points(), 0.8), s.quantities(0.8))
         assert runs == []
 
-    def test_compaction_drops_the_stored_answer(self, stream_batches):
-        s = StreamingDPC(rebuild_factor=0.5, min_buffer=8)
+    def test_keeps_at_most_the_cap_of_answers(self, stream_batches):
+        """Asked at more cut-offs than the cap, the stream keeps the most
+        recently asked ones: those are repaired after an ingest, an
+        evicted one runs in full, and every answer is exact."""
+        s = StreamingDPC()
         s.add(stream_batches[0])
-        s.quantities(0.8)
+        dcs = [0.3 + 0.1 * i for i in range(MAX_ANSWERS + 3)]
+        for dc in dcs:
+            s.quantities(dc)
+        assert [dc for dc, _ in s._answers] == dcs[-MAX_ANSWERS:]
         runs = self.full_runs(s)
-        s.add(stream_batches[1])  # 40 pending > 0.5 x 40: compacts
-        assert s.rebuild_count == 2
-        s.add(stream_batches[2][:10])  # a delta segment again, no compaction
-        assert s.rebuild_count == 2 and s.n_buffered == 10
-        got = s.quantities(0.8)
-        assert runs == [s.n]  # the stored answer was gone: a full run
-        assert_quantities_equal(naive_quantities(s.points(), 0.8), got)
+        s.add(stream_batches[1])
+        asks = dcs[-MAX_ANSWERS:] + dcs[:-MAX_ANSWERS]
+        for dc in asks:
+            want = naive_quantities(s.points(), dc)
+            assert_quantities_equal(want, s.quantities(dc))
+            assert len(s._answers) <= MAX_ANSWERS
+        assert runs == [s.n] * (len(dcs) - MAX_ANSWERS)  # the evicted ones
+        assert [dc for dc, _ in s._answers] == asks[-MAX_ANSWERS:]
 
     def test_prev_must_cover_n_prev_points(self, stream_batches):
         index = KDTreeIndex().fit(stream_batches[0])
@@ -162,12 +154,3 @@ class TestClustering:
         assert result.n_clusters == 2
         sizes = np.bincount(result.labels)
         assert min(sizes) > 150  # both blob regions found
-
-    def test_cluster_folds_buffer(self, stream_batches):
-        s = StreamingDPC(rebuild_factor=100.0, min_buffer=1_000_000)
-        for batch in stream_batches[:4]:
-            s.add(batch)
-        assert s.n_buffered > 0
-        result = s.cluster(0.8, n_centers=2)
-        assert s.n_buffered == 0
-        assert len(result.labels) == s.n
