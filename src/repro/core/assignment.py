@@ -3,13 +3,16 @@
 After centres are chosen, every remaining object joins the cluster of its
 nearest higher-density neighbour μ.  The classic formulation processes
 objects densest-first so μ's label is already known when an object is
-visited; here the same O(n) pass is evaluated as **depth-grouped parent
-propagation**: round ``k`` labels every object whose μ-chain reaches a
-labelled root in ``k`` hops, so the Python-level loop runs once per μ-forest
-depth level (a handful of vectorised rounds) instead of once per object.
-Labels and error behaviour are identical to the sequential pass — a μ edge
-pointing at an equal-or-lower-density object is reported for exactly the
-object the densest-first loop would have tripped on.
+visited; here the μ-forest is collapsed by **pointer jumping** instead:
+centres (and unselected peaks, once placed at their nearest centre) point
+at themselves, every other object at its μ, and ``root = root[root]``
+repeats until nothing moves.  Each round doubles the hops every pointer
+covers, so the loop runs ``O(log depth)`` vectorised rounds, not one per
+object or per forest level, and every object ends at the labelled root of
+its μ-chain.  Labels and error behaviour are identical to the sequential
+pass — a μ edge pointing at an equal-or-lower-density object is reported
+for exactly the object the densest-first loop would have tripped on, and
+is rejected before any pointer moves.
 """
 
 from __future__ import annotations
@@ -105,11 +108,17 @@ def assign_labels(
         d = m.cross(pts[orphans], pts[centers])
         labels[orphans] = d.argmin(axis=1)
 
-    # Depth-grouped propagation: each round labels the objects whose parent
-    # was labelled in an earlier round (round k = μ-forest depth k).
-    while len(chained):
-        parent_label = labels[mu[chained]]
-        ready = parent_label != -1
-        labels[chained[ready]] = parent_label[ready]
-        chained = chained[~ready]
-    return labels
+    # Pointer jumping: the checks above leave every μ-chain strictly
+    # densening until it meets a labelled object, which points at itself.
+    root = np.arange(n, dtype=np.int64)
+    root[chained] = parents
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            # A root reads its own label, so the gather may write into the
+            # array it reads ("clip": unbuffered; every index is in range).
+            # Filling the array allocated first, not a new one, keeps a
+            # threaded server's peak RSS where the per-level loop left it.
+            np.take(labels, root, out=labels, mode="clip")
+            return labels
+        root = jumped

@@ -53,12 +53,24 @@ class DecisionGraph:
         return len(self.rho)
 
     def top_gamma(self, k: int) -> np.ndarray:
-        """Ids of the ``k`` largest-γ objects, densest-first for ties."""
-        if not (1 <= k <= len(self)):
-            raise ValueError(f"k must be in [1, {len(self)}], got {k}")
-        ids = np.arange(len(self))
-        order = np.lexsort((ids, -self.rho, -self.gamma))
-        return order[:k]
+        """Ids of the ``k`` largest-γ objects, densest-first for ties.
+
+        The order is the full ``(-γ, -ρ, id)`` lexsort, run over only the
+        objects whose γ reaches the ``k``-th largest value (one
+        ``np.partition``): every top-``k`` member is among them, and all
+        others sort after them, so the first ``k`` are the same.
+        """
+        n = len(self)
+        if not (1 <= k <= n):
+            raise ValueError(f"k must be in [1, {n}], got {k}")
+        neg = -self.gamma
+        ids = np.arange(n)
+        if k < n:
+            kth = np.partition(neg, k - 1)[k - 1]
+            if not np.isnan(kth):  # NaN sorts last: then every object competes
+                ids = np.flatnonzero(neg <= kth)
+        order = np.lexsort((ids, -self.rho[ids], neg[ids]))
+        return ids[order[:k]]
 
     def as_table(self, limit: int = 10) -> str:
         """Plain-text rendering of the top-γ corner of the graph."""

@@ -176,15 +176,16 @@ class StreamingDPC:
             self._answers.popitem(last=False)
         return answer
 
-    def cluster(self, dc: float, **kwargs):
+    def cluster(self, dc: float, tie_break: "str | TieBreak" = TieBreak.ID, **selection):
         """Convenience: full DPC over the current stream contents.
 
         Accepts the same selection/halo keywords as
-        :meth:`repro.indexes.DPCIndex.cluster`.
+        :meth:`repro.indexes.DPCIndex.cluster`.  The quantities come from
+        :meth:`quantities`, so a kept answer is reused or repaired, never
+        recomputed; the result equals ``index.cluster(dc, ...)``.
         """
-        if self._index is None:
-            raise ValueError("the stream is empty")
-        return self._index.cluster(dc, **kwargs)
+        q = self.quantities(dc, tie_break)  # raises on an empty stream
+        return self._index.cluster_from_quantities(q, **selection)
 
     # -- recency-weighted views --------------------------------------------------
 

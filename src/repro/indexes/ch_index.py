@@ -27,7 +27,8 @@ therefore re-resolves the automatic width instead of silently reusing the
 first dataset's (a seed bug this split fixed).
 
 Histogram construction and the ρ query both run through the batched kernels
-in :mod:`repro.indexes.kernels` — no per-object Python loops.
+in :mod:`repro.indexes.kernels` — no per-object Python loops: bin ``k`` of
+every row is one row search for the edge ``w·(k+1)``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,14 @@ import numpy as np
 
 from repro.geometry.distance import Metric
 from repro.indexes import parallel
-from repro.indexes.kernels import build_row_histograms
+from repro.indexes.kernels import bounded_searchsorted
 from repro.indexes.list_index import ListIndex
 
 __all__ = ["CumulativeHistogramMixin", "CHIndex"]
+
+#: Bins one histogram block searches at once (its rows × the largest
+#: histogram's bins): 8 MB per int64 temporary of the search.
+_HIST_BLOCK_ELEMS = 1 << 20
 
 
 class CumulativeHistogramMixin:
@@ -70,6 +75,40 @@ class CumulativeHistogramMixin:
             # Restored indexes (persist.py) may carry only the configured w.
             return float(self.bin_width)
         raise RuntimeError(f"{type(self).__name__} has no resolved bin width; fit first")
+
+    def _store_histograms(
+        self, dists: np.ndarray, offsets: np.ndarray, n_bins: np.ndarray
+    ) -> None:
+        """Algorithm 3 for every CSR row of sorted distances at once.
+
+        Row ``p`` (``dists[offsets[p]:offsets[p+1]]``) gets ``n_bins[p]``
+        bins; bin ``k`` stores how many of its entries lie below the edge
+        ``fl(w·(k+1))`` — one :func:`~repro.indexes.kernels.bounded_searchsorted`
+        of the edge grid per row — and the last bin is forced to the whole
+        row (Algorithm 3 line 13).  Rows go in blocks so the dense
+        ``(rows, bins)`` grid stays bounded when ``w`` is tiny.
+        """
+        n = len(n_bins)
+        max_bins = int(n_bins.max())
+        edges = self._resolved_bin_width() * np.arange(1, max_bins + 1, dtype=np.float64)
+        hist_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(n_bins, out=hist_offsets[1:])
+        values = np.empty(int(hist_offsets[-1]), dtype=np.int64)
+        block = max(1, _HIST_BLOCK_ELEMS // max_bins)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            nb = n_bins[start:stop]
+            starts, stops = offsets[start:stop, None], offsets[start + 1 : stop + 1, None]
+            counts = bounded_searchsorted(dists, starts, stops, edges[None, : int(nb.max())])
+            counts -= starts
+            # Row-major boolean selection keeps each row's first nb bins, in
+            # CSR order.
+            values[hist_offsets[start] : hist_offsets[stop]] = counts[
+                np.arange(counts.shape[1]) < nb[:, None]
+            ]
+        values[hist_offsets[1:] - 1] = np.diff(offsets)
+        self._hist_offsets = hist_offsets
+        self._hist_values = values
 
     def _ch_rho_wave(self, dcs) -> "list":
         """Algorithm 4 for several cut-offs as one sharded ``(dc, chunk)``
@@ -155,22 +194,10 @@ class CHIndex(CumulativeHistogramMixin, ListIndex):
             self.bin_width_ = diameter / self.default_bins
         else:
             self.bin_width_ = float(self.bin_width)
-        w = float(self.bin_width_)
-
         # Per object p: number of bins covers its whole N-List, i.e. up to the
         # farthest neighbour (Algorithm 3 loops until the list is exhausted).
-        # Bin k (0-based) stores |{q : dist(p,q) < (k+1)w}| — the batched
-        # histogram kernel computes all rows in one binning pass.
-        max_dist = dists[:, -1]
-        n_bins = np.floor(max_dist / w).astype(np.int64) + 1
-        edges = w * np.arange(1, int(n_bins.max()) + 1, dtype=np.float64)
-        offsets, values = build_row_histograms(
-            dists.reshape(-1), self._row_offsets(), n_bins, edges
-        )
-        # The last bin must contain the whole list (Algorithm 3 line 13).
-        values[offsets[1:] - 1] = dists.shape[1]
-        self._hist_offsets = offsets
-        self._hist_values = values
+        n_bins = np.floor(dists[:, -1] / self.bin_width_).astype(np.int64) + 1
+        self._store_histograms(dists.reshape(-1), self._row_offsets(), n_bins)
 
     # -- sharded-execution image (adds the histograms to the N-List image) -------
 

@@ -7,18 +7,19 @@ implementation answered them one object at a time from Python; this module
 provides the batched, array-level building blocks the indexes now share:
 
 * :func:`bounded_searchsorted` — one binary search per *row* of a CSR-layout
-  flat array, all rows advanced together (``O(log m)`` numpy passes instead
-  of ``n`` Python ``np.searchsorted`` calls).  Broadcasts over a grid of
-  needles, which is what makes the multi-``dc`` sweep API one call.
+  flat array, all rows advanced together (``O(log m)`` mask-free numpy
+  passes instead of ``n`` Python ``np.searchsorted`` calls).  Broadcasts
+  over a grid of needles, which is what makes the multi-``dc`` sweep API
+  one call, and builds the CH and RN-CH histograms (Algorithm 3: bin ``k``
+  of a row is the search for the edge ``w·(k+1)``).
 * :func:`row_searchsorted` — the same search over a dense ``(n, m)``
   row-sorted matrix (the N-List layout of the List/CH indexes).
-* :func:`build_row_histograms` — Algorithm 3 (cumulative histogram
-  construction) for all objects at once: bin every stored distance with one
-  global ``searchsorted``, then count-and-cumsum per row.
 * :func:`scan_first_denser` / :func:`prefetch_scan_block` — the blockwise
   near-to-far "first denser neighbour" scan behind Algorithm 2's δ query,
-  over CSR rows; the prefetched first block can be reused across the ``dc``
-  values of a sweep.
+  over CSR rows, in column blocks of geometrically growing width (a
+  logarithmic number of numpy passes even for a row that walks its whole
+  list); the prefetched first block can be reused across the ``dc`` values
+  of a sweep.
 * :func:`ch_rho_from_histograms` — Algorithm 4's ρ lookup (bin → section →
   bounded search) for all objects at once, with the FP-safe bin-edge
   handling described below.
@@ -35,7 +36,10 @@ Each kernel reaches, per row, the decisions of the scalar code it replaced
 with the same arithmetic, so results stay bit-for-bit identical to
 ``naive_quantities`` and the :class:`~repro.indexes.base.IndexStats`
 counters keep their seed semantics (a binary search per object, a scanned
-entry per examined list slot, ...).
+entry per examined list slot, ...).  "Examined" follows the kernel's
+schedule: the list scan examines a row block by block, and every slot of
+the block that resolves the row counts, so the wider geometric blocks count
+a few more slots than a scan that stopped at the first denser entry.
 
 The leaf-grouped ρ kernel
 -------------------------
@@ -139,7 +143,6 @@ from repro.geometry.distance import (
 __all__ = [
     "bounded_searchsorted",
     "row_searchsorted",
-    "build_row_histograms",
     "prefetch_scan_block",
     "scan_first_denser",
     "resolve_bin",
@@ -174,6 +177,14 @@ def bounded_searchsorted(
 
     Equivalent to ``starts[i] + np.searchsorted(values[starts[i]:stops[i]],
     needles[i], side)`` for every ``i``, in ``O(log max_row)`` numpy passes.
+
+    The search is binary lifting over the count of row entries before the
+    needle, as in :func:`row_searchsorted`: starting from 0, each pass
+    tries to add one power of two (largest first), which costs one gather,
+    one comparison and one add, plus the per-element check that the probe
+    stays inside the row.  Every element takes the same passes, so no
+    mask of still-active elements is kept; a probe past a row's end is
+    clamped into the array and its answer discarded.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -183,19 +194,23 @@ def bounded_searchsorted(
         np.asarray(stops, dtype=np.int64),
         np.asarray(needles),
     )
-    lo = lo.astype(np.int64, copy=True)
-    hi = hi.astype(np.int64, copy=True)
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) >> 1
-        probe = values[np.where(active, mid, 0)]
-        go_right = (probe < needles) if side == "left" else (probe <= needles)
-        go_right &= active
-        lo[go_right] = mid[go_right] + 1
-        shrink = active & ~go_right
-        hi[shrink] = mid[shrink]
-        active = lo < hi
-    return lo
+    length = hi - lo
+    pos = np.zeros(length.shape, dtype=np.int64)
+    max_len = int(length.max()) if length.size else 0
+    if max_len <= 0:
+        return lo + pos
+    before = np.less if side == "left" else np.less_equal
+    base = lo - 1  # base + c is the flat index of a row's c-th entry (1-based)
+    last = len(values) - 1
+    step = 1 << (max_len.bit_length() - 1)
+    while step:
+        nxt = pos + step
+        idx = np.minimum(base + nxt, last)
+        take = before(values[idx], needles)
+        take &= nxt <= length
+        pos += take * step
+        step >>= 1
+    return lo + pos
 
 
 def row_searchsorted(rows: np.ndarray, needles, side: str = "left") -> np.ndarray:
@@ -236,64 +251,6 @@ def row_searchsorted(rows: np.ndarray, needles, side: str = "left") -> np.ndarra
     return pos
 
 
-def build_row_histograms(
-    dists: np.ndarray,
-    offsets: np.ndarray,
-    n_bins: np.ndarray,
-    edges: np.ndarray,
-    block_elems: int = 4_000_000,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cumulative histograms over CSR rows of sorted distances (Algorithm 3).
-
-    Row ``p`` occupies ``dists[offsets[p]:offsets[p+1]]``; its histogram has
-    ``n_bins[p]`` bins where bin ``k`` stores ``|{d in row : d < edges[k]}|``
-    (``edges`` is the shared ascending edge grid ``w·1, w·2, ...``, of length
-    ``>= n_bins.max()``).  Returns CSR ``(hist_offsets, hist_values)``.
-
-    Instead of ``n`` per-row ``searchsorted(row, edges)`` calls, every stored
-    distance is binned once against the global edge grid, then per-row
-    ``bincount`` + ``cumsum`` produce the cumulative counts — identical
-    values because ``d < edges[k]  ⟺  |{edges ≤ d}| ≤ k`` for an ascending
-    edge grid.  Rows are processed in blocks so the dense ``(rows, max_bins)``
-    intermediate stays under ``block_elems`` elements.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    n_bins = np.asarray(n_bins, dtype=np.int64)
-    n = len(n_bins)
-    hist_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_bins, out=hist_offsets[1:])
-    values = np.empty(int(hist_offsets[-1]), dtype=np.int64)
-    max_bins = int(n_bins.max()) if n else 0
-    if max_bins == 0:
-        return hist_offsets, values
-    if len(edges) < max_bins:
-        raise ValueError(f"edges has {len(edges)} entries, need >= {max_bins}")
-    edges = np.asarray(edges, dtype=np.float64)[:max_bins]
-    block = max(1, min(n, block_elems // (max_bins + 1)))
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        rows = e - s
-        seg = dists[offsets[s] : offsets[e]]
-        lengths = np.diff(offsets[s : e + 1])
-        # |{edges <= d}| per element, clipped into a discard bucket past the
-        # last requested bin.
-        bin_idx = np.minimum(
-            np.searchsorted(edges, seg, side="right"), max_bins
-        )
-        labels = np.repeat(
-            np.arange(rows, dtype=np.int64) * (max_bins + 1), lengths
-        )
-        labels += bin_idx
-        counts = np.bincount(labels, minlength=rows * (max_bins + 1))
-        cum = counts.reshape(rows, max_bins + 1)[:, :max_bins].cumsum(axis=1)
-        nb = n_bins[s:e]
-        row_rep = np.repeat(np.arange(rows, dtype=np.int64), nb)
-        col = np.arange(int(hist_offsets[s]), int(hist_offsets[e]), dtype=np.int64)
-        col -= np.repeat(hist_offsets[s:e], nb)
-        values[hist_offsets[s] : hist_offsets[e]] = cum[row_rep, col]
-    return hist_offsets, values
-
-
 def prefetch_scan_block(
     offsets: np.ndarray, ids: np.ndarray, dists: np.ndarray, width: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,6 +283,12 @@ def prefetch_scan_block(
     return cand, dist, valid
 
 
+#: List or leaf slots one scan block gathers at once: the passes of
+#: :func:`scan_first_denser` and the leaf scans of :func:`tree_rho_batched`
+#: (bounds a block's temporaries to a few MB whatever the batch size).
+_SCAN_SLOTS = 1 << 17
+
+
 def scan_first_denser(
     offsets: np.ndarray,
     ids: np.ndarray,
@@ -343,18 +306,30 @@ def scan_first_denser(
     Rows are the CSR rows of ``(offsets, ids, dists)`` — each sorted
     near-to-far, Algorithm 2 lines 7-13.
 
+    The scan moves every unresolved row through column blocks of
+    geometrically growing width: after the prefetched columns (if any),
+    each block is as wide as the columns already scanned, and never
+    narrower than ``block`` (boundaries ``P, P + max(block, P), ...`` for a
+    prefetch of width ``P``; ``0, block, 2·block, 4·block, ...`` without
+    one).  Theorem 1 lets almost every row resolve in its first entries;
+    the few that do not — the cluster peaks, and a global peak that walks
+    its whole list — finish in ``O(log(row length / block))`` passes
+    instead of one pass per ``block`` columns.
+
     ``qid`` gives the global object id of each CSR row (default: row ``i``
     is object ``i``).  Passing a row *subset* plus its ids is how the
-    execution backends shard the scan: every row examines exactly the slots
-    it would in a whole-table run because the column strides below are
-    absolute (fixed ``block`` boundaries, never adapted to the longest row
-    of the batch).
+    execution backends shard the scan: the block boundaries are absolute —
+    they depend on ``block`` and the prefetch width only, never on which
+    rows share the batch — so every row examines exactly the slots it
+    would in a whole-table run.
 
     Returns ``(delta, mu, resolved, scanned)``: per row the distance and id
     of the first denser neighbour (undefined ``delta`` and
     ``mu == NO_NEIGHBOR`` where ``resolved`` is False — the caller applies
     its own peak/truncation convention), plus the number of list slots
-    examined (the ``objects_scanned`` stat).
+    examined (the ``objects_scanned`` stat): every slot of every block a
+    row takes part in, up to the row's end — the block that resolves a row
+    counts in full, also the slots after its first denser entry.
 
     ``prefetch`` (from :func:`prefetch_scan_block`) supplies pre-gathered
     first columns; the scan then starts at ``prefetch`` width.  Since almost
@@ -370,7 +345,6 @@ def scan_first_denser(
     scanned = 0
     unresolved = np.arange(n)
     col = 0
-    max_len = int(lengths.max()) if n else 0
 
     if prefetch is not None and n:
         cand, dmat, valid = prefetch
@@ -387,32 +361,31 @@ def scan_first_denser(
         unresolved = unresolved[lengths[unresolved] > width]
         col = width
 
-    while len(unresolved) and col < max_len:
-        # Fixed absolute stride: always a full `block` of columns, with the
-        # row-length mask trimming slots past each row's end.  Clipping the
-        # stride to the batch's max length would only drop always-invalid
-        # columns, but it would make the per-row scanned-slot count depend
-        # on which other rows share the batch — sharded runs must reproduce
-        # the whole-table counters exactly.
-        width = block
-        rows = unresolved
-        cols = np.arange(col, col + width, dtype=np.int64)
-        valid = cols[None, :] < lengths[rows][:, None]
-        flat = np.where(valid, offsets[rows][:, None] + cols[None, :], 0)
-        cand = ids[flat] if len(ids) else np.zeros_like(flat)
-        denser = (key[cand] < key_q[rows, None]) & valid
-        scanned += int(valid.sum())
-        found = denser.any(axis=1)
-        if found.any():
-            first = denser[found].argmax(axis=1)
-            hit = rows[found]
-            flat_hit = offsets[hit] + col + first
-            delta[hit] = dists[flat_hit]
-            mu[hit] = ids[flat_hit]
-            unresolved = unresolved[~found]
-        # Rows whose list is exhausted can never resolve; drop them now.
-        unresolved = unresolved[lengths[unresolved] > col + width]
-        col += width
+    while len(unresolved):
+        width = max(block, col)
+        stop = col + width
+        # Chunking the rows bounds the gathers; it changes no row's slots.
+        chunk = max(1, _SCAN_SLOTS // width)
+        for a in range(0, len(unresolved), chunk):
+            rows = unresolved[a : a + chunk]
+            row_len = lengths[rows]
+            # Columns at or past every row's end hold no slot to examine.
+            cols = np.arange(col, min(stop, int(row_len.max())), dtype=np.int64)
+            valid = cols[None, :] < row_len[:, None]
+            flat = np.where(valid, offsets[rows][:, None] + cols[None, :], 0)
+            denser = key[ids[flat]] < key_q[rows, None]
+            denser &= valid
+            scanned += int(np.minimum(row_len, stop).sum()) - col * len(rows)
+            found = denser.any(axis=1)
+            if found.any():
+                hit = rows[found]
+                flat_hit = flat[found, denser[found].argmax(axis=1)]
+                delta[hit] = dists[flat_hit]
+                mu[hit] = ids[flat_hit]
+        # Rows resolved in this pass, or whose list is exhausted, are done.
+        open_rows = (mu[unresolved] == NO_NEIGHBOR) & (lengths[unresolved] > stop)
+        unresolved = unresolved[open_rows]
+        col = stop
 
     return delta, mu, mu != NO_NEIGHBOR, scanned
 
@@ -646,11 +619,6 @@ def _expand_csr(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.n
     seg_off = np.cumsum(sizes) - sizes
     pos = np.arange(total, dtype=np.int64) - np.repeat(seg_off, sizes)
     return np.repeat(np.asarray(starts, dtype=np.int64), sizes) + pos, seg_off
-
-
-#: Distance slots per leaf-scan block of :func:`tree_rho_batched` (bounds
-#: the block's temporaries to a few MB whatever the batch size).
-_SCAN_SLOTS = 1 << 17
 
 
 def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -55,7 +55,8 @@ def sweep_quantities(index, dcs, tie_break) -> "list[DPCQuantities]":
     ``(dc, chunk)`` task grid; each chunk gathers its own narrow prefetch
     block — narrow because it still resolves the overwhelming majority of
     rows (Theorem 1) while keeping the per-``dc`` key-compare cheap, with
-    the scan continuing in ``scan_block`` strides for the stragglers.
+    the scan continuing in geometrically widening blocks (the first
+    ``scan_block`` wide) for the stragglers.
     """
     dcs = index._validate_dcs(dcs)
     rhos = index.rho_all_multi(dcs)
@@ -110,9 +111,11 @@ class ListIndex(DPCIndex):
         Row-block size used during construction; bounds transient memory at
         ``O(block · n)`` without changing the result.
     scan_block:
-        Column-block width of the vectorised δ scan.  Small blocks waste
-        Python overhead, large blocks waste probes; 32 is a good default for
-        the expected-constant-probe regime.
+        First (and smallest) column-block width of the vectorised δ scan;
+        later blocks are as wide as the columns already scanned, so a row
+        that walks its whole list takes a logarithmic number of passes.
+        Small blocks waste Python overhead, large blocks waste probes; 32
+        is a good default for the expected-constant-probe regime.
     backend, n_jobs, chunk_size:
         Query-execution policy (:mod:`repro.indexes.parallel`): both queries
         shard over row chunks; results are bit-identical across backends.

@@ -45,8 +45,9 @@ included.  Three properties make this hold:
 * the distance kernels are elementwise (einsum over per-element
   differences, never shape-dependent BLAS reductions), so a row computed in
   a chunk of 7 equals the row computed in a chunk of 70 000;
-* kernel scan strides use absolute column boundaries
-  (:func:`repro.indexes.kernels.scan_first_denser`), so per-query counter
+* the list scan's column blocks have absolute boundaries — geometric,
+  fixed by the scan block and the prefetch width alone
+  (:func:`repro.indexes.kernels.scan_first_denser`) — so per-query counter
   contributions do not depend on which rows share a batch.
 
 Workers accumulate probe counters into a private

@@ -37,7 +37,6 @@ from repro.core.quantities import NO_NEIGHBOR, DensityOrder, DPCQuantities, TieB
 from repro.geometry.distance import Metric
 from repro.indexes import parallel
 from repro.indexes.base import DPCIndex
-from repro.indexes.kernels import build_row_histograms
 from repro.indexes.ch_index import CumulativeHistogramMixin
 from repro.indexes.list_index import sharded_delta_scan, sweep_quantities
 
@@ -249,17 +248,9 @@ class RNCHIndex(CumulativeHistogramMixin, RNListIndex):
             self.bin_width_ = self.tau / self.default_bins
         else:
             self.bin_width_ = float(self.bin_width)
-        w = float(self.bin_width_)
-        offsets = self._offsets
-        n = self.n
-        lengths = np.diff(offsets)
         # Bins must cover every stored neighbour, i.e. up to τ.
-        n_bins = np.full(n, int(np.floor(self.tau / w)) + 1, dtype=np.int64)
-        edges = w * np.arange(1, int(n_bins[0]) + 1, dtype=np.float64)
-        hist_offsets, values = build_row_histograms(self._dists, offsets, n_bins, edges)
-        values[hist_offsets[1:] - 1] = lengths
-        self._hist_offsets = hist_offsets
-        self._hist_values = values
+        n_bins = np.full(self.n, int(np.floor(self.tau / self.bin_width_)) + 1, dtype=np.int64)
+        self._store_histograms(self._dists, self._offsets, n_bins)
 
     def _shard_arrays(self):
         arrays = super()._shard_arrays()

@@ -52,6 +52,59 @@ class TestChainPropagation:
         np.testing.assert_array_equal(labels, [1, 1, 0, 0])
 
 
+def sequential_labels(q, centers, points):
+    """The densest-first reference pass: a centre takes its label, an
+    unselected peak its nearest centre (first on ties), every other object
+    its μ's label, which the order has already set."""
+    labels = np.full(len(q), -1, dtype=np.int64)
+    labels[centers] = np.arange(len(centers))
+    for p in q.density_order.order:
+        if labels[p] != -1:
+            continue
+        if q.mu[p] == NO_NEIGHBOR:
+            d = np.sqrt(((points[centers] - points[p]) ** 2).sum(axis=1))
+            labels[p] = int(np.argmin(d))
+        else:
+            assert labels[q.mu[p]] != -1
+            labels[p] = labels[q.mu[p]]
+    return labels
+
+
+class TestLongChains:
+    def test_long_chain_with_centres_and_orphans(self, rng):
+        """A μ-chain through 20,000 objects (thousands deep between its
+        centres), branches to random denser objects, and unselected peaks
+        part-way with objects hanging off them: the labels equal the
+        sequential densest-first pass."""
+        n = 20_000
+        rho = rng.integers(0, 60, size=n)
+        order = DensityOrder(rho).order
+        center_at = [0, 3_000, 9_000, 15_000, 16_000]
+        orphan_at = [700, 7_000, 13_500, 19_990]
+        # Positions in density order: a third branch off to a random denser
+        # object; the rest (centres and orphans among them) form one chain,
+        # densest to sparsest, so a chain runs thousands of objects deep.
+        branch = rng.random(n) < 1 / 3
+        branch[center_at + orphan_at] = False
+        chain = np.flatnonzero(~branch)
+        mu = np.empty(n, dtype=np.int64)
+        mu[order[chain[1:]]] = order[chain[:-1]]
+        at = np.flatnonzero(branch)
+        mu[order[at]] = order[rng.integers(0, at)]
+        orphans = order[orphan_at]
+        mu[order[0]] = NO_NEIGHBOR
+        mu[orphans] = NO_NEIGHBOR
+        hang = rng.choice(np.arange(13_501, n), size=50, replace=False)
+        mu[order[hang]] = orphans[2]
+        centers = order[center_at]
+        rng.shuffle(centers)  # label ids follow the given order
+        points = rng.uniform(0, 100, size=(n, 2))
+        q = make_quantities(rho=rho, mu=mu)
+        labels = assign_labels(q, centers, points=points)
+        np.testing.assert_array_equal(labels, sequential_labels(q, centers, points))
+        assert len(np.unique(labels)) == len(centers)
+
+
 class TestPeakFallback:
     def test_unselected_peak_joins_nearest_center(self):
         points = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 0.0]])

@@ -84,6 +84,55 @@ class TestHistogramConstruction:
                 expected = int((dists < (k + 1) * w).sum())
                 assert fitted._hist_values[start + k] == expected
 
+    @staticmethod
+    def assert_histograms_match_row_searches(index, rows, w):
+        """Every bin of every row equals a per-row ``np.searchsorted`` of
+        its edge ``w·(k+1)``; the last bin holds the whole row."""
+        offsets, values = index._hist_offsets, index._hist_values
+        for p, row in enumerate(rows):
+            nb = int(offsets[p + 1] - offsets[p])
+            expected = np.searchsorted(row, w * np.arange(1, nb + 1, dtype=np.float64))
+            expected[-1] = len(row)
+            np.testing.assert_array_equal(values[offsets[p] : offsets[p + 1]], expected)
+
+    @pytest.mark.parametrize("w", [None, 0.8, 0.011])
+    def test_every_bin_matches_per_row_searchsorted(self, blobs, w):
+        points = np.concatenate([blobs, blobs[:40]])  # duplicate distances
+        index = CHIndex(bin_width=w).fit(points)
+        rows = index.neighbor_dists
+        assert index.n_bins_of(0) == int(np.floor(rows[0, -1] / index.bin_width_)) + 1
+        self.assert_histograms_match_row_searches(index, rows, index.bin_width_)
+
+    @pytest.mark.parametrize("tau, w", [(1.0, None), (2.5, 0.013), (0.05, 0.02)])
+    def test_rn_ch_bins_match_per_row_searchsorted(self, blobs, tau, w):
+        """The truncated rows, empty ones included (tiny τ)."""
+        index = RNCHIndex(tau=tau, bin_width=w).fit(np.concatenate([blobs, blobs[:40]]))
+        offsets, dists = index._offsets, index._dists
+        rows = [dists[offsets[p] : offsets[p + 1]] for p in range(index.n)]
+        if tau < 0.1:
+            assert any(len(row) == 0 for row in rows)
+        self.assert_histograms_match_row_searches(index, rows, index.bin_width_)
+
+    @pytest.mark.parametrize("make", [lambda: CHIndex(bin_width=0.05),
+                                      lambda: RNCHIndex(tau=2.0, bin_width=0.05)])
+    def test_row_blocks_do_not_change_the_histograms(self, blobs, monkeypatch, make):
+        from repro.indexes import ch_index
+
+        whole = make().fit(blobs)
+        monkeypatch.setattr(ch_index, "_HIST_BLOCK_ELEMS", 7)  # one row per block
+        blocked = make().fit(blobs)
+        np.testing.assert_array_equal(blocked._hist_offsets, whole._hist_offsets)
+        np.testing.assert_array_equal(blocked._hist_values, whole._hist_values)
+
+    def test_append_rebuilds_the_fresh_fit_histograms(self, blobs):
+        grown = CHIndex().fit(blobs[:200])
+        grown.add_points(blobs[200:260])
+        grown.add_points(blobs[260:] * 1.5)  # grows the diameter and w
+        fresh = CHIndex().fit(np.concatenate([blobs[:260], blobs[260:] * 1.5]))
+        assert grown.bin_width_ == fresh.bin_width_
+        np.testing.assert_array_equal(grown._hist_offsets, fresh._hist_offsets)
+        np.testing.assert_array_equal(grown._hist_values, fresh._hist_values)
+
     def test_auto_bin_width(self, blobs):
         index = CHIndex(default_bins=64).fit(blobs)
         # Configured width stays None (auto); the fit resolves bin_width_.

@@ -39,6 +39,26 @@ class TestDecisionGraph:
         with pytest.raises(ValueError, match="k must be"):
             g.top_gamma(len(g) + 1)
 
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_top_gamma_equals_the_full_lexsort_under_ties(self, rng, with_nan):
+        """Many objects tie on γ at every k-th value and on ρ among those:
+        the partition-narrowed order equals the full (-γ, -ρ, id) lexsort
+        for every k.  With ``with_nan`` some γ are NaN (an infinite δ at
+        ρ = 0), which the lexsort puts last."""
+        n = 400
+        rho = rng.choice([1, 2, 3, 4, 6], size=n)
+        gamma = rng.choice([12.0, 24.0, 36.0], size=n)
+        delta = gamma / rho  # exact: every γ is a multiple of every ρ
+        if with_nan:
+            nan = rng.choice(n, size=30, replace=False)
+            rho[nan], delta[nan] = 0, np.inf
+        with np.errstate(invalid="ignore"):
+            g = DecisionGraph(rho=rho, delta=delta, gamma=rho * delta)
+        assert np.isnan(g.gamma).any() == with_nan
+        full = np.lexsort((np.arange(n), -g.rho, -g.gamma))
+        for k in range(1, n + 1):
+            np.testing.assert_array_equal(g.top_gamma(k), full[:k], err_msg=f"k={k}")
+
     def test_as_table_renders(self, toy_quantities):
         text = DecisionGraph.from_quantities(toy_quantities).as_table(3)
         assert "rho" in text and "delta" in text

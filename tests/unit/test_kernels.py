@@ -6,7 +6,6 @@ import pytest
 from repro.core.quantities import NO_NEIGHBOR, DensityOrder
 from repro.indexes.kernels import (
     bounded_searchsorted,
-    build_row_histograms,
     ch_rho_from_histograms,
     prefetch_scan_block,
     resolve_bin,
@@ -68,6 +67,40 @@ class TestBoundedSearchsorted:
         with pytest.raises(ValueError, match="side"):
             bounded_searchsorted(np.arange(3.0), [0], [3], 1.0, side="middle")
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_every_row_length_with_ties(self, rng, side):
+        """Rows of every length 0-40 side by side in one CSR array (so the
+        longest row sets the pass count for all), tied values and needles
+        equal to them, below the first and above the last entry: a scalar
+        needle, one needle per row, and a needle grid."""
+        lengths = np.repeat(np.arange(41), 3)
+        rng.shuffle(lengths)
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        flat = rng.integers(0, 5, size=int(offsets[-1])).astype(np.float64)
+        for p in range(len(lengths)):
+            flat[offsets[p] : offsets[p + 1]].sort()
+        starts, stops = offsets[:-1], offsets[1:]
+        grid = rng.integers(-1, 6, size=(len(lengths), 9)).astype(np.float64)
+        got = bounded_searchsorted(flat, starts[:, None], stops[:, None], grid, side)
+        per_row = bounded_searchsorted(flat, starts, stops, grid[:, 0], side)
+        shared = bounded_searchsorted(flat, starts[:, None], stops[:, None], grid[:1], side)
+        for needle in (-1.0, 2.0, 4.0, 5.0):
+            scalar = bounded_searchsorted(flat, starts, stops, needle, side)
+            for p in range(len(lengths)):
+                row = flat[starts[p] : stops[p]]
+                assert scalar[p] == starts[p] + np.searchsorted(row, needle, side)
+        for p in range(len(lengths)):
+            row = flat[starts[p] : stops[p]]
+            msg = f"length {lengths[p]}"
+            np.testing.assert_array_equal(
+                got[p] - starts[p], np.searchsorted(row, grid[p], side), err_msg=msg
+            )
+            assert per_row[p] - starts[p] == np.searchsorted(row, grid[p, 0], side), msg
+            np.testing.assert_array_equal(
+                shared[p] - starts[p], np.searchsorted(row, grid[0], side), err_msg=msg
+            )
+
 
 class TestRowSearchsorted:
     def test_scalar_needle(self, rng):
@@ -115,54 +148,20 @@ class TestRowSearchsorted:
                 )
 
 
-class TestBuildRowHistograms:
-    def test_matches_per_row_searchsorted(self, rng):
-        offsets, flat = random_csr(rng, 40)
-        w = 0.73
-        n_bins = np.array(
-            [
-                int(np.floor((flat[offsets[p + 1] - 1] if offsets[p + 1] > offsets[p] else 0.0) / w)) + 1
-                for p in range(40)
-            ],
-            dtype=np.int64,
-        )
-        edges = w * np.arange(1, int(n_bins.max()) + 1, dtype=np.float64)
-        hist_offsets, values = build_row_histograms(flat, offsets, n_bins, edges)
-        for p in range(40):
-            row = flat[offsets[p] : offsets[p + 1]]
-            expected = np.searchsorted(row, edges[: n_bins[p]], side="left")
-            np.testing.assert_array_equal(
-                values[hist_offsets[p] : hist_offsets[p + 1]], expected
-            )
-
-    def test_blocking_invariance(self, rng):
-        offsets, flat = random_csr(rng, 50)
-        n_bins = np.full(50, 7, dtype=np.int64)
-        edges = 1.6 * np.arange(1, 8, dtype=np.float64)
-        a = build_row_histograms(flat, offsets, n_bins, edges, block_elems=8)
-        b = build_row_histograms(flat, offsets, n_bins, edges, block_elems=10**7)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_too_few_edges_rejected(self):
-        with pytest.raises(ValueError, match="edges"):
-            build_row_histograms(
-                np.arange(3.0), np.array([0, 3]), np.array([5]), np.arange(1.0, 3.0)
-            )
+def brute_first_denser(offsets, ids, dists, key):
+    n = len(offsets) - 1
+    delta = np.full(n, np.nan)
+    mu = np.full(n, NO_NEIGHBOR, dtype=np.int64)
+    for p in range(n):
+        for j in range(offsets[p], offsets[p + 1]):
+            if key[ids[j]] < key[p]:
+                delta[p] = dists[j]
+                mu[p] = ids[j]
+                break
+    return delta, mu
 
 
 class TestScanFirstDenser:
-    def brute(self, offsets, ids, dists, key):
-        n = len(offsets) - 1
-        delta = np.full(n, np.nan)
-        mu = np.full(n, NO_NEIGHBOR, dtype=np.int64)
-        for p in range(n):
-            for j in range(offsets[p], offsets[p + 1]):
-                if key[ids[j]] < key[p]:
-                    delta[p] = dists[j]
-                    mu[p] = ids[j]
-                    break
-        return delta, mu
 
     @pytest.mark.parametrize("block", [1, 3, 32])
     def test_matches_bruteforce(self, rng, block):
@@ -171,7 +170,7 @@ class TestScanFirstDenser:
         ids = rng.integers(0, n, size=int(offsets[-1])).astype(np.int32)
         key = rng.permutation(n)
         delta, mu, resolved, scanned = scan_first_denser(offsets, ids, dists, key, block=block)
-        b_delta, b_mu = self.brute(offsets, ids, dists, key)
+        b_delta, b_mu = brute_first_denser(offsets, ids, dists, key)
         np.testing.assert_array_equal(mu, b_mu)
         found = b_mu != NO_NEIGHBOR
         np.testing.assert_array_equal(resolved, found)
@@ -190,6 +189,104 @@ class TestScanFirstDenser:
         np.testing.assert_array_equal(plain[2], fetched[2])
         np.testing.assert_array_equal(plain[0][plain[2]], fetched[0][fetched[2]])
         assert plain[3] == fetched[3]  # identical scanned accounting
+
+
+def long_rows(rng, n=120):
+    """CSR rows of up to 2,500 entries where the first denser entry sits
+    where the test wants it: most rows resolve in their first entries,
+    some after hundreds or thousands of entries, some never (the global
+    peak, and rows that hold no denser object at all).  Returns
+    ``(offsets, ids, dists, key, resolve_at)`` with ``resolve_at[p]`` the
+    row-local position of the first denser entry (-1: none)."""
+    key = rng.permutation(n)
+    lengths = rng.integers(0, 40, size=n)
+    long = rng.choice(n, size=n // 4, replace=False)
+    lengths[long] = rng.integers(1_000, 2_500, size=len(long))
+    lengths[np.argmin(key)] = 2_400  # the global peak walks a long row
+    resolve_at = np.where(rng.random(n) < 0.7, rng.integers(0, 8, size=n), -1)
+    late = rng.choice(long, size=len(long) // 2, replace=False)
+    resolve_at[late] = rng.integers(8, 2_500, size=len(late))
+    ids_rows, dist_rows = [], []
+    for p in range(n):
+        no_denser = np.flatnonzero(key >= key[p])  # p itself and sparser
+        denser = np.flatnonzero(key < key[p])
+        if resolve_at[p] >= lengths[p] or len(denser) == 0:
+            resolve_at[p] = -1
+        row = no_denser[rng.integers(0, len(no_denser), size=lengths[p])]
+        if resolve_at[p] >= 0:
+            r = resolve_at[p]
+            row[r] = rng.choice(denser)
+            row[r + 1 :] = rng.integers(0, n, size=lengths[p] - r - 1)
+        ids_rows.append(row)
+        dist_rows.append(np.sort(rng.uniform(0, 10, size=lengths[p])))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    ids = np.concatenate(ids_rows).astype(np.int32)
+    return offsets, ids, np.concatenate(dist_rows), key, resolve_at
+
+
+def geometric_scanned(lengths, resolve_at, block, prefetch):
+    """The documented slot count: every slot of every block a row takes
+    part in, up to its end; blocks start at the prefetch width and are
+    each as wide as the columns before them, at least ``block``."""
+    total = 0
+    for length, r in zip(lengths, resolve_at):
+        stop = prefetch if prefetch else block
+        while 0 <= stop <= r:
+            stop += max(block, stop)
+        total += min(length, stop) if r >= 0 else length
+    return total
+
+
+class TestScanFirstDenserLongRows:
+    """Rows long enough that the geometric blocks grow far past ``block``."""
+
+    @pytest.mark.parametrize("block", [1, 5, 32])
+    @pytest.mark.parametrize("prefetch", [0, 8])
+    def test_matches_bruteforce(self, rng, block, prefetch):
+        offsets, ids, dists, key, resolve_at = long_rows(rng)
+        pre = prefetch_scan_block(offsets, ids, dists, prefetch) if prefetch else None
+        delta, mu, resolved, scanned = scan_first_denser(
+            offsets, ids, dists, key, block=block, prefetch=pre
+        )
+        b_delta, b_mu = brute_first_denser(offsets, ids, dists, key)
+        np.testing.assert_array_equal(mu, b_mu)
+        np.testing.assert_array_equal(resolved, resolve_at >= 0)
+        np.testing.assert_array_equal(delta[resolved], b_delta[resolved])
+        assert (resolve_at >= 1_000).any()  # some rows resolve late
+        assert scanned == geometric_scanned(np.diff(offsets), resolve_at, block, prefetch)
+
+    @pytest.mark.parametrize("prefetch", [0, 8])
+    def test_row_splits_reproduce_the_whole_table(self, rng, prefetch):
+        """Random row subsets, scanned on their own (the sharded backends'
+        shape), give the whole-table answers, and their slot counts sum to
+        the whole-table count."""
+        offsets, ids, dists, key, _ = long_rows(rng)
+        n = len(offsets) - 1
+
+        def scan(off, row_ids, row_dists, qid):
+            pre = prefetch_scan_block(off, row_ids, row_dists, prefetch) if prefetch else None
+            return scan_first_denser(off, row_ids, row_dists, key, prefetch=pre, qid=qid)
+
+        whole = scan(offsets, ids, dists, None)
+        for _ in range(3):
+            parts = np.array_split(rng.permutation(n), int(rng.integers(2, 6)))
+            delta = np.empty(n)
+            mu = np.empty(n, dtype=np.int64)
+            scanned = 0
+            for qid in parts:
+                lengths = np.diff(offsets)[qid]
+                off = np.zeros(len(qid) + 1, dtype=np.int64)
+                np.cumsum(lengths, out=off[1:])
+                slots = np.concatenate(
+                    [np.arange(offsets[p], offsets[p + 1]) for p in qid]
+                ).astype(np.int64)
+                d, m, _, c = scan(off, ids[slots], dists[slots], qid)
+                delta[qid], mu[qid] = d, m
+                scanned += c
+            np.testing.assert_array_equal(mu, whole[1])
+            np.testing.assert_array_equal(delta[whole[2]], whole[0][whole[2]])
+            assert scanned == whole[3]
 
 
 class TestResolveBin:
@@ -218,7 +315,15 @@ class TestChRhoFromHistograms:
             dtype=np.int64,
         )
         edges = w * np.arange(1, int(n_bins.max()) + 1, dtype=np.float64)
-        h_off, h_val = build_row_histograms(dists, offsets, n_bins, edges)
+        # Algorithm 3, row by row: bin k counts the entries below w·(k+1).
+        h_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(n_bins, out=h_off[1:])
+        h_val = np.concatenate(
+            [
+                np.searchsorted(dists[offsets[p] : offsets[p + 1]], edges[: n_bins[p]])
+                for p in range(n)
+            ]
+        )
         h_val[h_off[1:] - 1] = lengths  # last bin covers the whole row
         for dc in (0.3, 0.9, 2.45, 7.0, 100.0):
             rho, scanned, searches = ch_rho_from_histograms(

@@ -154,3 +154,42 @@ class TestClustering:
         assert result.n_clusters == 2
         sizes = np.bincount(result.labels)
         assert min(sizes) > 150  # both blob regions found
+
+    @pytest.mark.parametrize("tie_break", ["id", "strict"])
+    def test_cluster_reuses_the_stored_answer(self, stream_batches, tie_break):
+        """After ``quantities(dc)``, ``cluster(dc)`` runs no ρ or δ pass,
+        after an ingest it repairs instead of recomputing, and its labels
+        equal a full ``index.cluster(dc)`` of a fresh fit either way."""
+        s = StreamingDPC()
+        for batch in stream_batches[:4]:
+            s.add(batch)
+
+        def full_cluster():
+            fresh = KDTreeIndex().fit(s.points())
+            return fresh.cluster(0.8, n_centers=2, tie_break=tie_break)
+
+        want = full_cluster()
+        s.quantities(0.8, tie_break)
+        index = s._index
+        passes = []
+        for name in ("quantities", "rho_all", "delta_all", "quantities_after_append"):
+            def spy(*args, _name=name, _real=getattr(index, name), **kwargs):
+                passes.append(_name)
+                return _real(*args, **kwargs)
+
+            setattr(index, name, spy)
+        got = s.cluster(0.8, tie_break=tie_break, n_centers=2)
+        assert passes == []
+        np.testing.assert_array_equal(got.centers, want.centers)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+        s.add(stream_batches[4])
+        want = full_cluster()
+        got = s.cluster(0.8, tie_break=tie_break, n_centers=2)
+        assert passes == ["quantities_after_append"]
+        np.testing.assert_array_equal(got.centers, want.centers)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_cluster_on_an_empty_stream_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            StreamingDPC().cluster(0.5)
