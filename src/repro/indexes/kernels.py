@@ -28,7 +28,8 @@ provides the batched, array-level building blocks the indexes now share:
   whole leaves of queries per node, described below.
 * :func:`tree_delta_batched` / :func:`grid_delta_batched` /
   :func:`peak_delta_sweep` — the **batched δ engine** (Algorithm 6 and its
-  grid analogue), described below.
+  grid analogue), described below; the tree kernel moves leaves of queries
+  as groups too.
 
 Exactness contract
 ------------------
@@ -87,6 +88,42 @@ paper's two lemmas, applied element-wise over the pairs:
   the smaller-id tie-break) is never discarded — results are bit-identical
   to the per-object reference traversal.
 
+**Leaf groups.** As in the ρ kernel, the queries travel as groups where
+they can: the members of one leaf of the image within one density-order
+row, and non-members by a key the caller gives (the append repair groups
+the old points by their leaf of the index image).  They prune with the
+per-node subtree maximum density (:func:`flat_tree_maxrho`), the node
+annotation of the priority-search kd-tree of Huang, Yu and Shun (*Faster
+Parallel Exact Density Peaks Clustering*, arXiv:2305.11335).  A
+``(group, node)`` pair carries a lower and an upper bound on its members'
+``mindist`` to the node — the metric's box kernel at the group-box point
+nearest the node and at the one farthest from it, gap-wise — and the
+group's smallest and largest ρ and radius decide it for every member at
+once:
+
+* Lemma 1 drops a child for every member when its ``maxrho`` is below the
+  group's smallest ρ; when it is at least the largest, no member drops it
+  and the group stays whole; otherwise the group splits into single
+  queries, which take the per-query step;
+* Lemma 2 re-checks a pair on arrival, as the per-query traversal does: it
+  is dropped for every member when the nearest bound exceeds every radius,
+  stays a group when the farthest is within every radius, and splits
+  otherwise.  Checking Lemma 2 only on arrival loses nothing: a child it
+  prunes at expansion it prunes on arrival too (the radii only shrink),
+  and either way the pair counts once as a distance prune;
+* the ``maxdist`` bound of a surely-denser child still tightens each denser
+  member's radius, unless a lower bound of every member's ``maxdist`` (per
+  axis the reach from the group box's side nearest the node's centre)
+  already reaches every radius;
+* a group reaching a leaf splits: each member orders its leaves by its own
+  ``mindist`` (the waves below).  Equal ``mindist`` keep the per-query
+  frontier's node-id order.
+
+Without a carry-in every query therefore meets every node with the
+decisions of the per-query traversal kept in
+``tests/tree_delta_reference.py``: δ, μ and every counter equal it, however
+the queries are grouped or an execution backend chunks them.
+
 Leaves (and grid cells) resolve through one paired-distance evaluation
 (:func:`repro.geometry.distance.paired_distances` — bit-identical
 arithmetic to ``cross``) over the expanded ``(query, member)`` pairs,
@@ -122,8 +159,20 @@ the radius: such a node holds no point at a distance ≤ the carried one, so
 none that could beat it, not even on the smaller-id tie-break.  The append
 repair carries a point's previous answer into a search of an image of the
 points that changed, so most of that search is pruned before it starts.
-The counters count the work actually done; without a carry-in every
-counter equals the kernel kept in ``tests/tree_delta_reference.py``.
+
+With a carry-in a radius is near-final from the start, so the search takes
+the cheaper schedule: groups descend while any member needs a node (never
+splitting above the leaves) and resolve member by member at the leaves,
+without waves.  The repair also passes the *previous order* (``prev_key``,
+new points last): the carried μ is the nearest of the points that were
+denser than the query before the append, and their distances have not
+changed, so only a new point or one that overtook the query can beat it.
+Every other candidate is skipped per pair, and a node whose every point was
+denser than the query before is pruned (:func:`flat_tree_maxrho` over
+``prev_key``, ``+inf`` for new points) — for a whole group when that holds
+for all its members.  The counters count the work actually done, less
+than the same search without the carried answers; without a carry-in
+every counter equals the reference's.
 """
 
 from __future__ import annotations
@@ -857,6 +906,7 @@ def _resolve_pairs(
     best_d: np.ndarray,
     best_id: np.ndarray,
     radius: np.ndarray,
+    prev: "Tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> None:
     """Resolve a batch of (query, leaf/cell) pairs in place.
 
@@ -864,6 +914,9 @@ def _resolve_pairs(
     for the lexicographically smallest ``(distance, id)`` among *denser*
     objects — the reference path's ``np.lexsort((cand, d))[0]`` — and merges
     per query into ``(best_d, best_id)``, tightening ``radius`` alongside.
+    ``prev = (prev_key, prev_q)`` also skips every candidate that was denser
+    than the query in a previous order (``prev_key[c] < prev_q``): the
+    carried-in answer already beats it (:func:`tree_delta_batched`).
     """
     nz = sizes > 0
     if not nz.all():
@@ -877,6 +930,8 @@ def _resolve_pairs(
         denser = key_rows[0, cand] < key_q[rflat]
     else:
         denser = key_rows[qord[rflat], cand] < key_q[rflat]
+    if prev is not None:
+        denser &= ~(prev[0][cand] < prev[1][rflat])
     stats.objects_scanned += len(cand)
     # Distances only for denser candidates (the reference's candidate
     # filter); segments re-based on the surviving counts.
@@ -908,6 +963,42 @@ def _resolve_pairs(
         radius[rows] = np.minimum(radius[rows], dmin)
 
 
+def _axis_bound(bound, per_axis: np.ndarray) -> np.ndarray:
+    """A box kernel's value at a point whose per-axis gaps (or reaches) to
+    the box are ``per_axis`` (``(k, d)``, all ``>= 0``).
+
+    Against the degenerate box at the origin the gap and the reach of a
+    coordinate ``g >= 0`` are ``g`` itself, bit for bit, so the kernel
+    reduces exactly these values with its own arithmetic.
+    """
+    origin = np.broadcast_to(0.0, per_axis.shape)
+    return bound(per_axis, origin, origin)
+
+
+#: The fewest queries that travel as a δ group: a (group, node) pair costs
+#: two bound evaluations (nearest and farthest box point) and the group's
+#: radius bounds, so a group of two or three saves nothing on its members.
+_MIN_GROUP = 4
+
+
+def _group_queries(key: np.ndarray):
+    """Queries by group key: ``(singles, members, start, size)``.
+
+    Rows with a negative key, or fewer than :data:`_MIN_GROUP` under
+    theirs, are singles; the rows of every other key are contiguous in
+    ``members`` (group ``g`` is ``members[start[g] : start[g] + size[g]]``,
+    in no particular order: nothing a query does depends on its place).
+    """
+    by_key = np.argsort(key)
+    ks = key[by_key]
+    run = np.flatnonzero(np.diff(ks, prepend=ks[0] - 1))
+    size = np.diff(np.append(run, len(ks)))
+    grouped = (ks[run] >= 0) & (size >= _MIN_GROUP)
+    in_group = np.repeat(grouped, size)
+    size = size[grouped]
+    return by_key[~in_group], by_key[in_group], np.cumsum(size) - size, size
+
+
 def tree_delta_batched(
     flat: FlatTree,
     points: np.ndarray,
@@ -922,8 +1013,18 @@ def tree_delta_batched(
     maxrho: "np.ndarray | None" = None,
     own_leaf: "np.ndarray | None" = None,
     carry: "Tuple[np.ndarray, np.ndarray] | None" = None,
+    group: "np.ndarray | None" = None,
+    prev_key: "np.ndarray | None" = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Frontier-batched best-first δ search over a flattened spatial tree.
+    """Leaf-grouped, frontier-batched best-first δ search over a flattened
+    spatial tree.
+
+    Queries travel as *groups* where they can (module docstring, "The
+    batched δ engine"): the members of one leaf of ``flat`` within one
+    density-order row, and non-members by the caller's ``group`` key.
+    Without a carry-in, every query meets every node with the decisions of
+    the per-query traversal kept in ``tests/tree_delta_reference.py``, so
+    δ, μ and every counter equal it whatever the grouping.
 
     Parameters
     ----------
@@ -954,13 +1055,29 @@ def tree_delta_batched(
         ``flat.leaf_node_of[qid]`` lookup; ``-1`` marks a query that is not
         a member of this image (an old point against an image of the points
         an append changed), for which the own-leaf/sibling seeding is
-        skipped.  Seeding only affects pruning, never results.
+        skipped.  Seeding only affects pruning, never results.  Queries
+        with an own leaf group by it.
+    group:
+        Optional full-length array of per-point group keys for the queries
+        without an own leaf (say, each point's leaf of the index image); a
+        negative key, or no ``group``, makes them single queries.  Groups
+        never span density orders.  Grouping changes work, never results.
     carry:
         Optional ``(best_d, best_id)`` per query, an answer already known
         from another point set (a point's answer before an append);
         ``(inf, NO_NEIGHBOR)`` rows carry nothing.  The search starts with
         it as the pruning radius and returns the lexicographic
-        ``(distance, id)`` minimum of it and this image's candidates.
+        ``(distance, id)`` minimum of it and this image's candidates.  With
+        a carry-in, groups descend until every member prunes a node and
+        split into members only at the leaves; the counters then count
+        that schedule's work and are not pinned to the reference's.
+    prev_key:
+        With ``carry`` only: a full-length total-order key of the order the
+        carried answers were computed in, ``+inf`` for points that order
+        did not have.  A candidate that was denser than the query then
+        (``prev_key[c] < prev_key[p]``) cannot beat the carried answer, so
+        it is skipped per pair, and a node whose every point was is pruned
+        (:func:`flat_tree_maxrho` over ``prev_key``).
 
     Returns
     -------
@@ -971,7 +1088,10 @@ def tree_delta_batched(
     qid = np.asarray(qid, dtype=np.int64)
     qord = np.asarray(qord, dtype=np.int64)
     m = len(qid)
+    exact = carry is None  # no carry-in: reproduce the reference's decisions
     if carry is None:
+        if prev_key is not None:
+            raise ValueError("prev_key needs a carried-in answer")
         best_d = np.full(m, np.inf, dtype=np.float64)
         best_id = np.full(m, NO_NEIGHBOR, dtype=np.int64)
     else:
@@ -986,9 +1106,36 @@ def tree_delta_batched(
     def pair_fn(a, b):
         return paired_distances(a, b, metric)
 
+    lo, hi = flat.lo, flat.hi
+    child_start, child_count = flat.child_start, flat.child_count
+    is_leaf = child_count == 0
     qpts = _rows(points, qid)
     rho_q = rho_rows[qord, qid]
     key_q = key_rows[qord, qid]
+
+    def node_maxrho(orders, idx, nodes):
+        """``maxrho`` of each pair's node in its order, ``orders[idx]``."""
+        if len(maxrho) == 1:  # single density order: skip the qord gather
+            return maxrho[0, nodes]
+        return maxrho[orders[idx], nodes]
+
+    prev = prev_max = None
+    if prev_key is not None:
+        prev_key = np.asarray(prev_key, dtype=np.float64)
+        prev = (prev_key, prev_key[qid])
+        prev_max = flat_tree_maxrho(flat, prev_key[None, :])[0]
+
+    def alive(rows, nodes, node_max):
+        """Lemma 1 (and the previous order) per (query, node) pair."""
+        if density_pruning:
+            ok = node_max >= rho_q[rows]
+        else:
+            ok = np.ones(len(rows), dtype=bool)
+        if prev is not None:
+            ok &= prev_max[nodes] >= prev[1][rows]
+        stats.nodes_pruned_density += int(len(ok) - ok.sum())
+        return ok
+
     # Pruning radius per query: min(best candidate so far, ub), where ub is
     # the sound upper bound from nodes whose maxrho is *strictly* above ρ(p)
     # (they certainly contain a denser object, so their maxdist bounds δ).
@@ -997,71 +1144,137 @@ def tree_delta_batched(
     # smaller-id tie-break.
     radius = best_d.copy()
 
-    seeded_parent = None
-    if not distance_pruning:
-        own_leaf = None
-    else:
+    def resolve(rows, leaves):
+        _resolve_pairs(
+            rows, flat.leaf_start[leaves], flat.leaf_size[leaves],
+            flat.leaf_ids, points, qpts, qord, key_q, key_rows,
+            pair_fn, stats, best_d, best_id, radius, prev,
+        )
+
+    leaf = (
+        flat.leaf_node_of[qid] if own_leaf is None
+        else np.asarray(own_leaf, dtype=np.int64)
+    )
+    own_leaf = seeded_parent = None
+    if distance_pruning:
         # Seed every query with its own containing leaf: most objects find
         # their nearest denser neighbour inside it, so the traversal starts
         # with a near-final radius and Lemma 2 collapses the upper levels.
         # The traversal skips the seeded leaf (already fully resolved).
-        # Rows whose own_leaf is -1 (non-members of this image) skip the
+        # Rows whose leaf is -1 (non-members of this image) skip the
         # seeding and resolve through the plain traversal.
-        if own_leaf is None:
-            own_leaf = flat.leaf_node_of[qid]
-        else:
-            own_leaf = np.asarray(own_leaf, dtype=np.int64)
+        own_leaf = leaf
         seeded = np.flatnonzero(own_leaf >= 0)
         if len(seeded):
-            _resolve_pairs(
-                seeded,
-                flat.leaf_start[own_leaf[seeded]], flat.leaf_size[own_leaf[seeded]],
-                flat.leaf_ids, points, qpts, qord, key_q, key_rows,
-                pair_fn, stats, best_d, best_id, radius,
-            )
+            resolve(seeded, own_leaf[seeded])
         # Queries densest within their own leaf still have an infinite
         # radius and would cascade through the whole upper tree; a second
         # hop over the leaf's (leaf-)siblings resolves almost all of them.
         need = np.flatnonzero(np.isinf(radius) & (own_leaf >= 0))
         if len(need):
             sib_parent = flat.parent[own_leaf[need]]
-            counts = flat.child_count[sib_parent]
-            sibling, _ = _expand_csr(flat.child_start[sib_parent], counts)
+            counts = child_count[sib_parent]
+            sibling, _ = _expand_csr(child_start[sib_parent], counts)
             sib_row = np.repeat(need, counts)
-            fresh = (flat.child_count[sibling] == 0) & (
-                sibling != own_leaf[sib_row]
-            )
-            _resolve_pairs(
-                sib_row[fresh],
-                flat.leaf_start[sibling[fresh]], flat.leaf_size[sibling[fresh]],
-                flat.leaf_ids, points, qpts, qord, key_q, key_rows,
-                pair_fn, stats, best_d, best_id, radius,
-            )
+            fresh = is_leaf[sibling] & (sibling != own_leaf[sib_row])
+            resolve(sib_row[fresh], sibling[fresh])
             # The traversal must not re-scan the leaf siblings resolved
             # here; remember the seeded parent per query.
             seeded_parent = np.full(m, -1, dtype=np.int64)
             seeded_parent[need] = sib_parent
 
-    pair_node = np.zeros(m, dtype=np.int64)  # everyone starts at the root
-    pair_row = np.arange(m, dtype=np.int64)
-    pair_dmin = np.zeros(m, dtype=np.float64)
-    while len(pair_node):
+    # Groups: members by their leaf, the others by the caller's key (offset
+    # past the node ids), within one density order.
+    key = leaf.copy()
+    if group is not None:
+        outside = np.flatnonzero(key < 0)
+        caller = np.asarray(group, dtype=np.int64)[qid[outside]]
+        key[outside] = np.where(caller >= 0, flat.n_nodes + caller, -1)
+    key = np.where(key >= 0, qord * (int(key.max()) + 1) + key, -1)
+    if is_leaf[0]:
+        key[:] = -1  # a one-leaf tree: nothing to group
+    s_row, members, g_start, g_size = _group_queries(key)
+    n_groups = len(g_size)
+    if n_groups:
+        # The group-box bounds need lo <= hi on every axis; groups meeting
+        # other boxes split into their members.
+        sound = np.all(lo <= hi, axis=1)
+        member_pts = _rows(qpts, members)
+        g_lo = np.minimum.reduceat(member_pts, g_start, axis=0)
+        g_hi = np.maximum.reduceat(member_pts, g_start, axis=0)
+        g_ord = qord[members[g_start]]
+        g_rho_lo = np.minimum.reduceat(rho_q[members], g_start)
+        g_rho_hi = np.maximum.reduceat(rho_q[members], g_start)
+        if prev is not None:
+            g_prev_lo = np.minimum.reduceat(prev[1][members], g_start)
+
+    def group_radius():
+        r = radius[members]
+        return np.minimum.reduceat(r, g_start), np.maximum.reduceat(r, g_start)
+
+    def members_of(gids):
+        sizes = g_size[gids]
+        pos, _ = _expand_csr(g_start[gids], sizes)
+        return members[pos], sizes
+
+    def node_dmin(rows, nodes):
+        if not distance_pruning:  # only Lemma 2 reads it
+            return np.zeros(len(rows), dtype=np.float64)
+        return mind_pairs(_rows(qpts, rows), _rows(lo, nodes), _rows(hi, nodes))
+
+    # Frontier: single (query, node) pairs as in the reference, and
+    # (group, node) pairs with bounds on their members' mindist to the node.
+    s_node = np.zeros(len(s_row), dtype=np.int64)  # everyone starts at the root
+    s_dmin = np.zeros(len(s_row), dtype=np.float64)
+    g_gid = np.arange(n_groups, dtype=np.int64)
+    g_node = np.zeros(n_groups, dtype=np.int64)
+    g_near = np.zeros(n_groups, dtype=np.float64)
+    g_far = np.zeros(n_groups, dtype=np.float64)
+    while len(s_node) or len(g_node):
+        if len(g_node):
+            # Lemma 2 on arrival, against the radii as they are now: a node
+            # is dropped when the members' nearest mindist exceeds every
+            # radius.  Without a carry-in the group splits unless their
+            # farthest is within every radius; a group reaching a leaf
+            # splits (each member orders its leaves by its own mindist).
+            keep = np.ones(len(g_node), dtype=bool)
+            split = is_leaf[g_node]
+            if distance_pruning:
+                r_lo, r_hi = group_radius()
+                keep = g_near <= r_hi[g_gid]
+                stats.nodes_pruned_distance += int(g_size[g_gid[~keep]].sum())
+                if exact:
+                    split |= g_far > r_lo[g_gid]
+                split &= keep
+            keep &= ~split
+            if split.any():
+                rows, sizes = members_of(g_gid[split])
+                nodes = np.repeat(g_node[split], sizes)
+                if not exact:
+                    # A carried-in group descends while any member needs
+                    # the node; here each checks Lemma 1 alone (without a
+                    # carry-in every member of a group passed it).
+                    ok = alive(rows, nodes, node_maxrho(qord, rows, nodes))
+                    rows, nodes = rows[ok], nodes[ok]
+                s_row = np.concatenate([s_row, rows])
+                s_node = np.concatenate([s_node, nodes])
+                s_dmin = np.concatenate([s_dmin, node_dmin(rows, nodes)])
+            g_gid, g_node = g_gid[keep], g_node[keep]
+            g_near, g_far = g_near[keep], g_far[keep]
         if distance_pruning:
             # Re-check on arrival: the radius may have tightened since the
             # pair was enqueued (Lemma 2, the reference's stale-entry check).
-            keep = pair_dmin <= radius[pair_row]
+            keep = s_dmin <= radius[s_row]
             stats.nodes_pruned_distance += int(len(keep) - keep.sum())
-            pair_node = pair_node[keep]
-            pair_row = pair_row[keep]
-            pair_dmin = pair_dmin[keep]
-            if len(pair_node) == 0:
-                break
-        stats.nodes_visited += len(pair_node)
-        is_leaf = flat.child_count[pair_node] == 0
-        if is_leaf.any():
-            leaf_node = pair_node[is_leaf]
-            leaf_row = pair_row[is_leaf]
-            leaf_dmin = pair_dmin[is_leaf]
+            s_row, s_node, s_dmin = s_row[keep], s_node[keep], s_dmin[keep]
+        if not (len(s_node) or len(g_node)):
+            break
+        stats.nodes_visited += len(s_node) + int(g_size[g_gid].sum())
+        at_leaf = is_leaf[s_node]
+        if at_leaf.any():
+            leaf_node = s_node[at_leaf]
+            leaf_row = s_row[at_leaf]
+            leaf_dmin = s_dmin[at_leaf]
             if own_leaf is not None:  # seeded leaves are already resolved
                 fresh = leaf_node != own_leaf[leaf_row]
                 if seeded_parent is not None:
@@ -1069,13 +1282,16 @@ def tree_delta_batched(
                 leaf_node = leaf_node[fresh]
                 leaf_row = leaf_row[fresh]
                 leaf_dmin = leaf_dmin[fresh]
-            if distance_pruning and len(leaf_node):
+            if distance_pruning and exact and len(leaf_node):
                 # Wave-based resolution emulates the reference's best-first
                 # ordering: each wave resolves every query's nearest
                 # still-unresolved leaf, then re-prunes its remaining leaves
                 # with the tightened radius.  A few waves kill almost all
                 # surviving pairs; the small remainder resolves in one go.
-                order = np.lexsort((leaf_dmin, leaf_row))
+                # (A carried-in radius is near-final already: no waves.)
+                # Equal mindists keep the reference frontier's order, which
+                # is node-id order (children follow their parents in BFS).
+                order = np.lexsort((leaf_node, leaf_dmin, leaf_row))
                 leaf_node = leaf_node[order]
                 leaf_row = leaf_row[order]
                 leaf_dmin = leaf_dmin[order]
@@ -1084,75 +1300,120 @@ def tree_delta_batched(
                         break
                     nearest = np.ones(len(leaf_row), dtype=bool)
                     nearest[1:] = leaf_row[1:] != leaf_row[:-1]
-                    _resolve_pairs(
-                        leaf_row[nearest],
-                        flat.leaf_start[leaf_node[nearest]],
-                        flat.leaf_size[leaf_node[nearest]],
-                        flat.leaf_ids, points, qpts, qord, key_q, key_rows,
-                        pair_fn, stats, best_d, best_id, radius,
-                    )
+                    resolve(leaf_row[nearest], leaf_node[nearest])
                     rest = ~nearest
                     keep = leaf_dmin[rest] <= radius[leaf_row[rest]]
                     stats.nodes_pruned_distance += int(len(keep) - keep.sum())
                     leaf_node = leaf_node[rest][keep]
                     leaf_row = leaf_row[rest][keep]
                     leaf_dmin = leaf_dmin[rest][keep]
-            _resolve_pairs(
-                leaf_row,
-                flat.leaf_start[leaf_node], flat.leaf_size[leaf_node],
-                flat.leaf_ids, points, qpts, qord, key_q, key_rows,
-                pair_fn, stats, best_d, best_id, radius,
-            )
-        pair_node, pair_row = pair_node[~is_leaf], pair_row[~is_leaf]
-        if len(pair_node) == 0:
-            break
+            resolve(leaf_row, leaf_node)
+            s_row, s_node = s_row[~at_leaf], s_node[~at_leaf]
+
         # Expand every pair to its children (contiguous ids by construction).
-        counts = flat.child_count[pair_node]
-        child_node, _ = _expand_csr(flat.child_start[pair_node], counts)
-        child_row = np.repeat(pair_row, counts)
-        if len(maxrho) == 1:  # single density order: skip the qord gather
-            child_maxrho = maxrho[0, child_node]
-        else:
-            child_maxrho = maxrho[qord[child_row], child_node]
-        child_rho = rho_q[child_row]
-        child_dmin = mind_pairs(
-            _rows(qpts, child_row), _rows(flat.lo, child_node),
-            _rows(flat.hi, child_node),
-        )
+        # All pruning of this level reads the radii as they are now; the
+        # maxdist bounds of surely-denser children apply after it.
+        sure_row, sure_dmax = [], []
+        split_row = split_node = None
+        if len(g_node):
+            counts = child_count[g_node]
+            c_node, _ = _expand_csr(child_start[g_node], counts)
+            c_gid = np.repeat(g_gid, counts)
+            c_maxrho = node_maxrho(g_ord, c_gid, c_node)
+            # Lemma 1 prunes the child for every member when its max ρ is
+            # below the group's smallest ρ (with a carry-in, also when all
+            # its points were denser than every member before).  The group
+            # stays whole when no member prunes it (with a carry-in: while
+            # any member needs it) and splits otherwise.  Lemma 2 waits for
+            # the arrival check: a child it prunes now, it prunes then (the
+            # radii only shrink), and either way once, as a distance prune.
+            drop = np.zeros(len(c_node), dtype=bool)
+            stay = np.ones(len(c_node), dtype=bool)
+            if density_pruning:
+                drop = c_maxrho < g_rho_lo[c_gid]
+                if exact:
+                    stay = c_maxrho >= g_rho_hi[c_gid]
+            if prev is not None:
+                drop |= prev_max[c_node] < g_prev_lo[c_gid]
+            stats.nodes_pruned_density += int(g_size[c_gid[drop]].sum())
+            split = ~(drop | stay)
+            if split.any():
+                split_row, msz = members_of(c_gid[split])
+                split_node = np.repeat(c_node[split], msz)
+            stay &= ~drop
+            c_gid, c_node, c_maxrho = c_gid[stay], c_node[stay], c_maxrho[stay]
+            near = far = np.zeros(len(c_node), dtype=np.float64)
+            if distance_pruning:
+                nlo, nhi = _rows(lo, c_node), _rows(hi, c_node)
+                glo, ghi = _rows(g_lo, c_gid), _rows(g_hi, c_gid)
+                ok = sound[c_node]
+                # Bounds on the members' mindist to the child, for its
+                # arrival check: at the group-box point nearest the node
+                # (per axis the box-to-box gap) and, without a carry-in, at
+                # the one farthest from it, gap-wise.  The box kernels are
+                # monotone in every per-axis gap and reach, also under
+                # rounding, so a value at a box point bounds every member's.
+                gap = np.maximum(np.maximum(nlo - ghi, glo - nhi), 0.0)
+                near = np.where(ok, _axis_bound(mind_pairs, gap), 0.0)
+            if distance_pruning and exact:
+                gap = np.maximum(np.maximum(nlo - glo, ghi - nhi), 0.0)
+                far = np.where(ok, _axis_bound(mind_pairs, gap), np.inf)
+                # A surely-denser child bounds the radius of its denser
+                # members by their maxdist, unless a lower bound of every
+                # member's maxdist (per axis the reach from the group box's
+                # side nearest the node's centre) reaches every radius: the
+                # bound would change nothing there.
+                some = np.flatnonzero(c_maxrho > g_rho_lo[c_gid])
+                reach = np.maximum(
+                    np.maximum(glo[some] - nlo[some], nhi[some] - ghi[some]), 0.0
+                )
+                some = some[
+                    _axis_bound(maxd_pairs, reach) < group_radius()[1][c_gid[some]]
+                ]
+                if len(some):
+                    rows, msz = members_of(c_gid[some])
+                    nodes = np.repeat(c_node[some], msz)
+                    sel = rho_q[rows] < np.repeat(c_maxrho[some], msz)
+                    rows, nodes = rows[sel], nodes[sel]
+                    sure_row.append(rows)
+                    sure_dmax.append(maxd_pairs(
+                        _rows(qpts, rows), _rows(lo, nodes), _rows(hi, nodes)
+                    ))
+            g_gid, g_node, g_near, g_far = c_gid, c_node, near, far
+
+        # Single pairs, and the members of split groups: today's step.
+        counts = child_count[s_node]
+        child_node, _ = _expand_csr(child_start[s_node], counts)
+        child_row = np.repeat(s_row, counts)
+        if split_row is not None:
+            child_node = np.concatenate([child_node, split_node])
+            child_row = np.concatenate([child_row, split_row])
+        child_maxrho = node_maxrho(qord, child_row, child_node)
         # Both lemmas evaluated on the full pair array, one filter pass
         # (cheap vector arithmetic beats repeated boolean gathers).
-        keep = None
-        if density_pruning:
-            alive = child_maxrho >= child_rho  # Lemma 1
-            stats.nodes_pruned_density += int(len(alive) - alive.sum())
-            keep = alive
+        keep = alive(child_row, child_node, child_maxrho)
+        child_dmin = node_dmin(child_row, child_node)
         if distance_pruning:
             ok = child_dmin <= radius[child_row]  # Lemma 2
-            if keep is None:
-                stats.nodes_pruned_distance += int(len(ok) - ok.sum())
-                keep = ok
-            else:
-                # Reference ordering: distance pruning only examines the
-                # density survivors.
-                stats.nodes_pruned_distance += int((keep & ~ok).sum())
-                keep &= ok
-        if keep is not None:
-            child_node = child_node[keep]
-            child_row = child_row[keep]
-            child_dmin = child_dmin[keep]
+            # Reference ordering: distance pruning only examines the
+            # density survivors.
+            stats.nodes_pruned_distance += int((keep & ~ok).sum())
+            keep &= ok
+        child_node = child_node[keep]
+        child_row = child_row[keep]
+        child_dmin = child_dmin[keep]
         if distance_pruning:
-            sure = child_maxrho[keep] > child_rho[keep] if keep is not None else (
-                child_maxrho > child_rho
-            )
+            sure = child_maxrho[keep] > rho_q[child_row]
             if sure.any():
-                sure_row = child_row[sure]
+                sure_row.append(child_row[sure])
                 sure_node = child_node[sure]
-                dmax = maxd_pairs(
-                    _rows(qpts, sure_row), _rows(flat.lo, sure_node),
-                    _rows(flat.hi, sure_node),
-                )
-                np.minimum.at(radius, sure_row, dmax)
-        pair_node, pair_row, pair_dmin = child_node, child_row, child_dmin
+                sure_dmax.append(maxd_pairs(
+                    _rows(qpts, child_row[sure]), _rows(lo, sure_node),
+                    _rows(hi, sure_node),
+                ))
+        for rows, dmax in zip(sure_row, sure_dmax):
+            np.minimum.at(radius, rows, dmax)
+        s_row, s_node, s_dmin = child_row, child_node, child_dmin
     return best_d, best_id
 
 

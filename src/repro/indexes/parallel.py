@@ -83,13 +83,17 @@ degradation trades throughput, never answers.  Deterministic (non-injected)
 errors raised by the kernels themselves — a metric rejecting its input, a
 ``ValueError`` — stay fail-fast with their original type and message.
 
-Every chunk result carries a CRC-32 computed in the worker *after* the
-kernels ran; the parent re-verifies it before accepting, so a payload
-corrupted in transit (shared memory, pickling) is retried instead of
-silently merged.  Retries, pool breaks and degradations are recorded on the
-:class:`ExecutionBackend` (:meth:`ExecutionBackend.health`), which the
-serving layer surfaces through ``ClusteringService.stats()``; a degraded
-backend stays on its rung until :meth:`ExecutionBackend.reset_degradation`.
+Every chunk result that crosses a process boundary carries a CRC-32
+computed in the worker *after* the kernels ran; the parent re-verifies it
+before accepting, so a payload corrupted in transit (shared memory,
+pickling) is retried instead of silently merged.  A result of the
+``serial`` and ``threads`` rungs never leaves the process, so it is
+checksummed only when an injected ``parallel.corrupt`` fault is about to
+flip one of its bytes.  Retries, pool breaks and degradations are recorded
+on the :class:`ExecutionBackend` (:meth:`ExecutionBackend.health`), which
+the serving layer surfaces through ``ClusteringService.stats()``; a
+degraded backend stays on its rung until
+:meth:`ExecutionBackend.reset_degradation`.
 """
 
 from __future__ import annotations
@@ -425,7 +429,7 @@ def _enact_payload_fault(payload) -> bool:
     The *parent* decides which chunks misbehave (so occurrence counting is
     deterministic, see :mod:`repro.faults`); the worker only enacts the
     marker.  Returns True when the result must be corrupted after its
-    checksum is computed.
+    checksum is computed (so a marked result is always checksummed).
     """
     marker = payload.get("_fault")
     if not marker:
@@ -472,11 +476,14 @@ def _corrupt_result(result: Dict[str, Any]) -> Dict[str, Any]:
     return corrupted
 
 
-def _run_with_stats(fn, arrays, meta, payload):
+def _run_with_stats(fn, arrays, meta, payload, checksum: bool = False):
+    """Run one chunk: ``(result, counter deltas, crc)``.  ``crc`` is
+    ``None`` unless the result crosses a process boundary (``checksum``) or
+    an injected fault is about to corrupt it."""
     corrupt = _enact_payload_fault(payload)
     stats = IndexStats()
     result = fn(arrays, meta, payload, stats)
-    crc = _result_checksum(result)
+    crc = _result_checksum(result) if checksum or corrupt else None
     if corrupt:
         result = _corrupt_result(result)
     return result, stats.as_dict(), crc
@@ -487,13 +494,14 @@ def _worker_exec(fn, handles, meta, payload):
     arrays: Dict[str, np.ndarray] = {}
     for handle in handles:
         arrays.update(attach_pack_views(handle))
-    return _run_with_stats(fn, arrays, meta, payload)
+    return _run_with_stats(fn, arrays, meta, payload, checksum=True)
 
 
 def _accept_chunk(triple) -> Tuple[dict, Dict[str, int]]:
-    """Verify a chunk's integrity checksum before its result is merged."""
+    """Verify a chunk's integrity checksum (when it carries one) before its
+    result is merged."""
     result, stats_delta, crc = triple
-    if _result_checksum(result) != crc:
+    if crc is not None and _result_checksum(result) != crc:
         raise ChunkIntegrityError(
             "worker chunk result failed its integrity checksum "
             "(payload corrupted in transit)"

@@ -23,9 +23,12 @@ nodes expose a bounding box, a child list / leaf id array, an object count
   with ``dmin`` beyond the candidate δ).  The default ``frontier="batched"``
   runs it through the frontier-batched engine of
   :func:`repro.indexes.kernels.tree_delta_batched` — whole blocks of
-  unresolved query points advance through the tree per Python step, and a
-  multi-``dc`` sweep (``delta_all_multi``) shares one maxrho annotation and
-  one traversal schedule across all of its density orders;
+  unresolved query points advance through the tree per Python step, the
+  queries of one leaf as a group while the group's bounds decide a node for
+  all of them (each point still meets every node with its per-point
+  decisions), and a multi-``dc`` sweep (``delta_all_multi``) shares one
+  maxrho annotation and one traversal schedule across all of its density
+  orders;
 * the exact repair of an answer after points were appended
   (``quantities_after_append``), which reruns both engines only for what
   the new points can change.
@@ -512,10 +515,14 @@ class TreeIndexBase(DPCIndex):
           the index image); new points take one pass of the index image.
         * δ of an old point whose previous μ is still denser — its new
           answer is the lexicographic minimum of ``(δ_prev, μ_prev)`` and
-          the nearest denser *changed* point (new, or old with a higher ρ).
-          A denser point that did not change was denser before too, and
-          μ_prev was the nearest of those.  One engine call over an image
-          of the changed points, ``(δ_prev, μ_prev)`` carried in.
+          the nearest point that *overtook* it: new, or old and denser now
+          but not before.  μ_prev was the nearest of the points denser
+          before, at unchanged distances, and an old point that overtook
+          had its ρ rise.  One engine call over an image of the changed
+          points (new, or old with a higher ρ), ``(δ_prev, μ_prev)``
+          carried in; the previous order skips every candidate that was
+          denser before, and the old points travel in groups by their leaf
+          of the index image.
         * δ of every other non-peak (new points, old points whose μ fell
           behind, former peaks) — one search of the index image; peaks —
           :func:`~repro.indexes.kernels.peak_delta_sweep`.
@@ -582,9 +589,15 @@ class TreeIndexBase(DPCIndex):
         kept = np.flatnonzero(
             (prev.mu != NO_NEIGHBOR) & (key[prev.mu] < key[:n_prev])
         )
+        # μ_prev is the nearest of the points that were denser before, so
+        # only a new point, or an old one that was not denser before, can
+        # beat it: the previous order, new points last.
+        prev_key = np.full(n, np.inf)
+        prev_key[:n_prev] = density_order_key(prev.density_order)
         delta[kept], mu[kept] = search(
             image, kept, own_leaf=np.full(len(kept), -1, dtype=np.int64),
-            carry=(prev.delta[kept], prev.mu[kept]),
+            group=self._flat_tree().leaf_node_of,
+            carry=(prev.delta[kept], prev.mu[kept]), prev_key=prev_key,
         )
         todo[kept] = False
         rest = np.flatnonzero(todo)

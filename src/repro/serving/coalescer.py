@@ -95,9 +95,9 @@ class ServeRequest:
     #: ``obs.trace.use_span`` at dispatch.
     span: Any = field(default=None, init=False, repr=False)
     #: Set once the request was handed to the replicated executor: its
-    #: future is now owned by the worker pool (resolved from the supervisor
-    #: thread), so the dispatcher's end-of-cycle safety net must not fail
-    #: it as "unresolved".
+    #: future is now owned by the worker pool (resolved from a thread the
+    #: pool's completion callback starts), so the dispatcher's end-of-cycle
+    #: safety net must not fail it as "unresolved".
     detached: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -559,16 +559,25 @@ class RequestCoalescer:
         finish_spans: Any,
         pool_future: Future,
     ) -> None:
-        """Completion of a pool-dispatched group (pool supervisor thread)."""
+        """Completion of a pool-dispatched group (pool supervisor thread).
+
+        This callback runs on the pool's supervisor thread, which must stay
+        responsive to heartbeats, so whatever work is left runs on a
+        short-lived thread: the ``cluster`` tail (centre selection,
+        assignment, a halo on request) as well as an in-process recompute.
+        """
         exc = pool_future.exception()
         if exc is None:
             finish_spans()
-            self._complete_group(group, dcs, pool_future.result())
+            threading.Thread(
+                target=self._complete_group,
+                args=(group, dcs, pool_future.result()),
+                name="repro-serve-tail",
+                daemon=True,
+            ).start()
             return
         if isinstance(exc, (WorkerPoolUnavailableError, WorkerBatchError)):
-            # Degrade: recompute in-process, on a short-lived thread — this
-            # callback runs on the pool's supervisor thread, which must stay
-            # responsive to heartbeats while the engine call runs.
+            # Degrade: recompute in-process, on a short-lived thread.
             self._note_fallback()
             threading.Thread(
                 target=self._run_group_inline,

@@ -1,24 +1,31 @@
 """Tree δ kernel vs the kept reference: bit identity, carried answers, streams.
 
-``repro.indexes.kernels.tree_delta_batched`` accepts a carried-in
-``(best_d, best_id)`` per query and starts its search with that radius; the
-append repair uses it to search an image of the points that changed with
-each old point's previous answer.  The contracts checked here:
+``repro.indexes.kernels.tree_delta_batched`` moves its queries as groups
+(the members of one leaf, and non-members by a caller's key) and accepts a
+carried-in ``(best_d, best_id)`` per query, starting its search with that
+radius; the append repair uses it to search an image of the points that
+changed with each old point's previous answer, grouped by the point's leaf
+of the index image and skipping the candidates that were denser before.
+The contracts checked here:
 
 * without a carry-in, δ, μ *and* every
-  :class:`~repro.indexes.base.IndexStats` counter equal the kernel kept in
-  ``tests/tree_delta_reference.py``;
+  :class:`~repro.indexes.base.IndexStats` counter equal the per-query
+  kernel kept in ``tests/tree_delta_reference.py``, whatever the grouping
+  (own leaf, random caller keys, one group of every query, all singles) and
+  however an execution backend chunks the queries;
 * with one, δ and μ equal the reference's answer merged with the carried
   one by ``merge_delta_candidates`` (lexicographic ``(distance, id)``);
-* a random ``StreamingDPC`` stream equals a fresh fit after every batch,
-  and every answer after the first per cut-off comes from the exact repair
+* a random ``StreamingDPC`` stream, and a tie-heavy one (lattice points
+  and duplicates), equals a fresh fit after every batch, and every answer
+  after the first per cut-off comes from the exact repair
   (``quantities_after_append``), not from a full run.
 
-Axes: every tree family × every rect-bounds metric × both tie-breaks, on
-corpora with duplicate points (δ ties at distance 0) and lattice points (ρ
-ties), several density orders in one call (multi-order ``qord``) and rows
-with ``own_leaf = -1`` (queries that are not members of the image: images
-over point subsets, built with ``_image_over`` as the repair builds them).
+Axes: every tree family × every rect-bounds metric × both tie-breaks ×
+both pruning knobs, on corpora with duplicate points (δ ties at distance 0)
+and lattice points (ρ ties), several density orders in one call
+(multi-order ``qord``) and rows with ``own_leaf = -1`` (queries that are not
+members of the image: images over point subsets, built with
+``_image_over`` as the repair builds them).
 """
 
 import numpy as np
@@ -104,19 +111,55 @@ def images(family, metric, points):
     ]
 
 
-def run_both(image, index, args, own_leaf, pruning, carry=None):
+def run_reference(image, index, args, own_leaf, pruning):
     rho_rows, key_rows, qid, qord = args
-    metric = get_metric(index.metric)
-    s_ref, s_new = IndexStats(), IndexStats()
+    stats = IndexStats()
     ref = reference_tree_delta(
-        image, index.points, qid, qord, rho_rows, key_rows, metric, s_ref,
-        *pruning, own_leaf=own_leaf,
+        image, index.points, qid, qord, rho_rows, key_rows,
+        get_metric(index.metric), stats, *pruning, own_leaf=own_leaf,
     )
+    return ref, stats
+
+
+def run_kernel(image, index, args, own_leaf, pruning, carry=None, group=None):
+    rho_rows, key_rows, qid, qord = args
+    stats = IndexStats()
     got = tree_delta_batched(
-        image, index.points, qid, qord, rho_rows, key_rows, metric, s_new,
-        *pruning, own_leaf=own_leaf, carry=carry,
+        image, index.points, qid, qord, rho_rows, key_rows,
+        get_metric(index.metric), stats, *pruning, own_leaf=own_leaf,
+        carry=carry, group=group,
     )
-    return ref, got, s_ref, s_new
+    return got, stats
+
+
+def one_order(args):
+    """The queries of the first density order alone."""
+    rho_rows, key_rows, qid, qord = args
+    first = qord == 0
+    return rho_rows, key_rows, qid[first], qord[first]
+
+
+def groupings(image, ids, args, n, rng):
+    """``(name, args, own_leaf, group)``: the kernel's ways of grouping the
+    queries.  Members by their own leaf (``None``: looked up in the image),
+    non-members single or by random caller keys; every query in one group
+    (per density order: groups never span orders, so also over one order
+    alone); and every query single."""
+    qid = args[2]
+    own = own_leaves(image, ids, qid, rng)
+    first = one_order(args)
+    alone = np.full(len(qid), -1, dtype=np.int64)
+    one_key = np.zeros(n, dtype=np.int64)
+    cases = [
+        ("own-leaf", args, own, None),
+        ("caller-keys", args, own, rng.integers(0, 3, size=n)),
+        ("one-group-per-order", args, alone, one_key),
+        ("one-group", first, np.full(len(first[2]), -1, dtype=np.int64), one_key),
+        ("singles", args, alone, None),
+    ]
+    if len(ids) == n:  # the default lookup needs every query to be a member
+        cases.append(("default", args, None, None))
+    return cases
 
 
 @pytest.mark.parametrize("pruning", PRUNING, ids=str)
@@ -128,15 +171,55 @@ def test_matches_reference_without_carry(family, metric, tie_break, pruning):
     rng = np.random.default_rng(1)
     for name, image, ids, index in images(family, metric, points):
         args = sweep_queries(index, metric, tie_break)
-        qid = args[2]
-        for own_leaf in (None, own_leaves(image, ids, qid, rng)):
-            if own_leaf is None and name != "fit":
-                continue  # the default lookup needs every query to be a member
-            ref, got, s_ref, s_new = run_both(image, index, args, own_leaf, pruning)
-            where = f"{family}/{metric}/{tie_break}/{pruning}/{name}"
+        refs = {}  # the reference does not group: one run per query set
+        for grouping, q_args, own_leaf, group in groupings(
+            image, ids, args, index.n, rng
+        ):
+            key = (id(q_args), None if own_leaf is None else own_leaf.tobytes())
+            if key not in refs:
+                refs[key] = run_reference(image, index, q_args, own_leaf, pruning)
+            ref, s_ref = refs[key]
+            got, s_new = run_kernel(
+                image, index, q_args, own_leaf, pruning, group=group
+            )
+            where = f"{family}/{metric}/{tie_break}/{pruning}/{name}/{grouping}"
             np.testing.assert_array_equal(got[0], ref[0], err_msg=f"delta {where}")
             np.testing.assert_array_equal(got[1], ref[1], err_msg=f"mu {where}")
             assert s_new.as_dict() == s_ref.as_dict(), where
+
+
+CHUNK_METRICS = ("euclidean", "manhattan", "chebyshev")
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("metric", CHUNK_METRICS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_chunks_that_split_groups_keep_every_counter(family, metric, tie_break):
+    """Chunks of 3 and 11 queries cut the leaves' groups apart: each chunk
+    groups its own share of a leaf, and every counter still equals the
+    serial run's (a multi-cut-off sweep, so three density orders)."""
+    points = corpus(9)
+    dcs = cutoffs(metric)
+    spec = dict(FAMILIES[family], metric=metric)
+    serial = make_index(family, **spec).fit(points)
+    want = serial.quantities_multi(dcs, tie_break)
+    want_stats = serial.stats().as_dict()
+    for chunk in (3, 11):
+        threaded = make_index(
+            family, backend="threads", n_jobs=2, chunk_size=chunk, **spec
+        ).fit(points)
+        try:
+            got = threaded.quantities_multi(dcs, tie_break)
+            got_stats = threaded.stats().as_dict()
+        finally:
+            threaded.release_execution()
+        for a, b in zip(got, want):
+            for field in ("rho", "delta", "mu"):
+                np.testing.assert_array_equal(
+                    getattr(a, field), getattr(b, field),
+                    err_msg=f"{field} chunk={chunk}",
+                )
+        assert got_stats == want_stats, f"chunk={chunk}"
 
 
 def carried_answers(ref_d, ref_mu, n, rng):
@@ -170,17 +253,34 @@ def test_carry_matches_merged_reference(family, metric, tie_break):
         args = sweep_queries(index, metric, tie_break)
         own_leaf = own_leaves(image, ids, args[2], rng)
         for pruning in PRUNING:
-            ref, _, _, _ = run_both(image, index, args, own_leaf, pruning)
+            ref, _ = run_reference(image, index, args, own_leaf, pruning)
             carry = carried_answers(ref[0], ref[1], index.n, rng)
             kept = (carry[0].copy(), carry[1].copy())
-            _, got, _, _ = run_both(image, index, args, own_leaf, pruning, carry)
             want = merge_delta_candidates(ref[0], ref[1], *carry)
-            where = f"{family}/{metric}/{tie_break}/{pruning}/{name}"
-            np.testing.assert_array_equal(got[0], want[0], err_msg=f"delta {where}")
-            np.testing.assert_array_equal(got[1], want[1], err_msg=f"mu {where}")
-            # The carried arrays are inputs, not outputs.
-            np.testing.assert_array_equal(carry[0], kept[0])
-            np.testing.assert_array_equal(carry[1], kept[1])
+            # Carried-in groups descend until every member prunes a node:
+            # non-members single, and grouped by random caller keys.
+            for group in (None, rng.integers(0, 3, size=index.n)):
+                got, _ = run_kernel(
+                    image, index, args, own_leaf, pruning, carry, group
+                )
+                where = f"{family}/{metric}/{tie_break}/{pruning}/{name}"
+                where += "/grouped" if group is not None else ""
+                np.testing.assert_array_equal(got[0], want[0], err_msg=f"delta {where}")
+                np.testing.assert_array_equal(got[1], want[1], err_msg=f"mu {where}")
+                # The carried arrays are inputs, not outputs.
+                np.testing.assert_array_equal(carry[0], kept[0])
+                np.testing.assert_array_equal(carry[1], kept[1])
+
+
+def test_previous_order_needs_a_carry():
+    index = make_index("kdtree", leaf_size=4).fit(corpus(3))
+    rho_rows, key_rows, qid, qord = sweep_queries(index, "euclidean", "id")
+    with pytest.raises(ValueError, match="carried-in"):
+        tree_delta_batched(
+            index._flat_tree(), index.points, qid, qord, rho_rows, key_rows,
+            get_metric("euclidean"), IndexStats(),
+            prev_key=np.zeros(index.n),
+        )
 
 
 def test_carry_on_empty_query_set_passes_through():
@@ -285,6 +385,38 @@ def test_stream_equals_fresh_fit_after_every_batch(config, metric, tie_break):
         lambda: make_index(family, metric=metric, **spec), tie_break,
     )
     # Only first answers ran in full; every other answer was a repair.
+    assert len(full_runs) == n_first < n_asks
+
+
+def tie_heavy_points(seed: int) -> "list[np.ndarray]":
+    """Lattice arrivals, many repeating an earlier point: ρ ties everywhere
+    (strict orders rank whole plateaus equal) and δ ties at distance 0."""
+    r = np.random.default_rng(seed)
+    pts = [r.integers(-3, 4, size=(30, 2)).astype(np.float64)]
+    for _ in range(10):
+        k = int(r.integers(1, 16))
+        new = r.integers(-3, 4, size=(k, 2)).astype(np.float64)
+        seen = np.concatenate(pts)
+        dup = r.random(k) < 0.4
+        new[dup] = seen[r.integers(0, len(seen), size=int(dup.sum()))]
+        new[r.random(k) < 0.2] += 0.5
+        pts.append(new)
+    return pts
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("config", sorted(REPAIRED))
+def test_tie_heavy_stream_equals_fresh_fit_after_every_batch(config, tie_break):
+    """The repair skips every candidate that was denser than the query in
+    the previous order: on a lattice, points that tied before and overtook
+    now must still be found."""
+    family, spec = REPAIRED[config]
+    factory, full_runs = spied_factory(family, "euclidean", **spec)
+    stream = StreamingDPC(index_factory=factory)
+    n_asks, n_first = drive(
+        stream, tie_heavy_points(51 + sorted(REPAIRED).index(config)),
+        lambda i: (1.1, 2.3), lambda: make_index(family, **spec), tie_break,
+    )
     assert len(full_runs) == n_first < n_asks
 
 

@@ -11,7 +11,10 @@ import os
 import numpy as np
 import pytest
 
+from repro import faults
+from repro.faults import FaultPlan, FaultSpec
 from repro.geometry.distance import Metric, get_metric
+from repro.indexes import parallel
 from repro.indexes.kdtree import KDTreeIndex
 from repro.indexes.list_index import ListIndex
 from repro.indexes.parallel import (
@@ -185,6 +188,71 @@ class TestMetricToken:
         kind, value = metric_token(custom)
         assert kind == "obj"
         assert metric_from_token((kind, value)) is custom
+
+
+# -- chunk checksums ------------------------------------------------------------
+
+
+class TestChunkChecksums:
+    """A chunk result is checksummed only where it can be corrupted: when it
+    crosses a process boundary, or when an injected fault is about to flip
+    one of its bytes."""
+
+    @pytest.fixture
+    def checksums(self, monkeypatch):
+        seen = []
+        real = parallel._result_checksum
+
+        def spy(result):
+            seen.append(sorted(result))
+            return real(result)
+
+        monkeypatch.setattr(parallel, "_result_checksum", spy)
+        return seen
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("cls", [KDTreeIndex, ListIndex])
+    def test_in_process_cluster_multi_computes_no_checksum(
+        self, rng, checksums, cls, backend
+    ):
+        index = cls(backend=backend, n_jobs=2, chunk_size=40).fit(
+            rng.normal(size=(160, 2))
+        )
+        try:
+            results = index.cluster_multi([0.3, 0.6, 1.2], n_centers=3)
+        finally:
+            index.release_execution()
+        assert len(results) == 3
+        assert checksums == []
+
+    def test_a_corrupted_chunk_is_checksummed_and_retried(self, rng, checksums):
+        points = rng.normal(size=(120, 2))
+        want = KDTreeIndex().fit(points).quantities(0.5)
+        index = KDTreeIndex(backend="threads", n_jobs=2, chunk_size=30).fit(points)
+        plan = FaultPlan([FaultSpec("parallel.corrupt", mode="corrupt", times=1)])
+        try:
+            with faults.inject(plan):
+                got = index.quantities(0.5)
+            health = index.execution_health()
+        finally:
+            index.release_execution()
+        for field in ("rho", "delta", "mu"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        # Computed before the flip, re-computed on acceptance: a mismatch.
+        assert len(checksums) == 2
+        assert health["retries"] == 1
+
+    def test_process_results_are_verified_in_the_parent(self, rng, checksums):
+        index = KDTreeIndex(backend="process", n_jobs=2, chunk_size=30).fit(
+            rng.normal(size=(120, 2))
+        )
+        try:
+            index.rho_all(0.5)
+        finally:
+            index.release_execution()
+        # The workers' own checksums run in their processes; the parent
+        # re-verifies every chunk it accepts.
+        assert len(checksums) == 4
 
 
 # -- worker failure propagation + leak-free cleanup ---------------------------

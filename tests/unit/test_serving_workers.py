@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -19,6 +20,7 @@ import repro
 from repro.core.quantities import TieBreak
 from repro.indexes.parallel import SHM_PREFIX
 from repro.indexes.registry import make_index
+from repro.serving.coalescer import RequestCoalescer, ServeRequest
 from repro.serving.errors import WorkerPoolUnavailableError
 from repro.serving.snapshots import SnapshotStore
 from repro.serving.workers import WorkerPool
@@ -208,6 +210,42 @@ class TestFailoverMechanics:
             assert pool.health()["state"] == "degraded"
             pool.reset_degradation()
             assert pool.degraded is None
+
+    def test_slow_cluster_tail_leaves_the_supervisor_free(self, store):
+        """The ``cluster`` tail of a pool-answered group (centre selection,
+        assignment, a halo on request) runs off the supervisor thread: a
+        tail held far past the liveness timeout kills no healthy worker,
+        and a request sent meanwhile is answered before the tail returns."""
+        points = small_corpus()
+        snapshot = store.fit("main", points, index="kdtree")
+        dc, other_dc = safe_dc(points, 0.3), safe_dc(points, 0.5)
+        started, release = threading.Event(), threading.Event()
+        real = snapshot.index.cluster_from_quantities
+
+        def slow_tail(*args, **kwargs):
+            started.set()
+            release.wait(timeout=30.0)
+            return real(*args, **kwargs)
+
+        snapshot.index.cluster_from_quantities = slow_tail
+        with WorkerPool(
+            store, workers=2, heartbeat_s=0.05, liveness_timeout_s=0.3
+        ) as pool, RequestCoalescer(linger_ms=0.0, executor=pool.submit) as coalescer:
+            slow = coalescer.submit(ServeRequest(snapshot, "cluster", dc, n_centers=2))
+            try:
+                assert started.wait(timeout=30.0), "the tail never started"
+                quick = coalescer.submit(ServeRequest(snapshot, "quantities", other_dc))
+                value, _meta = quick.result(timeout=10.0)
+                assert not slow.done()
+                want = make_index("kdtree").fit(points).quantities(other_dc)
+                np.testing.assert_array_equal(value.delta, want.delta)
+                time.sleep(4 * pool.liveness_timeout_s)  # heartbeats keep landing
+                assert not slow.done()
+            finally:
+                release.set()
+            clustered, _meta = slow.result(timeout=30.0)
+            assert len(clustered.labels) == len(points)
+            assert pool.stats_snapshot()["worker_deaths"] == 0
 
     def test_worker_exits_on_sigterm_under_a_parent_handler(self, store):
         """``cmd_serve`` installs a Python SIGTERM handler before it forks
