@@ -40,9 +40,12 @@ from repro.obs.export import parse_prometheus  # noqa: E402
 from repro.obs.provenance import append_record  # noqa: E402
 
 
-def shard_segments():
+def shard_segments(pid):
+    """The live shared-memory segments process ``pid`` published (a segment
+    is named after its publisher; the server's workers only attach)."""
+    prefix = f"{SHM_PREFIX}_{pid}_"
     try:
-        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(SHM_PREFIX))
+        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(prefix))
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return []
 
@@ -100,7 +103,6 @@ def main() -> int:
         for dc, q in zip(dcs, make_index("ch").fit(points).quantities_multi(dcs))
     }
 
-    shm_before = set(shard_segments())
     workdir = tempfile.mkdtemp(prefix="repro-failover-")
     csv_path = os.path.join(workdir, "points.csv")
     np.savetxt(csv_path, points, delimiter=",")
@@ -249,7 +251,7 @@ def main() -> int:
             f"drain was not clean: exit {returncode}\n" + "".join(tail)
         )
 
-        leaked = sorted(set(shard_segments()) - shm_before)
+        leaked = shard_segments(server.pid)
         assert not leaked, f"serving images leaked into /dev/shm: {leaked}"
 
         print(

@@ -1,10 +1,25 @@
-"""Legacy shim so `pip install -e .` works in offline environments.
+"""Package metadata: the ``repro`` package under ``src/``.
 
-The canonical metadata lives in pyproject.toml; this file only enables the
-setup.py-develop editable path on systems without the `wheel` package
-(pip falls back automatically, or pass --no-use-pep517).
+This file is the only place the metadata lives (there is no
+pyproject.toml).  ``pip install -e .`` builds an editable wheel, which
+needs the ``wheel`` package (or setuptools >= 70.1); without it,
+``python setup.py develop --no-deps`` installs the same editable link
+offline.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+
+setup(
+    name="repro",
+    version=re.search(r'__version__ = "([^"]+)"', _INIT.read_text()).group(1),
+    description="Index-based density peak clustering (ICDE 2021 reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -12,9 +12,9 @@ Named fault points
 ------------------
 ==========================  ====================================================
 ``parallel.worker``         a worker chunk crashes (``mode="kill"``: the
-                            process dies with ``os._exit`` under the process
-                            backend, a typed :class:`WorkerCrashError` under
-                            threads/serial)
+                            worker process dies with ``os._exit`` under the
+                            process backend, a typed :class:`WorkerCrashError`
+                            under threads/serial)
 ``parallel.slow``           a worker chunk stalls for ``delay_s`` before
                             computing (straggler simulation; the result is
                             still correct)
@@ -54,9 +54,12 @@ same faults at the same occurrences — which is what lets the chaos property
 suite (``tests/properties/test_prop_faults.py``) assert *exact* outcomes
 under injected failures.
 
-All decisions are made in the **parent** process (fault markers ride into
-workers inside task payloads), so occurrence counting never depends on
-worker scheduling.
+All decisions are made in the **parent** process, so occurrence counting
+never depends on worker scheduling.  A point that misbehaves *inside* a job
+(``parallel.worker``, ``parallel.slow``, ``parallel.corrupt``,
+``serving.worker.kill``, ``serving.worker.hang``) becomes a :func:`marker`
+that rides with the job, and :func:`enact` is the one place any job obeys
+one — in a worker process or in-process alike.
 
 Usage::
 
@@ -75,6 +78,7 @@ read), so production code paths keep their cost.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
@@ -91,8 +95,10 @@ __all__ = [
     "active_plan",
     "clear",
     "decide",
+    "enact",
     "inject",
     "install",
+    "marker",
     "trip",
 ]
 
@@ -101,6 +107,9 @@ __all__ = [
 #: the site, which owns the mechanics (process exit, payload bit-flip, a
 #: wedged worker sleeping through its batch deadline).
 FAULT_MODES = ("raise", "sleep", "kill", "corrupt", "hang")
+
+#: Exit status of a worker process that obeyed a ``kill`` marker.
+_KILLED_EXIT_STATUS = 13
 
 
 class InjectedFault(RuntimeError):
@@ -270,3 +279,30 @@ def trip(point: str) -> Optional[FaultSpec]:
             f"injected fault at {point}" + (f": {spec.message}" if spec.message else "")
         )
     return spec
+
+
+def marker(point: str) -> Optional[Tuple[str, str, float]]:
+    """Decide one activation of a point that misbehaves inside a job: the
+    marker the job carries to wherever it runs (:func:`enact`), or None."""
+    spec = decide(point)
+    return None if spec is None else (point, spec.mode, spec.delay_s)
+
+
+def enact(job_marker: Optional[Tuple[str, str, float]], in_worker: bool) -> bool:
+    """Obey a job's fault marker before the job runs: ``sleep``/``hang``
+    stall ``delay_s``, ``raise`` raises :class:`InjectedFault`, ``kill``
+    ends a worker process (``in_worker``) or raises
+    :class:`WorkerCrashError` in-process.  True for ``corrupt``: the caller
+    flips a byte of the result after taking its checksum."""
+    if not job_marker:
+        return False
+    point, mode, delay_s = job_marker
+    if mode in ("sleep", "hang"):
+        time.sleep(delay_s)
+    elif mode == "kill" and in_worker:
+        os._exit(_KILLED_EXIT_STATUS)
+    elif mode == "kill":
+        raise WorkerCrashError(f"injected worker crash ({point})")
+    elif mode == "raise":
+        raise InjectedFault(f"injected worker fault ({point})")
+    return mode == "corrupt"

@@ -599,7 +599,7 @@ class DPCIndex(abc.ABC):
 
         ``None`` until a query first resolves the backend; afterwards the
         :meth:`~repro.indexes.parallel.ExecutionBackend.health` dict —
-        configured vs effective rung, retry/pool-break/degradation counts
+        configured vs effective rung, retry/worker-death/degradation counts
         and the last infrastructure error.  The serving layer folds this
         into per-snapshot health states.
         """

@@ -2,13 +2,12 @@
 
 Parallel execution
 ------------------
-PR 1 and PR 2 rewrote every per-object query loop onto the batched kernel
-layer (:mod:`repro.indexes.kernels`); this module shards those kernels over
-*query chunks* and runs the chunks on worker pools.  The work is exactly the
-shape the parallel-DPC literature exploits ("Faster Parallel Exact Density
-Peaks Clustering", Huang / Yu / Shun): every query's ρ count and δ search is
-independent of every other query's, so a chunk of queries is an embarrassingly
-parallel task over the frozen index image.
+This module shards the batched kernels (:mod:`repro.indexes.kernels`) over
+*query chunks* and runs the chunks on workers, the shape the parallel-DPC
+literature exploits ("Faster Parallel Exact Density Peaks Clustering",
+Huang / Yu / Shun): every query's ρ count and δ search is independent of
+every other query's, so a chunk is an embarrassingly parallel task over the
+frozen index image.
 
 Three backends share one chunk-planning code path (:func:`plan_chunks`):
 
@@ -17,14 +16,15 @@ Three backends share one chunk-planning code path (:func:`plan_chunks`):
 * ``"threads"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; useful
   for kernel sections that release the GIL (BLAS/einsum reductions) and for
   exercising the chunked path without process machinery.
-* ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor` over
-  **shared-memory** views of the index image: the point array, the FlatTree
-  structure-of-arrays image, the grid CSR arrays, or the N-List rows are
-  published once per fit into :class:`multiprocessing.shared_memory` segments
-  (:class:`ShmPack`), and workers attach by name — no index is ever pickled
-  per task.  Per-run inputs (density rows, order keys, ``maxrho``
-  annotations) travel through a second, ephemeral pack that is unlinked the
-  moment the run's futures settle.
+* ``"process"`` — the forked workers of :class:`repro.supervisor.Supervisor`
+  (which the serving tier's workers run on too; imported only when this
+  rung first runs), each chunk one job with one attempt and no deadline —
+  a chunk's run time grows with n, and heartbeats give liveness.  Workers
+  attach **shared-memory** views of the index image by name: the point
+  array, the FlatTree structure-of-arrays image, the grid CSR arrays or
+  the N-List rows are published once per fit (:class:`ShmPack`), per-run
+  inputs (density rows, order keys, ``maxrho``) through an ephemeral pack
+  unlinked the moment the run's jobs settle.  No index is ever pickled.
 
 Backend selection hangs off every index: ``DPCIndex(...,
 backend="process", n_jobs=4, chunk_size=2048)`` or, after construction,
@@ -50,50 +50,33 @@ included.  Three properties make this hold:
   (:func:`repro.indexes.kernels.scan_first_denser`) — so per-query counter
   contributions do not depend on which rows share a batch.
 
-Workers accumulate probe counters into a private
-:class:`~repro.indexes.base.IndexStats` and return the deltas; the parent
-folds them into the index's counters.  Counter totals are integer sums, so
-merge order is irrelevant and the seed counter semantics survive sharding.
+Workers return their probe-counter deltas; the parent folds them into the
+index's counters (integer sums: merge order is irrelevant).
 
-Failure / cleanup contract
---------------------------
-An exception raised inside a worker chunk (e.g. a metric that rejects its
-input) is re-raised in the parent with its original type and message;
-in-flight chunks are awaited first, and ephemeral shared-memory segments
-are unlinked in a ``finally`` block, so a failed run leaks nothing.
-Fit-time packs live until the index is re-fitted (``fit`` invalidates
-shard plans and unlinks the pack — stale images can never serve a new
-dataset), explicitly released (``index.release_execution()``), or
-garbage-collected (a ``weakref.finalize`` guard unlinks the segment even
-on abandoned indexes).
+Failure, cleanup and fault tolerance
+------------------------------------
+A kernel's own error (a metric rejecting its input, a ``ValueError``) is
+re-raised in the parent with its original type and message once the
+run's in-flight chunks settled.  Ephemeral packs are unlinked in a
+``finally``; a fit pack lives until a re-fit, ``index.release_execution()``
+or garbage collection (a ``weakref.finalize`` guard), and workers exit on
+their own when their owner dies, even by SIGKILL.
 
-Fault tolerance
----------------
-*Infrastructure* failures — a worker process dying
-(:class:`~concurrent.futures.BrokenExecutor`), a shared-memory segment
-vanishing mid-run (``FileNotFoundError`` on attach), a chunk result failing
-its integrity checksum (:class:`ChunkIntegrityError`), or an injected chaos
-fault (:class:`~repro.faults.InjectedFault`) — are **retryable**: the
-failed chunks (only those) are re-executed with jittered exponential
-backoff, and after ``max_retries`` exhausted rounds the run *degrades* one
-rung down the ladder ``process → threads → serial`` and continues there.
-Because every chunk is a pure function of the frozen index image, a chunk
-recomputed on any rung returns bit-identical results and probe counters —
-degradation trades throughput, never answers.  Deterministic (non-injected)
-errors raised by the kernels themselves — a metric rejecting its input, a
-``ValueError`` — stay fail-fast with their original type and message.
-
-Every chunk result that crosses a process boundary carries a CRC-32
-computed in the worker *after* the kernels ran; the parent re-verifies it
-before accepting, so a payload corrupted in transit (shared memory,
-pickling) is retried instead of silently merged.  A result of the
-``serial`` and ``threads`` rungs never leaves the process, so it is
+*Infrastructure* failures — a worker lost mid-job
+(:class:`~repro.supervisor.JobLost`, a :class:`ConnectionError`), a segment
+vanishing mid-run (``FileNotFoundError`` on attach), a result failing its
+checksum (:class:`ChunkIntegrityError`) or an injected chaos fault
+(:class:`~repro.faults.InjectedFault`) — are retried, only the failed
+chunks, with seeded jittered backoff (:class:`Backoff`); after
+``max_retries`` rounds the run *degrades* one rung, ``process → threads →
+serial``, sticky until :meth:`ExecutionBackend.reset_degradation`.  A chunk
+is a pure function of the frozen image, so degradation trades throughput,
+never answers.  A result that crosses a process boundary carries a CRC-32
+(:func:`_result_checksum`, the one rule for all a worker sends back) taken
+in the worker and verified in the parent; an in-process result is
 checksummed only when an injected ``parallel.corrupt`` fault is about to
-flip one of its bytes.  Retries, pool breaks and degradations are recorded
-on the :class:`ExecutionBackend` (:meth:`ExecutionBackend.health`), which
-the serving layer surfaces through ``ClusteringService.stats()``; a
-degraded backend stays on its rung until
-:meth:`ExecutionBackend.reset_degradation`.
+flip one of its bytes.  :meth:`ExecutionBackend.health` records retries,
+worker deaths and degradations (surfaced by ``ClusteringService.stats()``).
 """
 
 from __future__ import annotations
@@ -106,21 +89,16 @@ import uuid
 import weakref
 import zlib
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
+from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import multiprocessing
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro import faults
-from repro.faults import InjectedFault, WorkerCrashError
+from repro.faults import InjectedFault
 from repro.geometry.distance import get_metric
 from repro.indexes.base import IndexStats
 from repro.obs import metrics as obs_metrics
@@ -165,29 +143,21 @@ DEGRADE_TO = {"process": "threads", "threads": "serial", "serial": None}
 
 
 class ChunkIntegrityError(RuntimeError):
-    """A worker chunk's result failed its integrity checksum.
-
-    The checksum is computed in the worker after the kernels ran and
-    re-verified in the parent, so this means the payload was corrupted in
-    transit (shared memory, pickling) — the chunk is retried, never merged.
-    """
+    """A job's result failed its integrity checksum: it was corrupted in
+    transit, so it is retried, never merged."""
 
 
-#: Failure types the chunk supervisor treats as transient infrastructure
-#: faults (retry, then degrade).  Everything else — kernel ``ValueError``s,
-#: metric ``TypeError``s — is deterministic and propagates immediately with
-#: its original type and message.
+#: Transient infrastructure faults (retry, then degrade).  Everything else
+#: is deterministic and propagates with its original type and message.
 RETRYABLE_ERRORS = (
-    BrokenExecutor,
     ChunkIntegrityError,
     InjectedFault,
     FileNotFoundError,  # a shm segment unlinked while tasks still attach
-    ConnectionError,  # a dying pool's pipes
-    EOFError,
+    ConnectionError,  # a worker lost mid-job (repro.supervisor.JobLost)
 )
 
-#: Shared-memory segment name prefix — recognisable in /dev/shm, so leak
-#: checks (tests, ops) can assert nothing of ours is left behind.
+#: Segments are named ``<prefix>_<publisher pid>_<uuid>`` — recognisable in
+#: /dev/shm, so a leak check can list exactly one process's segments.
 SHM_PREFIX = "repro_shard"
 
 
@@ -253,6 +223,20 @@ def metric_from_token(token: Tuple[str, Any]):
     return value if kind == "obj" else get_metric(value)
 
 
+class Backoff:
+    """The one retry/respawn schedule: the ``k``-th delay is
+    ``min(cap_s, base_s * 2**k)`` times a draw from ``[0.5, 1.5)`` of
+    ``random.Random(seed)``, so recovery timing replays exactly."""
+
+    def __init__(self, base_s: float, cap_s: float, seed: int) -> None:
+        self.base_s = float(base_s)
+        self.cap_s = float(cap_s)
+        self._rng = random.Random(seed)
+
+    def delay(self, k: int) -> float:
+        return min(self.cap_s, self.base_s * 2.0 ** k) * (0.5 + self._rng.random())
+
+
 # ---------------------------------------------------------------------------
 # Shared-memory packs
 # ---------------------------------------------------------------------------
@@ -274,10 +258,9 @@ def _destroy_segment(shm: shared_memory.SharedMemory) -> None:
 class ShmPack:
     """Several named arrays published into one shared-memory segment.
 
-    The publisher (the parent process) owns the segment: :meth:`close`
-    unlinks it, and a :func:`weakref.finalize` guard unlinks it at garbage
-    collection even if nobody calls :meth:`close`.  :attr:`handle` is the
-    small picklable descriptor workers use to attach
+    The publisher owns the segment: :meth:`close` unlinks it, as does a
+    :func:`weakref.finalize` guard at garbage collection.  :attr:`handle`
+    is the small picklable descriptor workers attach by
     (:func:`attach_pack_views`).
     """
 
@@ -328,32 +311,18 @@ class ShmPack:
         return not self._finalizer.alive
 
 
-# Worker-side cache of attached packs, keyed by segment name.  Names are
-# unique per pack (uuid), so a cached entry can never alias a different
-# pack; the cap bounds mapping growth across many runs/fits.  True LRU:
-# hits refresh recency, so the fit-time pack — touched by every task —
-# can never become the eviction victim while ephemeral run packs churn.
+# Worker-side LRU of attached packs by (unique) segment name; the cap
+# bounds mappings across runs, and the fit pack every task touches stays
+# recent while ephemeral run packs churn.
 _ATTACHED: "OrderedDict[str, Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]]" = (
     OrderedDict()
 )
 _ATTACH_CAP = 16
 
-#: Start method of the pool this worker belongs to (set by _worker_init).
-_WORKER_START_METHOD: Optional[str] = None
-
-
-def _worker_init(start_method: str) -> None:
-    global _WORKER_START_METHOD
-    _WORKER_START_METHOD = start_method
-
 
 def attach_pack_views(handle) -> Dict[str, np.ndarray]:
-    """Attach (or fetch from cache) the arrays behind a pack handle.
-
-    Runs worker-side: under the process backend the attach counter lives in
-    the *worker's* registry (inherited at fork), so the parent's
-    ``/metrics`` only sees attaches made in-process.
-    """
+    """Attach (or fetch from cache) the arrays behind a pack handle.  (In a
+    worker the attach counter lands in the worker's metrics registry.)"""
     if obs_runtime._ENABLED:
         obs_metrics.counter(
             "repro_shm_attaches_total", "Shared-memory pack attach calls (per process)"
@@ -363,19 +332,10 @@ def attach_pack_views(handle) -> Dict[str, np.ndarray]:
     if cached is not None:
         _ATTACHED.move_to_end(name)
         return cached[1]
+    # The attach registers the name with the resource tracker a forked
+    # worker shares with its owner, whose per-name set absorbs it: the
+    # owner's unlink still balances the registration.
     shm = shared_memory.SharedMemory(name=name)
-    # The worker only *attaches* — the parent owns the segment's lifetime.
-    # Forked workers share the parent's resource-tracker process, whose
-    # per-name set dedupes the attach-time registration (the parent's
-    # unlink balances it exactly — an extra unregister here would make the
-    # tracker complain about a name it no longer knows).  Spawned workers
-    # get a *private* tracker that would unlink the parent's segment at
-    # worker exit, so there the attach-time registration must be undone.
-    if _WORKER_START_METHOD != "fork":
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
     views = {
         key: np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)
         for key, (dtype, shape, off) in specs.items()
@@ -386,27 +346,15 @@ def attach_pack_views(handle) -> Dict[str, np.ndarray]:
         try:
             old_shm.close()
         except (OSError, BufferError):  # pragma: no cover - views still alive
-            # A lingering external reference to the evicted views keeps the
-            # mapping exported; dropping our handles is enough — the mmap is
-            # reclaimed when the last view dies, and eviction must never
-            # fail the task that triggered it.
-            pass
+            pass  # the mmap goes when the last view dies
     _ATTACHED[name] = (shm, views)
     return views
 
 
 def detach_pack(name: str) -> bool:
-    """Drop this process's cached attachment to segment ``name`` (if any).
-
-    The attach cache above is LRU-bounded, which is enough for the
-    ephemeral per-run packs of the parallel backend; long-lived *serving
-    workers*, however, hold snapshot images for as long as a snapshot is
-    live and are told explicitly when one is retired — this is that
-    hygiene hook.  Returns True when an attachment was dropped.  Any views
-    still referenced elsewhere keep the mapping alive (dropping the handle
-    never invalidates them); once the last view dies the memory goes back
-    to the OS even if the publisher already unlinked the segment name.
-    """
+    """Drop this process's cached attachment to segment ``name``: a
+    serving worker's hook when a snapshot image is retired.  Views still
+    referenced keep the mapping alive.  True when one was dropped."""
     cached = _ATTACHED.pop(name, None)
     if cached is None:
         return False
@@ -419,47 +367,38 @@ def detach_pack(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Task execution
+# Job execution
 # ---------------------------------------------------------------------------
 
 
-def _enact_payload_fault(payload) -> bool:
-    """Obey an injected fault marker riding in the payload (chaos tests).
+def _result_checksum(result: Any) -> int:
+    """CRC-32 over a job result: the one rule for all a worker sends back.
 
-    The *parent* decides which chunks misbehave (so occurrence counting is
-    deterministic, see :mod:`repro.faults`); the worker only enacts the
-    marker.  Returns True when the result must be corrupted after its
-    checksum is computed (so a marked result is always checksummed).
+    Arrays hash by dtype, shape and bytes; dicts by sorted key, sequences
+    in order and other objects (a ``DPCQuantities``, its density order) by
+    their attributes, recursively; scalars and enums by ``repr`` — never an
+    array, whose ``repr`` numpy truncates.
     """
-    marker = payload.get("_fault")
-    if not marker:
-        return False
-    mode = marker.get("mode")
-    if mode == "sleep":
-        time.sleep(float(marker.get("delay_s", 0.0)))
-        return False
-    if mode == "kill":
-        if marker.get("hard"):  # a real process death, not an exception
-            os._exit(13)
-        raise WorkerCrashError("injected worker crash (parallel.worker)")
-    if mode == "raise":
-        raise InjectedFault("injected worker fault (parallel.worker)")
-    return mode == "corrupt"
+    return _crc32(result, 0)
 
 
-def _result_checksum(result: Dict[str, Any]) -> int:
-    """CRC-32 over a task result's arrays (key + dtype + shape + bytes)."""
-    crc = 0
-    for key in sorted(result):
-        crc = zlib.crc32(key.encode(), crc)
-        value = result[key]
-        if isinstance(value, np.ndarray):
-            arr = np.ascontiguousarray(value)
-            crc = zlib.crc32(str(arr.dtype).encode(), crc)
-            crc = zlib.crc32(repr(arr.shape).encode(), crc)
-            crc = zlib.crc32(arr, crc)
-        else:  # pragma: no cover - tasks currently return arrays only
-            crc = zlib.crc32(repr(value).encode(), crc)
+def _crc32(value: Any, crc: int) -> int:
+    if isinstance(value, np.ndarray):
+        arr = np.ascontiguousarray(value)
+        crc = zlib.crc32(f"{arr.dtype.str}{arr.shape}".encode(), crc)
+        return zlib.crc32(arr, crc)
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            crc = _crc32(item, crc)
+        return crc
+    if value is None or isinstance(value, (str, bytes, int, float, Enum, np.generic)):
+        return zlib.crc32(repr(value).encode(), crc)
+    if not isinstance(value, dict):
+        slots = getattr(type(value), "__slots__", None)
+        value = {s: getattr(value, s) for s in slots} if slots else vars(value)
+    for key in sorted(value):
+        crc = zlib.crc32(str(key).encode(), crc)
+        crc = _crc32(value[key], crc)
     return crc
 
 
@@ -476,34 +415,30 @@ def _corrupt_result(result: Dict[str, Any]) -> Dict[str, Any]:
     return corrupted
 
 
-def _run_with_stats(fn, arrays, meta, payload, checksum: bool = False):
-    """Run one chunk: ``(result, counter deltas, crc)``.  ``crc`` is
-    ``None`` unless the result crosses a process boundary (``checksum``) or
-    an injected fault is about to corrupt it."""
-    corrupt = _enact_payload_fault(payload)
+def _run_with_stats(fn, arrays, meta, payload, marker=None, in_worker=False):
+    """Run one job ``fn(arrays, meta, payload, stats)``: ``(result, counter
+    deltas, crc)``.
+
+    The job's fault marker is enacted first (:func:`repro.faults.enact`).
+    ``crc`` is ``None`` unless the result crosses a process boundary
+    (``in_worker``) or the marker is about to corrupt it.
+    """
+    corrupt = faults.enact(marker, in_worker)
     stats = IndexStats()
     result = fn(arrays, meta, payload, stats)
-    crc = _result_checksum(result) if checksum or corrupt else None
+    crc = _result_checksum(result) if in_worker or corrupt else None
     if corrupt:
         result = _corrupt_result(result)
     return result, stats.as_dict(), crc
 
 
-def _worker_exec(fn, handles, meta, payload):
-    """Process-pool entry point: resolve pack handles, run one chunk."""
-    arrays: Dict[str, np.ndarray] = {}
-    for handle in handles:
-        arrays.update(attach_pack_views(handle))
-    return _run_with_stats(fn, arrays, meta, payload, checksum=True)
-
-
-def _accept_chunk(triple) -> Tuple[dict, Dict[str, int]]:
-    """Verify a chunk's integrity checksum (when it carries one) before its
-    result is merged."""
+def _accept_result(triple) -> Tuple[Any, Dict[str, int]]:
+    """Verify a job's integrity checksum (when it carries one) before its
+    result is used."""
     result, stats_delta, crc = triple
     if crc is not None and _result_checksum(result) != crc:
         raise ChunkIntegrityError(
-            "worker chunk result failed its integrity checksum "
+            "job result failed its integrity checksum "
             "(payload corrupted in transit)"
         )
     return result, stats_delta
@@ -512,13 +447,6 @@ def _accept_chunk(triple) -> Tuple[dict, Dict[str, int]]:
 def _merge_stats(stats: IndexStats, delta: Dict[str, int]) -> None:
     for key, value in delta.items():
         setattr(stats, key, getattr(stats, key) + value)
-
-
-_HEALTH_METRIC_HELP = {
-    "chunk_failures": "Worker chunks that failed an attempt",
-    "retries": "Backoff retry rounds over failed chunks",
-    "pool_breaks": "Worker pools torn down after a BrokenExecutor",
-}
 
 
 def _observe_chunk_seconds(seconds: float) -> None:
@@ -559,22 +487,20 @@ class ExecutionBackend:
         self.kind = kind
         self.n_jobs = 1 if kind == "serial" else resolve_n_jobs(n_jobs)
         self.chunk_size = chunk_size
-        #: Retry policy: how many backoff rounds each ladder rung gets
-        #: before execution degrades to the next rung (process → threads →
-        #: serial).  The jitter stream is seeded, so recovery timing — and
-        #: therefore chaos tests — is reproducible.
+        #: Backoff rounds per ladder rung before degrading; the jitter (and
+        #: the process rung's respawn jitter) is seeded, so chaos replays.
         self.max_retries = int(max_retries)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)
         self.retry_seed = int(retry_seed)
-        self._pool = None
+        self._pool = None  # a ThreadPoolExecutor or a repro.supervisor.Supervisor
         self._pool_kind: Optional[str] = None
         self._degraded_kind: Optional[str] = None
         self._health_lock = threading.Lock()
         self._health = {
             "chunk_failures": 0,
             "retries": 0,
-            "pool_breaks": 0,
+            "worker_deaths": 0,
             "degradations": 0,
         }
         self._last_error: Optional[str] = None
@@ -604,10 +530,14 @@ class ExecutionBackend:
         return self._degraded_kind is not None
 
     def health(self) -> Dict[str, Any]:
-        """Counters + degradation state for observability (JSON-friendly)."""
+        """Counters + degradation state for observability (JSON-friendly);
+        ``worker_deaths`` counts process-rung workers lost (and respawned)."""
         with self._health_lock:
             snapshot = dict(self._health)
             last_error = self._last_error
+        pool, pool_kind = self._pool, self._pool_kind
+        if pool_kind == "process" and pool is not None:
+            snapshot["worker_deaths"] += pool.stats_snapshot()["worker_deaths"]
         return {
             "kind": self.kind,
             "effective_kind": self.effective_kind,
@@ -627,10 +557,8 @@ class ExecutionBackend:
             if error is not None:
                 self._last_error = f"{type(error).__name__}: {error}"
         if obs_runtime._ENABLED:
-            obs_metrics.counter(
-                f"repro_parallel_{key}_total",
-                _HEALTH_METRIC_HELP.get(key, "Execution backend health events"),
-            ).inc(count)
+            help = "Chunk attempts failed" if key == "chunk_failures" else "Retry rounds"
+            obs_metrics.counter(f"repro_parallel_{key}_total", help).inc(count)
 
     def _degrade_to(self, kind: str, error: Optional[BaseException]) -> None:
         with self._health_lock:
@@ -654,29 +582,25 @@ class ExecutionBackend:
         if self._pool is None:
             if kind == "threads":
                 self._pool = ThreadPoolExecutor(max_workers=self.n_jobs)
-            elif kind == "process":
-                # fork (where available) keeps pool start-up cheap and lets
-                # workers inherit registered metrics; the shared-memory
-                # protocol itself is start-method agnostic.
-                methods = multiprocessing.get_all_start_methods()
-                start_method = "fork" if "fork" in methods else methods[0]
-                ctx = multiprocessing.get_context(start_method)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_jobs,
-                    mp_context=ctx,
-                    initializer=_worker_init,
-                    initargs=(start_method,),
-                )
+            else:
+                from repro.supervisor import Supervisor
+
+                respawn = Backoff(0.05, 2.0, self.retry_seed)
+                self._pool = Supervisor(self.n_jobs, "parallel", respawn=respawn, depth=2)
+                # A backend dropped without shutdown() still stops its workers.
+                self._close_workers = weakref.finalize(self, self._pool.close)
             self._pool_kind = kind
         return self._pool
 
     def _teardown_pool(self, wait: bool) -> None:
-        pool, self._pool, self._pool_kind = self._pool, None, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=wait, cancel_futures=True)
-            except Exception:  # pragma: no cover - a broken pool may object
-                pass
+        pool, pool_kind = self._pool, self._pool_kind
+        self._pool, self._pool_kind = None, None
+        if pool_kind == "threads":
+            pool.shutdown(wait=wait, cancel_futures=True)
+        elif pool is not None:
+            self._close_workers()
+            with self._health_lock:
+                self._health["worker_deaths"] += pool.stats_snapshot()["worker_deaths"]
 
     def shutdown(self) -> None:
         """Tear down the worker pool (a later run recreates it)."""
@@ -701,72 +625,60 @@ def _wave_outcomes(futures: "List[Future]") -> List[Tuple[bool, Any]]:
     return outcomes
 
 
-def _submit_timed(pool, fn, *args):
+def _submit_timed(pool, *args):
     """Submit one chunk; per-chunk latency is observed at settle time."""
     t0 = time.perf_counter()
-    future = pool.submit(fn, *args)
+    future = pool.submit(*args)
     future.add_done_callback(
         lambda _f, _t0=t0: _observe_chunk_seconds(time.perf_counter() - _t0)
     )
     return future
 
 
-def _run_wave_local(backend, kind, fn, arrays, meta, wave):
-    """One attempt over in-process array references (serial/threads)."""
+def _run_wave(backend, kind, fn, arrays, meta, wave, markers):
+    """One attempt over the wave: per-payload ``(ok, value_or_exception)``.
+
+    ``arrays`` are in-process array references (serial/threads) or the
+    shared-memory pack handles the process rung's workers attach.
+    """
     record = obs_runtime._ENABLED
-    if kind == "serial" or len(wave) <= 1:
+    if kind == "serial" or (kind == "threads" and len(wave) <= 1):
         outcomes = []
-        for payload in wave:
+        for payload, marker in zip(wave, markers):
             t0 = time.perf_counter() if record else 0.0
             try:
-                outcomes.append((True, _run_with_stats(fn, arrays, meta, payload)))
+                triple = _run_with_stats(fn, arrays, meta, payload, marker)
+                outcomes.append((True, triple))
             except BaseException as exc:
                 outcomes.append((False, exc))
             if record:
                 _observe_chunk_seconds(time.perf_counter() - t0)
         return outcomes
-    pool = backend._ensure_pool("threads")
+    if kind == "threads":
+        pool, head = backend._ensure_pool("threads"), (_run_with_stats, fn, arrays)
+    else:
+        pool, head = backend._ensure_pool("process"), (fn, arrays)
+    jobs = [(*head, meta, p, m) for p, m in zip(wave, markers)]
     if record:
-        futures = [_submit_timed(pool, _run_with_stats, fn, arrays, meta, p) for p in wave]
-    else:
-        futures = [pool.submit(_run_with_stats, fn, arrays, meta, p) for p in wave]
-    return _wave_outcomes(futures)
+        return _wave_outcomes([_submit_timed(pool, *job) for job in jobs])
+    return _wave_outcomes([pool.submit(*job) for job in jobs])
 
 
-def _run_wave_process(backend, fn, handles, meta, wave):
-    """One attempt over shared-memory pack handles (process backend)."""
-    pool = backend._ensure_pool("process")
-    if obs_runtime._ENABLED:
-        futures = [_submit_timed(pool, _worker_exec, fn, handles, meta, p) for p in wave]
-    else:
-        futures = [pool.submit(_worker_exec, fn, handles, meta, p) for p in wave]
-    return _wave_outcomes(futures)
-
-
-def _mark_injected_faults(wave: List[dict], kind: str) -> None:
-    """Stamp chaos-plan fault markers onto this wave's payloads.
+def _wave_markers(n: int) -> List[Optional[tuple]]:
+    """Chaos-plan fault markers for one wave's ``n`` chunks.
 
     Decisions happen here in the parent (deterministic occurrence
-    counting); workers only enact the marker.  Stale markers from a
-    previous attempt are cleared first — a retried chunk runs clean unless
-    the plan trips again.
+    counting); workers only enact the marker.  Every attempt decides anew:
+    a retried chunk runs clean unless the plan trips again.
     """
-    for payload in wave:
-        payload.pop("_fault", None)
     if faults.active_plan() is None:
-        return
-    for payload in wave:
-        spec = faults.decide("parallel.worker")
-        if spec is not None:
-            payload["_fault"] = {"mode": spec.mode, "hard": kind == "process"}
-            continue
-        spec = faults.decide("parallel.slow")
-        if spec is not None:
-            payload["_fault"] = {"mode": "sleep", "delay_s": spec.delay_s}
-            continue
-        spec = faults.decide("parallel.corrupt")
-        if spec is not None:
-            payload["_fault"] = {"mode": "corrupt"}
+        return [None] * n
+    return [
+        faults.marker("parallel.worker")
+        or faults.marker("parallel.slow")
+        or faults.marker("parallel.corrupt")
+        for _ in range(n)
+    ]
 
 
 def run_index_tasks(
@@ -788,7 +700,7 @@ def run_index_tasks(
 
     Chunks that fail with a :data:`RETRYABLE_ERRORS` infrastructure fault
     (worker death, vanished shm segment, corrupted result, injected chaos
-    fault) are retried with jittered exponential backoff; after
+    fault) are retried with seeded, jittered exponential backoff; after
     ``backend.max_retries`` exhausted rounds the run degrades one ladder
     rung (``process → threads → serial``) and continues with only the
     still-failed chunks.  Results and probe counters are bit-identical on
@@ -802,9 +714,6 @@ def run_index_tasks(
     backend: ExecutionBackend = index._execution()
     meta = dict(index._shard_meta())
     meta["metric"] = metric_token(index.metric)
-    # Payloads are annotated (fault markers) per attempt — never mutate the
-    # caller's dicts.
-    payloads = [dict(p) for p in payloads]
     n_tasks = len(payloads)
     if n_tasks == 0:
         return []
@@ -813,7 +722,7 @@ def run_index_tasks(
     kind = backend.effective_kind
     retries_left = backend.max_retries
     attempt = 0
-    jitter = random.Random(backend.retry_seed)
+    backoff = Backoff(backend.backoff_base_s, backend.backoff_max_s, backend.retry_seed)
     local_arrays: Optional[Dict[str, np.ndarray]] = None
     run_pack: Optional[ShmPack] = None
     last_error: Optional[BaseException] = None
@@ -831,7 +740,7 @@ def run_index_tasks(
     try:
         while pending:
             wave = [payloads[i] for i in pending]
-            _mark_injected_faults(wave, kind)
+            markers = _wave_markers(len(wave))
             waves += 1
             if obs_runtime._ENABLED:
                 obs_metrics.counter(
@@ -845,11 +754,11 @@ def run_index_tasks(
             if kind == "process":
                 if index._shard_pack is None:
                     index._shard_pack = ShmPack(index._shard_arrays())
-                handles = [index._shard_pack.handle]
+                arrays = [index._shard_pack.handle]
                 if run_arrays:
                     if run_pack is None or run_pack.closed:
                         run_pack = ShmPack(run_arrays)
-                    handles.append(run_pack.handle)
+                    arrays.append(run_pack.handle)
                 if faults.decide("parallel.shm_unlink") is not None:
                     # The injected unlink race: the run pack vanishes while
                     # this wave's tasks are still attaching.
@@ -857,31 +766,23 @@ def run_index_tasks(
                         run_pack.close()
                     else:
                         index._release_shards()
-                outcomes = _run_wave_process(backend, fn, handles, meta, wave)
             else:
-                outcomes = _run_wave_local(
-                    backend, kind, fn, _local_arrays(), meta, wave
-                )
+                arrays = _local_arrays()
+            outcomes = _run_wave(backend, kind, fn, arrays, meta, wave, markers)
             wave_span.finish()
             still_failed: List[int] = []
-            pool_broken = False
             for task_index, (ok, value) in zip(pending, outcomes):
                 if ok:
                     try:
-                        accepted[task_index] = _accept_chunk(value)
+                        accepted[task_index] = _accept_result(value)
                         continue
                     except ChunkIntegrityError as exc:
                         value = exc
-                if isinstance(value, BrokenExecutor):
-                    pool_broken = True
                 if not isinstance(value, RETRYABLE_ERRORS):
                     raise value  # deterministic error: original type/message
                 still_failed.append(task_index)
                 last_error = value
             wave_span.set("failed", len(still_failed))
-            if pool_broken:
-                backend._note("pool_breaks", 1, last_error)
-                backend._teardown_pool(wait=False)
             if not still_failed:
                 break
             backend._note("chunk_failures", len(still_failed), last_error)
@@ -889,11 +790,9 @@ def run_index_tasks(
             if retries_left > 0:
                 retries_left -= 1
                 backend._note("retries", 1, None)
-                delay = min(
-                    backend.backoff_max_s, backend.backoff_base_s * (2 ** attempt)
-                )
+                delay = backoff.delay(attempt)
                 if delay > 0:
-                    time.sleep(delay * (0.5 + jitter.random()))
+                    time.sleep(delay)
                 attempt += 1
             else:
                 next_kind = DEGRADE_TO[kind]

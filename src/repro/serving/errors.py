@@ -94,10 +94,10 @@ class WorkerPoolUnavailableError(ServingError):
 class WorkerBatchError(ServingError):
     """A serving worker failed a batch deterministically (an engine error).
 
-    Workers report engine failures as ``(type name, message)`` — the
-    original exception object does not cross the process boundary.  The
-    coalescer treats this like pool unavailability and recomputes the
-    batch in-process, where the *real* typed exception is raised and
-    propagated to the waiting clients, so error behaviour stays exactly
-    that of a direct engine call.
+    The pool reports a worker's engine failure as ``(type name,
+    message)``, not as the original exception object.  The coalescer
+    treats this like pool unavailability and recomputes the batch
+    in-process, where the *real* typed exception is raised and propagated
+    to the waiting clients, so error behaviour stays exactly that of a
+    direct engine call.
     """

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.baseline import naive_quantities
 from repro.core.quantities import DPCQuantities
+from repro.indexes.parallel import SHM_PREFIX
 
 
 @pytest.fixture
@@ -58,3 +61,18 @@ def safe_dc(points: np.ndarray, fraction: float = 0.3, metric: str = "euclidean"
         return float(flat[0] if len(flat) else 1.0) or 1.0
     idx = int(np.clip(round(fraction * (len(flat) - 1)), 0, len(flat) - 2))
     return float((flat[idx] + flat[idx + 1]) / 2.0)
+
+
+def shard_segments(pid: int | None = None) -> list:
+    """This process's live shared-memory segments (the leak detector).
+
+    A segment is named after the pid of the process that published it, and
+    only the owner publishes (workers only attach), so listing
+    ``repro_shard_<pid>_*`` sees every segment the code under test made and
+    none that another process on the host creates or removes meanwhile.
+    """
+    prefix = f"{SHM_PREFIX}_{os.getpid() if pid is None else pid}_"
+    try:
+        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(prefix))
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return []

@@ -19,7 +19,7 @@ import pytest
 
 from repro import faults
 from repro.faults import FaultPlan, FaultSpec, InjectedFault
-from repro.indexes.parallel import SHM_PREFIX, ExecutionBackend
+from repro.indexes.parallel import ExecutionBackend
 from repro.indexes.persist import CorruptSnapshotError, load_index, save_index
 from repro.indexes.registry import make_index
 from repro.serving.errors import (
@@ -29,7 +29,7 @@ from repro.serving.errors import (
 )
 from repro.serving.service import ClusteringService
 
-from tests.conftest import safe_dc
+from tests.conftest import safe_dc, shard_segments
 
 
 @pytest.fixture(autouse=True)
@@ -37,13 +37,6 @@ def _no_leftover_plan():
     """A failing test must never leave its plan armed for the next one."""
     yield
     faults.clear()
-
-
-def shard_segments():
-    try:
-        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(SHM_PREFIX))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
 
 
 def corpus(seed=3, n=96):
@@ -60,7 +53,7 @@ def assert_identical(qa, qb, context=""):
 
 #: (plan factory, backend kind) — every parallel fault point, both rungs
 #: where it is meaningful.  ``kill`` under process dies for real
-#: (os._exit → BrokenProcessPool); under threads it raises the typed
+#: (os._exit → the supervisor's JobLost); under threads it raises the typed
 #: WorkerCrashError.  All are retryable: the run must complete exactly.
 PARALLEL_PLANS = {
     "worker-raise-threads": (

@@ -16,7 +16,6 @@ shared-memory serving workers:
   once the service is drained/closed, snapshot-image unlink races included.
 """
 
-import os
 import threading
 import time
 
@@ -25,25 +24,17 @@ import pytest
 
 from repro import faults, obs
 from repro.faults import FaultPlan, FaultSpec
-from repro.indexes.parallel import SHM_PREFIX
 from repro.indexes.registry import make_index
 from repro.obs.export import render_prometheus
 from repro.serving.service import ClusteringService
 
-from tests.conftest import safe_dc
+from tests.conftest import safe_dc, shard_segments
 
 
 @pytest.fixture(autouse=True)
 def _no_leftover_plan():
     yield
     faults.clear()
-
-
-def shard_segments():
-    try:
-        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(SHM_PREFIX))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
 
 
 def corpus(seed=7, n=96):

@@ -29,13 +29,7 @@ from repro.indexes.parallel import (
 )
 from repro.indexes.persist import load_index, save_index
 
-
-def shard_segments():
-    """Names of our live shared-memory segments (leak detector)."""
-    try:
-        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(SHM_PREFIX))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
+from tests.conftest import shard_segments
 
 
 @pytest.fixture
@@ -145,6 +139,17 @@ class TestShmPack:
         pack.close()
         assert shard_segments() == before
 
+    def test_pack_name_carries_the_publisher_pid(self):
+        """The leak checks list only ``repro_shard_<this pid>_*``: a pack
+        published here must be named so, or they would go blind."""
+        pack = ShmPack({"x": np.ones(3)})
+        try:
+            assert pack.name.startswith(f"{SHM_PREFIX}_{os.getpid()}_")
+            assert pack.name in shard_segments()
+        finally:
+            pack.close()
+        assert pack.name not in shard_segments()
+
     def test_close_is_idempotent(self):
         pack = ShmPack({"x": np.ones(3)})
         pack.close()
@@ -242,6 +247,19 @@ class TestChunkChecksums:
         assert len(checksums) == 2
         assert health["retries"] == 1
 
+    def test_a_quantities_result_is_hashed_by_its_arrays(self, rng):
+        """A serving batch sends ``DPCQuantities`` back: one element changed
+        where numpy's ``repr`` elides the array still changes the checksum."""
+        import copy
+
+        want = KDTreeIndex().fit(rng.normal(size=(3000, 2))).quantities(0.5)
+        same, flipped = copy.deepcopy(want), copy.deepcopy(want)
+        flipped.delta[1500] = np.nextafter(flipped.delta[1500], np.inf)
+        assert repr(flipped.delta) == repr(want.delta)
+        checksum = parallel._result_checksum
+        assert checksum([want]) == checksum([same])
+        assert checksum([want]) != checksum([flipped])
+
     def test_process_results_are_verified_in_the_parent(self, rng, checksums):
         index = KDTreeIndex(backend="process", n_jobs=2, chunk_size=30).fit(
             rng.normal(size=(120, 2))
@@ -331,6 +349,23 @@ class TestWorkerFailure:
             np.testing.assert_array_equal(index.rho_all(0.5), serial.rho_all(0.5))
         finally:
             index.release_execution()
+
+
+class TestWorkerLifetime:
+    def test_a_dropped_backend_stops_its_workers(self, blobs_small):
+        """An index dropped without ``release_execution()`` stops its
+        ``process`` workers when it is garbage-collected."""
+        import gc
+        import multiprocessing
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        index = KDTreeIndex(backend="process", n_jobs=2, chunk_size=13)
+        index.fit(blobs_small).rho_all(0.5)
+        workers = {p.pid for p in multiprocessing.active_children()} - before
+        assert len(workers) == 2
+        del index
+        gc.collect()
+        assert not workers & {p.pid for p in multiprocessing.active_children()}
 
 
 class TestRefitInvalidation:

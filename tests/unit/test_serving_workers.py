@@ -18,21 +18,13 @@ import pytest
 
 import repro
 from repro.core.quantities import TieBreak
-from repro.indexes.parallel import SHM_PREFIX
 from repro.indexes.registry import make_index
 from repro.serving.coalescer import RequestCoalescer, ServeRequest
 from repro.serving.errors import WorkerPoolUnavailableError
 from repro.serving.snapshots import SnapshotStore
 from repro.serving.workers import WorkerPool
 
-from tests.conftest import safe_dc
-
-
-def shard_segments():
-    try:
-        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(SHM_PREFIX))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
+from tests.conftest import safe_dc, shard_segments
 
 
 def small_corpus(seed=5, n=64):
@@ -297,13 +289,46 @@ def running(pid):
         return False
 
 
-def orphan_survivors(heartbeat_s, timeout_s):
+#: Runs one ``process``-backend query, prints the engine's worker pids and
+#: waits to be killed.
+_ENGINE_HELPER = """
+import multiprocessing
+import time
+import numpy as np
+from repro.indexes.registry import make_index
+index = make_index("kdtree", backend="process", n_jobs=2, chunk_size=50)
+index.fit(np.random.default_rng(5).normal(size=(400, 2))).quantities(0.5)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(60)
+"""
+
+#: Holds a two-worker pool and a ``process``-backend index at once: the
+#: engine's workers fork after the pool's, holding copies of its pipe ends.
+_BOTH_HELPER = """
+import multiprocessing
+import time
+import numpy as np
+from repro.indexes.registry import make_index
+from repro.serving.snapshots import SnapshotStore
+from repro.serving.workers import WorkerPool
+points = np.random.default_rng(5).normal(size=(400, 2))
+store = SnapshotStore()
+store.fit("main", points[:64], index="kdtree")
+pool = WorkerPool(store, workers=2, heartbeat_s={heartbeat_s})
+index = make_index("kdtree", backend="process", n_jobs=2, chunk_size=50)
+index.fit(points).quantities(0.5)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(60)
+"""
+
+
+def orphan_survivors(heartbeat_s, timeout_s, helper_source=_POOL_HELPER, workers=2):
     """SIGKILL a pool owner; the pids of its workers still running
     ``timeout_s`` later (killed here, so a failing run leaks none)."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     helper = subprocess.Popen(
-        [sys.executable, "-c", _POOL_HELPER.format(heartbeat_s=heartbeat_s)],
+        [sys.executable, "-c", helper_source.format(heartbeat_s=heartbeat_s)],
         stdout=subprocess.PIPE,
         text=True,
         env=env,
@@ -314,7 +339,7 @@ def orphan_survivors(heartbeat_s, timeout_s):
         helper.kill()
         helper.wait()
         helper.stdout.close()
-    assert len(pids) == 2
+    assert len(pids) == workers
     wait_until(lambda: not any(running(pid) for pid in pids), timeout_s=timeout_s)
     survivors = [pid for pid in pids if running(pid)]
     for pid in survivors:
@@ -339,3 +364,22 @@ def test_orphaned_workers_exit_before_their_next_heartbeat():
     assert orphan_survivors(heartbeat_s=5.0, timeout_s=1.0) == [], (
         "orphaned serving workers waited for their heartbeat to exit"
     )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_engine_workers_exit_when_the_owner_is_sigkilled():
+    """The engine's ``process`` rung runs on the same supervised workers:
+    a SIGKILLed owner leaves none of them running."""
+    assert orphan_survivors(
+        heartbeat_s=0.05, timeout_s=2.0, helper_source=_ENGINE_HELPER
+    ) == [], "engine workers outlived a SIGKILLed owner"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_of_two_supervisors_exit_when_the_owner_is_sigkilled():
+    """An owner holding a serving pool and a ``process``-backend index: a
+    worker of one supervisor that inherited the other's pipe ends still
+    exits (the ``getppid`` watch), and so do all the others."""
+    assert orphan_survivors(
+        heartbeat_s=0.05, timeout_s=2.0, helper_source=_BOTH_HELPER, workers=4
+    ) == [], "workers outlived a SIGKILLed owner of two supervisors"
