@@ -59,7 +59,6 @@ class StreamingDPC:
         self.index_factory = index_factory or (lambda: RTreeIndex())
         self._index: Optional[DPCIndex] = None
         self._subscribers: list = []
-        self._points_cache: Optional[np.ndarray] = None
         # (dc, tie_break) -> the last answer, which covers the first
         # len(answer) points; least recently asked first.
         self._answers: "OrderedDict[tuple, DPCQuantities]" = OrderedDict()
@@ -97,16 +96,14 @@ class StreamingDPC:
     # -- stream ingestion -----------------------------------------------------
 
     def add(self, points: np.ndarray) -> "StreamingDPC":
-        """Append one point or a batch of points to the stream."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValueError(f"expected (k, d) points, got shape {points.shape}")
-        if self._index is not None and points.shape[1] != self._index.points.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: stream is {self._index.points.shape[1]}-D, "
-                f"got {points.shape[1]}-D"
-            )
-        self._points_cache = None
+        """Append one point or a batch of points to the stream.
+
+        The first batch goes to ``fit`` and later ones to ``add_points``,
+        which reject an empty batch, one of another width, and NaN or ±inf
+        coordinates with a ``ValueError`` before anything changes: the
+        stream and its subscribers then see nothing of the batch.
+        """
+        points = np.atleast_2d(points)
         if self._index is None:
             self._index = self.index_factory().fit(points)
             self.rebuild_count += 1
@@ -127,16 +124,11 @@ class StreamingDPC:
         return 0
 
     def points(self) -> np.ndarray:
-        """All stream points, in arrival order, as one array.
-
-        The view is materialised once per ingest state and cached;
-        :meth:`add` invalidates it.
-        """
+        """All stream points, in arrival order, as one array (the index's
+        own points, not a copy)."""
         if self._index is None:
             raise ValueError("the stream is empty")
-        if self._points_cache is None:
-            self._points_cache = self._index.points
-        return self._points_cache
+        return self._index.points
 
     # -- exact queries ----------------------------------------------------------
 

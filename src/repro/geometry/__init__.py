@@ -1,4 +1,4 @@
-"""Geometric substrate shared by every index: metrics and rectangles."""
+"""Geometric substrate shared by every index: metrics and their rectangle bounds."""
 
 from repro.geometry.distance import (
     Metric,
@@ -8,7 +8,6 @@ from repro.geometry.distance import (
     pairwise_blocks,
     distances_to_point,
 )
-from repro.geometry.rect import Rect, bounding_rect
 
 __all__ = [
     "Metric",
@@ -17,6 +16,4 @@ __all__ = [
     "pairwise_distances",
     "pairwise_blocks",
     "distances_to_point",
-    "Rect",
-    "bounding_rect",
 ]

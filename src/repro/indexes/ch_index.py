@@ -50,16 +50,20 @@ _HIST_BLOCK_ELEMS = 1 << 20
 
 
 class CumulativeHistogramMixin:
-    """The configured-vs-resolved ``bin_width`` contract shared by the
-    exact (:class:`CHIndex`) and truncated
-    (:class:`~repro.indexes.rn_list.RNCHIndex`) histogram indexes:
-    ``bin_width`` is what the caller asked for (``None`` = auto) and is
-    never mutated; each fit resolves the width actually used into
-    ``bin_width_``; queries on a restored index fall back to the configured
-    value when no resolution survived deserialisation.
+    """Cumulative histograms over the sorted rows of a list-family index,
+    shared by the exact (:class:`CHIndex`) and truncated
+    (:class:`~repro.indexes.rn_list.RNCHIndex`) histogram indexes, which
+    differ only in their bin rule (:meth:`_histogram_bins`).
+
+    The mixin replaces the ρ search with Algorithm 4 and adds the
+    histograms to the shard image and the memory count.  ``bin_width`` is
+    what the caller asked for (``None`` = auto) and is never mutated; each
+    fit resolves the width actually used into ``bin_width_``; queries on a
+    restored index fall back to the configured value when no resolution
+    survived deserialisation.
     """
 
-    def _init_bin_width(self, bin_width: Optional[float], default_bins: int) -> None:
+    def _init_histograms(self, bin_width: Optional[float], default_bins: int) -> None:
         if bin_width is not None and bin_width <= 0:
             raise ValueError(f"bin_width must be positive, got {bin_width}")
         if default_bins <= 0:
@@ -67,6 +71,8 @@ class CumulativeHistogramMixin:
         self.bin_width = bin_width
         self.default_bins = default_bins
         self.bin_width_: Optional[float] = None  # resolved per fit
+        self._hist_offsets: Optional[np.ndarray] = None  # (n+1,) int64 CSR offsets
+        self._hist_values: Optional[np.ndarray] = None  # flat int64 bin densities
 
     def _resolved_bin_width(self) -> float:
         if self.bin_width_ is not None:
@@ -76,18 +82,25 @@ class CumulativeHistogramMixin:
             return float(self.bin_width)
         raise RuntimeError(f"{type(self).__name__} has no resolved bin width; fit first")
 
-    def _store_histograms(
-        self, dists: np.ndarray, offsets: np.ndarray, n_bins: np.ndarray
-    ) -> None:
-        """Algorithm 3 for every CSR row of sorted distances at once.
+    # -- construction (Algorithm 3, vectorised) ---------------------------------
 
-        Row ``p`` (``dists[offsets[p]:offsets[p+1]]``) gets ``n_bins[p]``
-        bins; bin ``k`` stores how many of its entries lie below the edge
-        ``fl(w·(k+1))`` — one :func:`~repro.indexes.kernels.bounded_searchsorted`
-        of the edge grid per row — and the last bin is forced to the whole
-        row (Algorithm 3 line 13).  Rows go in blocks so the dense
-        ``(rows, bins)`` grid stays bounded when ``w`` is tiny.
+    def _build(self) -> None:
+        super()._build()
+        self._store_histograms()
+
+    def _store_histograms(self) -> None:
+        """Algorithm 3 for every row at once.
+
+        :meth:`_histogram_bins` resolves ``bin_width_`` and gives row ``p``
+        its bin count; bin ``k`` stores how many of its entries lie below
+        the edge ``fl(w·(k+1))`` — one
+        :func:`~repro.indexes.kernels.bounded_searchsorted` of the edge grid
+        per row — and the last bin is forced to the whole row (Algorithm 3
+        line 13).  Rows go in blocks so the dense ``(rows, bins)`` grid
+        stays bounded when ``w`` is tiny.
         """
+        n_bins = self._histogram_bins()
+        dists, offsets = self._dists, self._offsets
         n = len(n_bins)
         max_bins = int(n_bins.max())
         edges = self._resolved_bin_width() * np.arange(1, max_bins + 1, dtype=np.float64)
@@ -110,7 +123,9 @@ class CumulativeHistogramMixin:
         self._hist_offsets = hist_offsets
         self._hist_values = values
 
-    def _ch_rho_wave(self, dcs) -> "list":
+    # -- ρ query (Algorithm 4) ----------------------------------------------------
+
+    def _search_rho(self, dcs) -> np.ndarray:
         """Algorithm 4 for several cut-offs as one sharded ``(dc, chunk)``
         task wave — no synchronization barrier between the cut-offs of a
         sweep.  The global largest histogram pins the resolved target bin
@@ -120,16 +135,38 @@ class CumulativeHistogramMixin:
         w = self._resolved_bin_width()
         chunks = self._execution().plan(self.n)
         payloads = [
-            {"start": start, "stop": stop, "dc": float(dc), "w": w, "max_bins": max_bins}
+            {"start": start, "stop": stop, "dc": dc, "w": w, "max_bins": max_bins}
             for dc in dcs
             for start, stop in chunks
         ]
         outs = self._dispatch(parallel.ch_rho_task, payloads)
         per_dc = len(chunks)
-        return [
+        return np.stack([
             np.concatenate([outs[i * per_dc + j]["rho"] for j in range(per_dc)])
             for i in range(len(dcs))
-        ]
+        ])
+
+    # -- sharded-execution image and bookkeeping ---------------------------------
+
+    def _shard_arrays(self):
+        arrays = super()._shard_arrays()
+        arrays["hist_offsets"] = self._hist_offsets
+        arrays["hist_values"] = self._hist_values
+        return arrays
+
+    def histogram_memory_bytes(self) -> int:
+        """Space of the cumulative histograms alone (paper Figure 9a)."""
+        if self._hist_values is None:
+            return 0
+        return int(self._hist_values.nbytes + self._hist_offsets.nbytes)
+
+    def memory_bytes(self) -> int:
+        return super().memory_bytes() + self.histogram_memory_bytes()
+
+    def n_bins_of(self, p: int) -> int:
+        """Bin count of object ``p``'s histogram (white-box tests)."""
+        self._require_fitted()
+        return int(self._hist_offsets[p + 1] - self._hist_offsets[p])
 
 
 class CHIndex(CumulativeHistogramMixin, ListIndex):
@@ -168,70 +205,25 @@ class CHIndex(CumulativeHistogramMixin, ListIndex):
             n_jobs=n_jobs,
             chunk_size=chunk_size,
         )
-        self._init_bin_width(bin_width, default_bins)
-        self._hist_offsets: Optional[np.ndarray] = None  # (n+1,) int64 CSR offsets
-        self._hist_values: Optional[np.ndarray] = None  # flat int64 bin densities
-
-    # -- construction (Algorithm 3, vectorised) ---------------------------------
-
-    def _build(self) -> None:
-        super()._build()
-        self._refresh_histograms()
+        self._init_histograms(bin_width, default_bins)
 
     def _append(self, new_points: np.ndarray) -> None:
         # The N-Lists merge in place (ListIndex); the histograms must be
         # recomputed outright — appended points can grow the diameter, and
         # the automatic bin width resolves from it.
         super()._append(new_points)
-        self._refresh_histograms()
+        self._store_histograms()
 
-    def _refresh_histograms(self) -> None:
-        dists = self._neighbor_dists
+    def _histogram_bins(self) -> np.ndarray:
+        # Per object p: the bins cover its whole N-List, i.e. up to the
+        # farthest neighbour (Algorithm 3 loops until the list is
+        # exhausted); the automatic width splits the diameter.
+        farthest = self._dists[self._offsets[1:] - 1]
         if self.bin_width is None:
-            diameter = float(dists[:, -1].max())
+            diameter = float(farthest.max())
             if diameter <= 0.0:
                 raise ValueError("all points coincide; cannot choose a bin width")
             self.bin_width_ = diameter / self.default_bins
         else:
             self.bin_width_ = float(self.bin_width)
-        # Per object p: number of bins covers its whole N-List, i.e. up to the
-        # farthest neighbour (Algorithm 3 loops until the list is exhausted).
-        n_bins = np.floor(dists[:, -1] / self.bin_width_).astype(np.int64) + 1
-        self._store_histograms(dists.reshape(-1), self._row_offsets(), n_bins)
-
-    # -- sharded-execution image (adds the histograms to the N-List image) -------
-
-    def _shard_arrays(self):
-        arrays = super()._shard_arrays()
-        arrays["hist_offsets"] = self._hist_offsets
-        arrays["hist_values"] = self._hist_values
-        return arrays
-
-    # -- ρ query (Algorithm 4) ----------------------------------------------------
-
-    def _rho_all(self, dc: float) -> np.ndarray:
-        return self._ch_rho_wave([float(dc)])[0]
-
-    def rho_all_multi(self, dcs) -> np.ndarray:
-        """Histogram-guided ρ for the whole grid in one ``(dc, chunk)`` wave."""
-        self._require_fitted()
-        dcs = self._validate_dcs(dcs)
-        return np.stack(self._ch_rho_wave([float(dc) for dc in dcs]))
-
-    # δ query inherited from ListIndex (identical by design; see module doc).
-
-    # -- bookkeeping ---------------------------------------------------------------
-
-    def histogram_memory_bytes(self) -> int:
-        """Space of the cumulative histograms alone (paper Figure 9a)."""
-        if self._hist_values is None:
-            return 0
-        return int(self._hist_values.nbytes + self._hist_offsets.nbytes)
-
-    def memory_bytes(self) -> int:
-        return super().memory_bytes() + self.histogram_memory_bytes()
-
-    def n_bins_of(self, p: int) -> int:
-        """Bin count of object ``p``'s histogram (white-box tests)."""
-        self._require_fitted()
-        return int(self._hist_offsets[p + 1] - self._hist_offsets[p])
+        return np.floor(farthest / self.bin_width_).astype(np.int64) + 1

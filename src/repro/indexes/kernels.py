@@ -11,9 +11,9 @@ provides the batched, array-level building blocks the indexes now share:
   passes instead of ``n`` Python ``np.searchsorted`` calls).  Broadcasts
   over a grid of needles, which is what makes the multi-``dc`` sweep API
   one call, and builds the CH and RN-CH histograms (Algorithm 3: bin ``k``
-  of a row is the search for the edge ``w·(k+1)``).
-* :func:`row_searchsorted` — the same search over a dense ``(n, m)``
-  row-sorted matrix (the N-List layout of the List/CH indexes).
+  of a row is the search for the edge ``w·(k+1)``).  When every row has
+  one length (the complete N-Lists of the List/CH indexes) it skips the
+  per-pass bounds check.
 * :func:`scan_first_denser` / :func:`prefetch_scan_block` — the blockwise
   near-to-far "first denser neighbour" scan behind Algorithm 2's δ query,
   over CSR rows, in column blocks of geometrically growing width (a
@@ -191,7 +191,6 @@ from repro.geometry.distance import (
 
 __all__ = [
     "bounded_searchsorted",
-    "row_searchsorted",
     "prefetch_scan_block",
     "scan_first_denser",
     "resolve_bin",
@@ -228,30 +227,47 @@ def bounded_searchsorted(
     needles[i], side)`` for every ``i``, in ``O(log max_row)`` numpy passes.
 
     The search is binary lifting over the count of row entries before the
-    needle, as in :func:`row_searchsorted`: starting from 0, each pass
-    tries to add one power of two (largest first), which costs one gather,
-    one comparison and one add, plus the per-element check that the probe
-    stays inside the row.  Every element takes the same passes, so no
-    mask of still-active elements is kept; a probe past a row's end is
-    clamped into the array and its answer discarded.
+    needle: starting from 0, each pass tries to add one power of two
+    (largest first), which costs one gather, one comparison and one add.
+    Every element takes the same passes, so no mask of still-active
+    elements is kept.  When the rows differ in length, each pass also
+    checks that the probe stays inside its row (a probe past a row's end
+    is clamped into the array and its answer discarded).  When every row
+    has one length ``m`` — the complete rows of the exact List and CH
+    indexes — no probe can leave its row and the check is skipped: the
+    first probe (at the largest power of two ``2^j ≤ m``) leaves a range of
+    ``2^j`` candidate counts, and each later pass halves it.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     values = np.asarray(values)
-    lo, hi, needles = np.broadcast_arrays(
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(stops, dtype=np.int64),
-        np.asarray(needles),
-    )
-    length = hi - lo
-    pos = np.zeros(length.shape, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    needles = np.asarray(needles)
+    length = np.asarray(stops, dtype=np.int64) - starts
+    shape = np.broadcast_shapes(length.shape, needles.shape)
     max_len = int(length.max()) if length.size else 0
     if max_len <= 0:
-        return lo + pos
+        return np.broadcast_to(starts, shape).copy()
     before = np.less if side == "left" else np.less_equal
+    step = 1 << (max_len.bit_length() - 1)
+    if length.min() == max_len:
+        lo = np.broadcast_to(starts, length.shape)
+        # The count of entries before the needle is < step, or in
+        # [max_len - step + 1, max_len]: either way a range the halving
+        # steps cover.  ``pos`` is absolute, so its next probe, the entry
+        # ``step`` places on (1-based), sits at pos + step - 1.
+        pos = np.where(
+            before(values[lo + (step - 1)], needles), lo + (max_len - step + 1), lo
+        )
+        step >>= 1
+        while step:
+            pos += before(values[pos + (step - 1)], needles) * step
+            step >>= 1
+        return pos
+    lo, length, needles = np.broadcast_arrays(starts, length, needles)
+    pos = np.zeros(shape, dtype=np.int64)
     base = lo - 1  # base + c is the flat index of a row's c-th entry (1-based)
     last = len(values) - 1
-    step = 1 << (max_len.bit_length() - 1)
     while step:
         nxt = pos + step
         idx = np.minimum(base + nxt, last)
@@ -260,44 +276,6 @@ def bounded_searchsorted(
         pos += take * step
         step >>= 1
     return lo + pos
-
-
-def row_searchsorted(rows: np.ndarray, needles, side: str = "left") -> np.ndarray:
-    """Row-wise :func:`numpy.searchsorted` over a dense row-sorted matrix.
-
-    ``rows`` is ``(n, m)`` with each row sorted ascending.  ``needles`` is a
-    scalar (one search per row, ``(n,)`` result), an ``(n,)`` vector (a
-    different needle per row, ``(n,)`` result), or a ``(1, k)`` / ``(n, k)``
-    grid (``(n, k)`` result).  Positions are **row-local** insertion indexes.
-
-    Every row has the same length, so the search needs no per-element
-    bounds: the first probe (at the largest power of two ``2^j ≤ m``)
-    leaves a range of ``2^j`` candidate counts, and each later pass halves
-    it with one gather, one comparison and one add.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    rows = np.ascontiguousarray(rows)
-    n, m = rows.shape
-    needles = np.asarray(needles)
-    # base + c is the flat index of a row's c-th element (1-based).
-    base = np.arange(n, dtype=np.int64) * m - 1
-    if needles.ndim == 2:
-        base = base[:, None]
-    base, needles = np.broadcast_arrays(base, needles)
-    if m == 0:
-        return np.zeros(needles.shape, dtype=np.int64)
-    flat = rows.reshape(-1)
-    before = np.less if side == "left" else np.less_equal
-    step = 1 << (m.bit_length() - 1)
-    # The count of elements before the needle is < step, or in
-    # [m - step + 1, m]: either way a range the halving steps cover.
-    pos = np.where(before(flat[base + step], needles), m - step + 1, 0)
-    step >>= 1
-    while step:
-        pos += before(flat[base + pos + step], needles) * step
-        step >>= 1
-    return pos
 
 
 def prefetch_scan_block(

@@ -1,6 +1,7 @@
-"""List Index — the paper's N-List structure (Section 3.1, Algorithms 1–2).
+"""List Index — the paper's N-List structure (Section 3.1, Algorithms 1–2),
+and the sorted-row layout and queries the whole list family shares.
 
-For every object ``p`` the index stores *all* other objects sorted by
+For every object ``p`` the index stores the other objects sorted by
 non-decreasing distance to ``p`` (the *N-List*).  Then:
 
 * ``ρ(p)`` is the position of the farthest object with ``dist < dc`` — one
@@ -15,16 +16,29 @@ so peak *transient* memory stays bounded, but the resident index is still
 quadratic; use :class:`~repro.indexes.rn_list.RNListIndex` when that does not
 fit (paper Section 3.3).
 
-Implementation notes
---------------------
-The N-Lists are stored as two ``(n, n-1)`` arrays (ids, distances).  Both
-queries run through the batched kernels of :mod:`repro.indexes.kernels`:
-ρ is one vectorised row-wise binary search over all objects (and, via
-``rho_all_multi``, over all objects × all ``dc`` values of a sweep at once),
-δ is the blockwise vectorised near-to-far scan, which preserves the
-expected-O(1)-probes-per-object behaviour without a per-object Python loop.
-Distance ties are ordered by ascending id (stable argsort), matching the
-baseline's argmin convention.
+One layout for the list family
+------------------------------
+:class:`NListIndex` keeps the sorted rows in CSR form: row ``p`` is the
+slice ``[offsets[p], offsets[p+1])`` of the flat ``ids`` / ``dists``
+arrays.  The exact :class:`ListIndex` keeps complete rows of ``n - 1``
+entries; the RN-List keeps only the neighbours closer than τ, so the exact
+index is the τ = ∞ case of one structure and every query is written once,
+here, over the batched kernels of :mod:`repro.indexes.kernels`:
+
+* ρ is one row-wise binary search over all objects × all ``dc`` of a sweep
+  (:func:`~repro.indexes.kernels.bounded_searchsorted`, which drops its
+  bounds checks when every row has one length), except that a cut-off
+  beyond τ is not searched: the row length is the answer;
+* δ is the blockwise vectorised near-to-far scan, sharded over row chunks,
+  which keeps the expected-O(1)-probes-per-object behaviour without a
+  per-object Python loop;
+* a row the scan leaves without a denser object is a peak: a complete row
+  ends at ``max_q dist(p, q)``, the paper's δ of a peak, and a truncated
+  one gets a large δ.
+
+The histogram indexes (:mod:`repro.indexes.ch_index`) replace only the ρ
+search.  Distance ties are ordered by ascending id (stable argsort),
+matching the baseline's argmin convention.
 """
 
 from __future__ import annotations
@@ -37,71 +51,17 @@ from repro.core.quantities import NO_NEIGHBOR, DensityOrder, DPCQuantities, TieB
 from repro.geometry.distance import Metric
 from repro.indexes import parallel
 from repro.indexes.base import DPCIndex
-from repro.indexes.kernels import density_order_key, row_searchsorted
+from repro.indexes.kernels import bounded_searchsorted, density_order_key
 
-__all__ = ["ListIndex"]
-
-# Kept as the historical private name; the shared implementation lives with
-# the batched kernels so every index family encodes the density total order
-# identically.
-_order_key = density_order_key
+__all__ = ["NListIndex", "ListIndex"]
 
 
-def sweep_quantities(index, dcs, tie_break) -> "list[DPCQuantities]":
-    """Shared batched-sweep assembly for the list-family indexes.
+class NListIndex(DPCIndex):
+    """Sorted neighbour rows in CSR form, and every query over them.
 
-    ``index`` supplies ``rho_all_multi`` and ``_delta_sweep``.  One sharded
-    ρ pass answers the whole grid, then the δ scans run as one
-    ``(dc, chunk)`` task grid; each chunk gathers its own narrow prefetch
-    block — narrow because it still resolves the overwhelming majority of
-    rows (Theorem 1) while keeping the per-``dc`` key-compare cheap, with
-    the scan continuing in geometrically widening blocks (the first
-    ``scan_block`` wide) for the stragglers.
-    """
-    dcs = index._validate_dcs(dcs)
-    rhos = index.rho_all_multi(dcs)
-    orders = [DensityOrder(rho, tie_break) for rho in rhos]
-    deltas = index._delta_sweep(orders, prefetch_width=min(8, index.scan_block))
-    return [
-        DPCQuantities(dc=float(dc), rho=rho, delta=delta, mu=mu, density_order=order)
-        for dc, rho, order, (delta, mu) in zip(dcs, rhos, orders, deltas)
-    ]
-
-
-def sharded_delta_scan(index, orders, prefetch_width: int):
-    """δ/μ per density order via the sharded near-to-far CSR scan.
-
-    The chunked task grid shared by the N-List and RN-List indexes: one
-    task per row chunk, each scanning *all* density orders of the sweep
-    against one shared prefetch gather (the candidate layout is
-    ``dc``-independent, so a per-order regather would multiply the
-    dominant gather by the sweep width).  Unresolved rows
-    (``mu == NO_NEIGHBOR``) are handed back to the index's
-    ``_finish_unresolved`` hook — the peak convention differs between the
-    exact and truncated lists.
-    """
-    keys = np.stack([_order_key(order) for order in orders])
-    payloads = [
-        {
-            "start": start,
-            "stop": stop,
-            "block": index.scan_block,
-            "prefetch_width": prefetch_width,
-        }
-        for start, stop in index._execution().plan(index.n)
-    ]
-    outs = index._dispatch(parallel.scan_delta_task, payloads, {"keys": keys})
-    results = []
-    for o in range(len(orders)):
-        delta = np.concatenate([out["delta"][o] for out in outs])
-        mu = np.concatenate([out["mu"][o] for out in outs])
-        index._finish_unresolved(delta, mu)
-        results.append((delta, mu))
-    return results
-
-
-class ListIndex(DPCIndex):
-    """Exact N-List index (paper Algorithms 1–2).
+    Subclasses build the rows.  ``_reach`` is the radius within which a row
+    holds every neighbour (τ for the truncated lists, ∞ for complete rows),
+    and ``_big_delta`` the δ of a peak whose row is truncated.
 
     Parameters
     ----------
@@ -121,7 +81,8 @@ class ListIndex(DPCIndex):
         shard over row chunks; results are bit-identical across backends.
     """
 
-    name: ClassVar[str] = "list"
+    _reach = float("inf")
+    _big_delta = float("inf")
 
     def __init__(
         self,
@@ -139,33 +100,180 @@ class ListIndex(DPCIndex):
             raise ValueError(f"scan_block must be positive, got {scan_block}")
         self.build_block_rows = build_block_rows
         self.scan_block = scan_block
-        self._neighbor_ids: Optional[np.ndarray] = None  # (n, n-1) int32
-        self._neighbor_dists: Optional[np.ndarray] = None  # (n, n-1) float64
+        # CSR layout: row p occupies [offsets[p], offsets[p+1]) in ids/dists.
+        self._offsets: Optional[np.ndarray] = None  # (n+1,) int64
+        self._ids: Optional[np.ndarray] = None  # int32
+        self._dists: Optional[np.ndarray] = None  # float64
 
     # -- construction (Algorithm 1) -------------------------------------------
 
-    def _build(self) -> None:
+    def _sorted_rows(self):
+        """Yield ``(p, row, ids, dists)`` for every object ``p``: its
+        distances to all objects, and the ids and distances of its neighbours
+        within reach, near to far (ties by id).  Distances are computed
+        ``build_block_rows`` rows at a time."""
         points = self.points
         n = len(points)
         if n < 2:
-            raise ValueError("ListIndex needs at least 2 points")
-        ids = np.empty((n, n - 1), dtype=np.int32)
-        dists = np.empty((n, n - 1), dtype=np.float64)
+            raise ValueError(f"{type(self).__name__} needs at least 2 points")
         all_ids = np.arange(n, dtype=np.int32)
+        reach = self._reach
         for start in range(0, n, self.build_block_rows):
-            stop = min(start + self.build_block_rows, n)
-            block = self.metric.cross(points[start:stop], points)
-            for i, p in enumerate(range(start, stop)):
-                row = block[i]
-                # Drop self, then stable-sort by distance (ties by id).
+            block = self.metric.cross(points[start : start + self.build_block_rows], points)
+            for p, row in enumerate(block, start):
                 keep = all_ids != p
-                neigh = all_ids[keep]
+                if reach < np.inf:
+                    keep &= row < reach
                 d = row[keep]
                 sorting = np.argsort(d, kind="stable")
-                ids[p] = neigh[sorting]
-                dists[p] = d[sorting]
-        self._neighbor_ids = ids
-        self._neighbor_dists = dists
+                yield p, row, all_ids[keep][sorting], d[sorting]
+
+    def row_lengths(self) -> np.ndarray:
+        self._require_fitted()
+        return np.diff(self._offsets)
+
+    # -- sharded-execution image (repro.indexes.parallel) ------------------------
+
+    def _shard_arrays(self):
+        return {"ids": self._ids, "dists": self._dists, "offsets": self._offsets}
+
+    def _shard_meta(self):
+        return {"n": self.n}
+
+    # -- ρ query (Algorithm 2, lines 2-6) --------------------------------------
+
+    def _rho_all(self, dc: float) -> np.ndarray:
+        return self._rho_rows(np.array([dc], dtype=np.float64))[0]
+
+    def rho_all_multi(self, dcs) -> np.ndarray:
+        """All objects × all cut-offs in one sharded batched search."""
+        self._require_fitted()
+        return self._rho_rows(self._validate_dcs(dcs))
+
+    def _rho_rows(self, dcs: np.ndarray) -> np.ndarray:
+        # Paper 5.3.1: beyond τ no search happens; the truncated length is
+        # the (approximate) answer.
+        beyond = dcs > self._reach
+        if not beyond.any():
+            return self._search_rho(dcs.tolist())
+        rho = np.empty((len(dcs), self.n), dtype=np.int64)
+        rho[beyond] = np.diff(self._offsets)
+        within = np.flatnonzero(~beyond)
+        if len(within):
+            rho[within] = self._search_rho(dcs[within].tolist())
+        return rho
+
+    def _search_rho(self, dcs) -> np.ndarray:
+        # searchsorted(side="left") == index of farthest object with
+        # dist < dc, which *is* ρ(p) (Example 1 of the paper); one batched
+        # binary search per object and cut-off, sharded over row chunks.
+        payloads = [
+            {"start": start, "stop": stop, "needles": dcs}
+            for start, stop in self._execution().plan(self.n)
+        ]
+        outs = self._dispatch(parallel.csr_rho_task, payloads)
+        return np.ascontiguousarray(np.concatenate([o["rho"] for o in outs]).T)
+
+    # -- δ query (Algorithm 2, lines 7-13) --------------------------------------
+
+    def delta_all(self, order: DensityOrder) -> Tuple[np.ndarray, np.ndarray]:
+        self._require_fitted()
+        if len(order) != self.n:
+            raise ValueError(f"order has {len(order)} objects, index has {self.n}")
+        return self._delta_sweep([order], prefetch_width=0)[0]
+
+    def _delta_sweep(self, orders, prefetch_width: int = 0):
+        """δ/μ per density order via the sharded near-to-far CSR scan.
+
+        One task per row chunk, each scanning *all* density orders of the
+        sweep against one shared prefetch gather (the candidate layout is
+        ``dc``-independent, so a per-order regather would multiply the
+        dominant gather by the sweep width).
+        """
+        keys = np.stack([density_order_key(order) for order in orders])
+        payloads = [
+            {
+                "start": start,
+                "stop": stop,
+                "block": self.scan_block,
+                "prefetch_width": prefetch_width,
+            }
+            for start, stop in self._execution().plan(self.n)
+        ]
+        outs = self._dispatch(parallel.scan_delta_task, payloads, {"keys": keys})
+        results = []
+        for o in range(len(orders)):
+            delta = np.concatenate([out["delta"][o] for out in outs])
+            mu = np.concatenate([out["mu"][o] for out in outs])
+            self._finish_unresolved(delta, mu)
+            results.append((delta, mu))
+        return results
+
+    def _finish_unresolved(self, delta: np.ndarray, mu: np.ndarray) -> None:
+        # Whatever the scan left has no denser object in its row.  A complete
+        # row makes it a true peak (the single global peak under TieBreak.ID,
+        # every maximal-density object under STRICT), and the paper's δ is
+        # max_q dist(p, q), the row's last entry.  A truncated row has no
+        # denser object within τ: the large δ keeps it at the top of the
+        # decision graph as a centre/outlier candidate.
+        peaks = np.flatnonzero(mu == NO_NEIGHBOR)
+        ends = self._offsets[peaks + 1]
+        complete = ends - self._offsets[peaks] == self.n - 1
+        delta[peaks[complete]] = self._dists[ends[complete] - 1]
+        delta[peaks[~complete]] = self._big_delta
+
+    # -- multi-dc sweep -----------------------------------------------------------
+
+    def _quantities_multi_impl(
+        self, dcs, tie_break: "str | TieBreak"
+    ) -> "list[DPCQuantities]":
+        """Batched sweep: one sharded ρ search for the whole grid, then the δ
+        scans of every cut-off, one task per row chunk.  Each chunk gathers
+        a narrow ``dc``-independent prefetch block — narrow because it still
+        resolves the overwhelming majority of rows (Theorem 1) while keeping
+        the per-``dc`` key-compare cheap, with the scan continuing in
+        geometrically widening blocks (the first ``scan_block`` wide) for
+        the stragglers."""
+        rhos = self._rho_rows(dcs)
+        orders = [DensityOrder(rho, tie_break) for rho in rhos]
+        deltas = self._delta_sweep(orders, prefetch_width=min(8, self.scan_block))
+        return [
+            DPCQuantities(dc=float(dc), rho=rho, delta=delta, mu=mu, density_order=order)
+            for dc, rho, order, (delta, mu) in zip(dcs, rhos, orders, deltas)
+        ]
+
+    # -- bookkeeping -------------------------------------------------------------
+
+    def memory_bytes(self) -> int:
+        if self._offsets is None:
+            return 0
+        return int(self._offsets.nbytes + self._ids.nbytes + self._dists.nbytes)
+
+
+class ListIndex(NListIndex):
+    """Exact N-List index (paper Algorithms 1–2): every row is complete.
+
+    Parameters are those of :class:`NListIndex`.
+    """
+
+    name: ClassVar[str] = "list"
+
+    def _build(self) -> None:
+        n = len(self.points)
+        # Complete rows are preallocated, so the build holds one copy of
+        # the lists (plus one block of distances).
+        ids = np.empty((n, n - 1), dtype=np.int32)
+        dists = np.empty((n, n - 1), dtype=np.float64)
+        for p, _row, row_ids, row_dists in self._sorted_rows():
+            ids[p] = row_ids
+            dists[p] = row_dists
+        self._store_complete_rows(ids, dists)
+
+    def _store_complete_rows(self, ids: np.ndarray, dists: np.ndarray) -> None:
+        n, m = ids.shape
+        self._offsets = np.arange(n + 1, dtype=np.int64) * m
+        self._ids = ids.reshape(-1)
+        self._dists = dists.reshape(-1)
 
     # -- incremental maintenance -------------------------------------------------
 
@@ -174,7 +282,7 @@ class ListIndex(DPCIndex):
 
         The N-List rows are per-object sorted runs, so a batch folds in as
         one batched sorted merge: each old row's ``k`` new distances are
-        sorted, one :func:`~repro.indexes.kernels.row_searchsorted` call
+        sorted, one :func:`~repro.indexes.kernels.bounded_searchsorted` call
         finds every insertion point (``side="right"`` — new ids are larger,
         so distance ties keep ascending-id order), and new and old entries
         scatter into the grown rows through a position mask.  Each new
@@ -192,21 +300,26 @@ class ListIndex(DPCIndex):
         cross_nn = self.metric.cross(new_points, new_points)
         ids = np.empty((n, n - 1), dtype=np.int32)
         dists = np.empty((n, n - 1), dtype=np.float64)
-        # Old rows: entry j of row p's sorted new distances lands at
-        # ins[p, j] + j, after the j new entries sorted before it.
+        # Old rows: entry j of row p's sorted new distances lands after the
+        # j new entries sorted before it.  ``ins`` is its insertion point in
+        # the old flat lists, p·(base_n - 1) + (its place in row p), so its
+        # slot in the grown flat lists is ins + p·k + j.
         d_new = np.ascontiguousarray(cross_no.T)
         srt = np.argsort(d_new, axis=1, kind="stable")
         d_new = np.take_along_axis(d_new, srt, axis=1)
-        ins = row_searchsorted(self._neighbor_dists, d_new, side="right")
-        pos = (ins + np.arange(base_n)[:, None] * (n - 1) + np.arange(k)).ravel()
+        offsets = self._offsets
+        ins = bounded_searchsorted(
+            self._dists, offsets[:-1, None], offsets[1:, None], d_new, side="right"
+        )
+        pos = (ins + np.arange(base_n)[:, None] * k + np.arange(k)).ravel()
         is_new = np.zeros(base_n * (n - 1), dtype=bool)
         is_new[pos] = True
         old_ids, old_dists = ids[:base_n].reshape(-1), dists[:base_n].reshape(-1)
         old_ids[pos] = (srt + base_n).ravel()
         old_dists[pos] = d_new.ravel()
         is_old = ~is_new
-        old_ids[is_old] = self._neighbor_ids.ravel()
-        old_dists[is_old] = self._neighbor_dists.ravel()
+        old_ids[is_old] = self._ids
+        old_dists[is_old] = self._dists
         # New rows: every other object, sorted (ties by id).
         row = np.concatenate([cross_no, cross_nn], axis=1)  # (k, n)
         keep = np.ones((k, n), dtype=bool)
@@ -217,97 +330,16 @@ class ListIndex(DPCIndex):
         ids[base_n:] = np.take_along_axis(id_row.reshape(k, n - 1), sorting, axis=1)
         dists[base_n:] = np.take_along_axis(d_row, sorting, axis=1)
         self.points = combined
-        self._neighbor_ids = ids
-        self._neighbor_dists = dists
+        self._store_complete_rows(ids, dists)
 
-    # CSR view of the dense rows, shared with the kernels (row p occupies
-    # [p·(n-1), (p+1)·(n-1)) in the flat arrays).
-    def _row_offsets(self) -> np.ndarray:
-        n, m = self._neighbor_dists.shape
-        return np.arange(n + 1, dtype=np.int64) * m
-
-    # -- sharded-execution image (repro.indexes.parallel) ------------------------
-
-    def _shard_arrays(self):
-        return {
-            "ids": self._neighbor_ids,
-            "dists": self._neighbor_dists,
-            "offsets": self._row_offsets(),
-        }
-
-    def _shard_meta(self):
-        n, m = self._neighbor_dists.shape
-        return {"n": n, "row_len": m}
-
-    # -- ρ query (Algorithm 2, lines 2-6) --------------------------------------
-
-    def _rho_all(self, dc: float) -> np.ndarray:
-        # searchsorted(side="left") == index of farthest object with
-        # dist < dc, which *is* ρ(p) (Example 1 of the paper); one batched
-        # binary search per object, sharded over row chunks.
-        return self._list_rho(float(dc))
-
-    def rho_all_multi(self, dcs) -> np.ndarray:
-        """All objects × all cut-offs in one sharded batched binary search."""
-        self._require_fitted()
-        dcs = self._validate_dcs(dcs)
-        pos = self._list_rho([float(dc) for dc in dcs])
-        return np.ascontiguousarray(pos.T).astype(np.int64, copy=False)
-
-    def _list_rho(self, needles):
-        payloads = [
-            {"start": start, "stop": stop, "needles": needles}
-            for start, stop in self._execution().plan(self.n)
-        ]
-        outs = self._dispatch(parallel.list_rho_task, payloads)
-        return np.concatenate([o["rho"] for o in outs]).astype(np.int64, copy=False)
-
-    # -- δ query (Algorithm 2, lines 7-13) --------------------------------------
-
-    def delta_all(self, order: DensityOrder) -> Tuple[np.ndarray, np.ndarray]:
-        self._require_fitted()
-        if len(order) != len(self._neighbor_ids):
-            raise ValueError(
-                f"order has {len(order)} objects, index has {len(self._neighbor_ids)}"
-            )
-        return self._delta_sweep([order], prefetch_width=0)[0]
-
-    def _delta_sweep(self, orders, prefetch_width: int = 0):
-        """Sharded near-to-far scans, one ``(order, chunk)`` task grid."""
-        return sharded_delta_scan(self, orders, prefetch_width)
-
-    def _finish_unresolved(self, delta: np.ndarray, mu: np.ndarray) -> None:
-        # Whatever the scan left has no denser object at all: the single
-        # global peak under TieBreak.ID, every maximal-density object under
-        # STRICT.  Paper convention: δ = max_q dist(p, q) = last list entry.
-        peaks = np.flatnonzero(mu == NO_NEIGHBOR)
-        delta[peaks] = self._neighbor_dists[peaks, -1]
-
-    # -- multi-dc sweep -----------------------------------------------------------
-
-    def _quantities_multi_impl(
-        self, dcs, tie_break: "str | TieBreak"
-    ) -> "list[DPCQuantities]":
-        """Batched sweep: one sharded ρ search for the whole grid, then the
-        δ scans as one ``(dc, chunk)`` task grid (each chunk gathering its
-        ``dc``-independent prefetch block)."""
-        return sweep_quantities(self, dcs, tie_break)
-
-    # -- bookkeeping -------------------------------------------------------------
-
-    def memory_bytes(self) -> int:
-        if self._neighbor_ids is None:
-            return 0
-        return int(self._neighbor_ids.nbytes + self._neighbor_dists.nbytes)
-
-    # Exposed for CHIndex, which builds its histograms over these arrays, and
-    # for white-box tests.
+    # The complete rows as dense (n, n-1) views, for the kNN density variant
+    # and white-box tests.
     @property
     def neighbor_ids(self) -> np.ndarray:
         self._require_fitted()
-        return self._neighbor_ids
+        return self._ids.reshape(self.n, -1)
 
     @property
     def neighbor_dists(self) -> np.ndarray:
         self._require_fitted()
-        return self._neighbor_dists
+        return self._dists.reshape(self.n, -1)

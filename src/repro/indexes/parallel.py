@@ -111,7 +111,6 @@ from repro.indexes.kernels import (
     grid_delta_batched,
     grid_rho_batched,
     prefetch_scan_block,
-    row_searchsorted,
     scan_first_denser,
     tree_delta_batched,
     tree_rho_batched,
@@ -826,49 +825,23 @@ def run_index_tasks(
 # scalars, so a task pickles in a few dozen bytes.
 
 
-def list_rho_task(arrays, meta, payload, stats):
-    """Row-sharded N-List ρ: one batched binary search per chunk row.
+def csr_rho_task(arrays, meta, payload, stats):
+    """Row-sharded list ρ: one batched binary search per chunk row and cut-off.
 
-    ``needles`` is a scalar ``dc`` or a list of them (the multi-``dc``
-    grid); the result rows are chunk-local and re-assembled by the caller.
+    ``needles`` is the list of cut-offs; the ``(rows, cut-offs)`` result is
+    chunk-local and re-assembled by the caller.
     """
     start, stop = payload["start"], payload["stop"]
-    n, m = meta["n"], meta["row_len"]
-    rows = arrays["dists"].reshape(n, m)[start:stop]
-    needles = payload["needles"]
-    if isinstance(needles, (list, tuple)):
-        pos = row_searchsorted(rows, np.asarray(needles, dtype=np.float64)[None, :])
-    else:
-        pos = row_searchsorted(rows, float(needles))
-    stats.binary_searches += pos.size
-    return {"rho": pos}
-
-
-def csr_rho_task(arrays, meta, payload, stats):
-    """Row-sharded RN-List ρ: bounded binary searches over CSR rows."""
-    start, stop = payload["start"], payload["stop"]
     offsets = arrays["offsets"]
-    needles = payload["needles"]
-    if isinstance(needles, (list, tuple)):
-        grid = np.asarray(needles, dtype=np.float64)
-        pos = bounded_searchsorted(
-            arrays["dists"],
-            offsets[start:stop, None],
-            offsets[start + 1 : stop + 1, None],
-            grid[None, :],
-        )
-        rho = pos - offsets[start:stop, None]
-        stats.binary_searches += (stop - start) * len(grid)
-    else:
-        pos = bounded_searchsorted(
-            arrays["dists"],
-            offsets[start:stop],
-            offsets[start + 1 : stop + 1],
-            float(needles),
-        )
-        rho = pos - offsets[start:stop]
-        stats.binary_searches += stop - start
-    return {"rho": rho}
+    grid = np.asarray(payload["needles"], dtype=np.float64)
+    pos = bounded_searchsorted(
+        arrays["dists"],
+        offsets[start:stop, None],
+        offsets[start + 1 : stop + 1, None],
+        grid[None, :],
+    )
+    stats.binary_searches += pos.size
+    return {"rho": pos - offsets[start:stop, None]}
 
 
 def ch_rho_task(arrays, meta, payload, stats):
@@ -883,7 +856,7 @@ def ch_rho_task(arrays, meta, payload, stats):
     rho, scanned, searches = ch_rho_from_histograms(
         arrays["hist_offsets"][start : stop + 1],
         arrays["hist_values"],
-        arrays["dists"].reshape(-1),
+        arrays["dists"],
         offsets[start:stop],
         payload["dc"],
         payload["w"],
@@ -895,7 +868,7 @@ def ch_rho_task(arrays, meta, payload, stats):
 
 
 def scan_delta_task(arrays, meta, payload, stats):
-    """Row-sharded near-to-far δ scans over N-List / RN-List CSR rows.
+    """Row-sharded near-to-far δ scans over the list family's CSR rows.
 
     One task covers rows ``[start, stop)`` for *every* density order of the
     sweep (rows of ``arrays["keys"]``): the candidate layout — and hence
@@ -907,8 +880,7 @@ def scan_delta_task(arrays, meta, payload, stats):
     start, stop = payload["start"], payload["stop"]
     keys = arrays["keys"]
     offsets = arrays["offsets"][start : stop + 1]
-    ids = arrays["ids"].reshape(-1)
-    dists = arrays["dists"].reshape(-1)
+    ids, dists = arrays["ids"], arrays["dists"]
     qid = np.arange(start, stop, dtype=np.int64)
     prefetch = None
     width = payload["prefetch_width"]

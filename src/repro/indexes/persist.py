@@ -43,11 +43,11 @@ import numpy as np
 
 from repro import faults
 from repro.indexes.base import DPCIndex
-from repro.indexes.ch_index import CHIndex
+from repro.indexes.ch_index import CumulativeHistogramMixin
 from repro.indexes.kernels import FlatTree
-from repro.indexes.list_index import ListIndex
+from repro.indexes.list_index import NListIndex
 from repro.indexes.registry import INDEX_CLASSES
-from repro.indexes.rn_list import RNCHIndex, RNListIndex
+from repro.indexes.rn_list import RNListIndex
 from repro.indexes.treebase import TreeIndexBase
 
 __all__ = [
@@ -110,21 +110,29 @@ _FORMAT_VERSION = 1
 #: payload under that layout and then refits all of its points.
 _FINGERPRINT_VERSION = 2
 
-#: Index classes whose heavy arrays are persisted (vs rebuilt on load).
-_ARRAY_STATE = {
-    ListIndex: ("_neighbor_ids", "_neighbor_dists"),
-    CHIndex: ("_neighbor_ids", "_neighbor_dists", "_hist_offsets", "_hist_values"),
-    RNListIndex: ("_offsets", "_ids", "_dists"),
-    RNCHIndex: ("_offsets", "_ids", "_dists", "_hist_offsets", "_hist_values"),
-}
-
-
 def _state_attrs(index: DPCIndex):
-    # Subclass entries must win over base entries (CHIndex before ListIndex).
-    for cls in type(index).__mro__:
-        if cls in _ARRAY_STATE:
-            return _ARRAY_STATE[cls]
-    return ()
+    """The arrays a restore adopts instead of rebuilding: the CSR rows of a
+    list-family index, plus the histograms of CH and RN-CH."""
+    if not isinstance(index, NListIndex):
+        return ()
+    rows = ("_offsets", "_ids", "_dists")
+    if isinstance(index, CumulativeHistogramMixin):
+        return rows + ("_hist_offsets", "_hist_values")
+    return rows
+
+
+def _dense_rows(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """The CSR state of a List or CH payload saved in the dense layout,
+    where ``_neighbor_ids`` / ``_neighbor_dists`` held the complete rows as
+    ``(n, n-1)`` matrices."""
+    state = dict(state)
+    ids = state.pop("_neighbor_ids")
+    dists = state.pop("_neighbor_dists")
+    n, m = dists.shape
+    state["_offsets"] = np.arange(n + 1, dtype=np.int64) * m
+    state["_ids"] = ids.reshape(-1)
+    state["_dists"] = dists.reshape(-1)
+    return state
 
 
 #: Runtime configuration is machine/session state, not index state: the
@@ -278,7 +286,7 @@ def export_index_image(index: DPCIndex) -> "tuple[Dict[str, Any], Dict[str, np.n
         if value is None:
             raise ValueError(f"index state {attr} is missing; index looks corrupt")
         arrays[f"state{attr}"] = value
-    if hasattr(index, "_big_delta"):
+    if isinstance(index, RNListIndex):
         meta["big_delta"] = float(index._big_delta)
     if isinstance(index, TreeIndexBase):
         # Persist the flattened query image: a load (serving cold start)
@@ -422,6 +430,8 @@ def restore_index_image(
     segments = meta.get("segments") or [len(points)]
     if len(segments) > 1:
         return _restore_segmented(index, meta, points, segments)
+    if "_neighbor_ids" in state:
+        state = _dense_rows(state)
     if state:
         # Restore without rebuilding: place points + arrays directly.
         index.points = np.ascontiguousarray(points, dtype=np.float64)

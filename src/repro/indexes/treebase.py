@@ -58,7 +58,6 @@ import numpy as np
 
 from repro.core.quantities import NO_NEIGHBOR, DensityOrder, DPCQuantities
 from repro.geometry.distance import Metric
-from repro.geometry.rect import Rect
 from repro.indexes import parallel
 from repro.indexes.base import DPCIndex
 from repro.indexes.kernels import (
@@ -77,11 +76,10 @@ __all__ = ["TreeNode", "TreeIndexBase"]
 class TreeNode:
     """One node of a spatial tree: a box, plus children or leaf ids.
 
-    ``lo``/``hi`` are the box corners (kept as raw arrays — hot query paths
-    bypass :class:`~repro.geometry.rect.Rect` to avoid per-visit wrapper
-    costs).  ``lo_t``/``hi_t`` are plain-float tuples of the same corners,
-    filled by :meth:`finalize_counts`, for the scalar fast path of the 2-D
-    Euclidean traversals.  ``nc`` is the number of objects below the node
+    ``lo``/``hi`` are the box corners, as raw arrays the metric's rectangle
+    bounds read directly.  ``lo_t``/``hi_t`` are plain-float tuples of the
+    same corners, filled by :meth:`finalize_counts`, for the scalar fast
+    path of the 2-D Euclidean traversals.  ``nc`` is the number of objects below the node
     (paper Table 1); ``maxrho`` is (re)annotated per clustering run since it
     depends on ``dc``.
     """
@@ -107,10 +105,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
-
-    @property
-    def rect(self) -> Rect:
-        return Rect(self.lo, self.hi)
 
     def finalize_counts(self) -> int:
         """Fill ``nc`` bottom-up and cache tuple boxes; returns the count.

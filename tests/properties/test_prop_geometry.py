@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.geometry.distance import get_metric
-from repro.geometry.rect import Rect
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -61,15 +60,14 @@ class TestRectBounds:
     def test_mindist_maxdist_bracket_contents(self, name, corners, inside, q):
         lo = corners.min(axis=0)
         hi = corners.max(axis=0)
-        rect = Rect(lo, hi)
         # 10 points inside the box by convex interpolation of the corners.
         t = inside.reshape(10, 2)
         pts = lo + t * (hi - lo)
         m = get_metric(name)
         d = m.distances_from(pts, q[0])
         slack = 1e-9 * (1.0 + abs(d).max())
-        assert rect.mindist(q[0], name) <= d.min() + slack
-        assert rect.maxdist(q[0], name) >= d.max() - slack
+        assert m.rect_mindist(q[0], lo, hi) <= d.min() + slack
+        assert m.rect_maxdist(q[0], lo, hi) >= d.max() - slack
 
     # Exclude subnormal coordinates: a gap below ~1e-154 underflows when
     # squared inside the Euclidean mindist, making "outside but mindist 0"
@@ -86,28 +84,8 @@ class TestRectBounds:
     def test_mindist_zero_iff_inside(self, corners, q):
         lo = corners.min(axis=0)
         hi = corners.max(axis=0)
-        rect = Rect(lo, hi)
-        md = rect.mindist(q[0])
-        if rect.contains_point(q[0]):
+        md = get_metric("euclidean").rect_mindist(q[0], lo, hi)
+        if np.all(q[0] >= lo) and np.all(q[0] <= hi):
             assert md == 0.0
         else:
             assert md > 0.0
-
-    @given(corners=point_arrays(4, 2))
-    @settings(max_examples=30, deadline=None)
-    def test_union_contains_both(self, corners):
-        a = Rect(corners[:2].min(axis=0), corners[:2].max(axis=0))
-        b = Rect(corners[2:].min(axis=0), corners[2:].max(axis=0))
-        u = a.union(b)
-        assert u.contains_rect(a) and u.contains_rect(b)
-        assert u.area() >= max(a.area(), b.area())
-
-    @given(corners=point_arrays(2, 3), split=st.floats(0.05, 0.95))
-    @settings(max_examples=30, deadline=None)
-    def test_split_partitions_volume(self, corners, split):
-        lo = corners.min(axis=0)
-        hi = corners.max(axis=0)
-        rect = Rect(lo, hi)
-        value = lo[1] + split * (hi[1] - lo[1])
-        left, right = rect.split_at(1, value)
-        assert left.area() + right.area() == pytest.approx(rect.area(), rel=1e-9, abs=1e-12)

@@ -9,7 +9,6 @@ from repro.indexes.kernels import (
     ch_rho_from_histograms,
     prefetch_scan_block,
     resolve_bin,
-    row_searchsorted,
     scan_first_denser,
 )
 
@@ -102,50 +101,68 @@ class TestBoundedSearchsorted:
             )
 
 
-class TestRowSearchsorted:
-    def test_scalar_needle(self, rng):
-        rows = np.sort(rng.uniform(0, 1, size=(30, 17)), axis=1)
-        got = row_searchsorted(rows, 0.4)
-        expected = [np.searchsorted(rows[p], 0.4) for p in range(30)]
-        np.testing.assert_array_equal(got, expected)
+class TestOneLengthRows:
+    """:func:`bounded_searchsorted` over rows that all have one length (the
+    complete N-Lists of the List and CH indexes), where it skips the
+    per-pass check that a probe stays inside its row."""
 
-    def test_per_row_needles(self, rng):
-        rows = np.sort(rng.uniform(0, 1, size=(12, 9)), axis=1)
-        needles = rng.uniform(0, 1, size=12)
-        got = row_searchsorted(rows, needles)
-        expected = [np.searchsorted(rows[p], needles[p]) for p in range(12)]
-        np.testing.assert_array_equal(got, expected)
-
-    def test_grid_needles(self, rng):
-        rows = np.sort(rng.uniform(0, 1, size=(8, 21)), axis=1)
-        dcs = np.linspace(0.0, 1.2, 5)
-        got = row_searchsorted(rows, dcs[None, :])
-        assert got.shape == (8, 5)
-        for p in range(8):
-            np.testing.assert_array_equal(got[p], np.searchsorted(rows[p], dcs))
-
-    def test_grid_with_as_many_needles_as_rows(self, rng):
-        """(1, n) grids must not be confused with per-row (n,) needles."""
-        rows = np.sort(rng.uniform(0, 1, size=(6, 10)), axis=1)
-        dcs = np.linspace(0.1, 0.9, 6)
-        got = row_searchsorted(rows, dcs[None, :])
-        assert got.shape == (6, 6)
-        for p in range(6):
-            np.testing.assert_array_equal(got[p], np.searchsorted(rows[p], dcs))
-
+    @staticmethod
+    def padded_rows(rows):
+        """The rows laid out with a gap of ±inf sentinels between them, so a
+        probe that left its row would change the answer."""
+        n, m = rows.shape
+        flat = np.tile([-np.inf, -np.inf, np.inf], (n, 1))
+        flat = np.concatenate([rows, flat], axis=1).reshape(-1)
+        starts = np.arange(n, dtype=np.int64) * (m + 3)
+        return flat, starts, starts + m
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_every_row_length_with_ties(self, rng, side):
-        """Row lengths on and off powers of two, tied values and needles
-        equal to them, below the first and above the last entry."""
+        """Every row length 0-40, on and off powers of two, tied values and
+        needles equal to them, below the first and above the last entry: a
+        scalar needle, one needle per row, and a needle grid."""
         for m in range(41):
             rows = np.sort(rng.integers(0, 5, size=(7, m)).astype(np.float64), axis=1)
-            needles = rng.integers(-1, 6, size=(7, 9)).astype(np.float64)
-            got = row_searchsorted(rows, needles, side=side)
+            flat, starts, stops = self.padded_rows(rows)
+            col_starts, col_stops = starts[:, None], stops[:, None]
+            grid = rng.integers(-1, 6, size=(7, 9)).astype(np.float64)
+            got = bounded_searchsorted(flat, col_starts, col_stops, grid, side) - col_starts
+            per_row = bounded_searchsorted(flat, starts, stops, grid[:, 0], side) - starts
+            shared = bounded_searchsorted(flat, col_starts, col_stops, grid[:1], side)
+            shared -= col_starts
+            msg = f"m={m}"
             for p in range(7):
                 np.testing.assert_array_equal(
-                    got[p], np.searchsorted(rows[p], needles[p], side=side), err_msg=f"m={m}"
+                    got[p], np.searchsorted(rows[p], grid[p], side), err_msg=msg
                 )
+                assert per_row[p] == np.searchsorted(rows[p], grid[p, 0], side), msg
+                np.testing.assert_array_equal(
+                    shared[p], np.searchsorted(rows[p], grid[0], side), err_msg=msg
+                )
+            for needle in (-1.0, 2.0, 4.0, 5.0):
+                scalar = bounded_searchsorted(flat, starts, stops, needle, side) - starts
+                expected = [np.searchsorted(row, needle, side) for row in rows]
+                np.testing.assert_array_equal(scalar, expected, err_msg=msg)
+
+    def test_continuous_values(self, rng):
+        rows = np.sort(rng.uniform(0, 1, size=(30, 17)), axis=1)
+        flat, starts, stops = self.padded_rows(rows)
+        needles = rng.uniform(0, 1, size=30)
+        got = bounded_searchsorted(flat, starts, stops, needles) - starts
+        expected = [np.searchsorted(rows[p], needles[p]) for p in range(30)]
+        np.testing.assert_array_equal(got, expected)
+
+    def test_grid_with_as_many_needles_as_rows(self, rng):
+        """A (1, n) grid against column offsets is a grid, not per-row needles."""
+        rows = np.sort(rng.uniform(0, 1, size=(6, 10)), axis=1)
+        flat, starts, stops = self.padded_rows(rows)
+        dcs = np.linspace(0.1, 0.9, 6)
+        got = bounded_searchsorted(flat, starts[:, None], stops[:, None], dcs[None, :])
+        assert got.shape == (6, 6)
+        for p in range(6):
+            np.testing.assert_array_equal(got[p] - starts[p], np.searchsorted(rows[p], dcs))
+        per_row = bounded_searchsorted(flat, starts, stops, dcs)
+        assert per_row.shape == (6,)
 
 
 def brute_first_denser(offsets, ids, dists, key):

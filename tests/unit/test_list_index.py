@@ -108,7 +108,11 @@ class TestDeltaQuery:
 
 class TestBookkeeping:
     def test_memory_counts_both_arrays(self, fitted):
-        expected = fitted.neighbor_ids.nbytes + fitted.neighbor_dists.nbytes
+        # The two lists plus the CSR row offsets the list family shares.
+        expected = (
+            fitted.neighbor_ids.nbytes + fitted.neighbor_dists.nbytes
+            + fitted._offsets.nbytes
+        )
         assert fitted.memory_bytes() == expected
 
     def test_memory_zero_before_fit(self):

@@ -204,6 +204,54 @@ class TestFingerprintPinned:
             load_index(path, quarantine=False)
 
 
+def _save_dense_payload(name, points, fingerprint, path):
+    """Write a List or CH payload in the dense layout: the complete N-Lists
+    as ``(n, n-1)`` matrices ``state_neighbor_ids`` / ``state_neighbor_dists``
+    in place of the CSR rows, with ``fingerprint`` stored."""
+    index = make_index(name, **PIN_PARAMS.get(name, {})).fit(points)
+    meta, arrays = export_index_image(index)
+    arrays = {k: v for k, v in arrays.items() if k not in ("state_offsets", "state_ids", "state_dists")}
+    arrays["state_neighbor_ids"] = index.neighbor_ids
+    arrays["state_neighbor_dists"] = index.neighbor_dists
+    hist = [attr for attr in meta["state_attrs"] if attr.startswith("_hist")]
+    meta["state_attrs"] = ["_neighbor_ids", "_neighbor_dists"] + hist
+    meta["fingerprint"] = fingerprint
+    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+
+
+class TestDenseLayoutPayload:
+    """List and CH payloads saved while their N-Lists were dense matrices."""
+
+    @pytest.mark.parametrize("name", ["list", "ch"])
+    def test_restores_bit_identically(self, name, tmp_path):
+        points = _pin_corpus()
+        path = str(tmp_path / f"{name}.npz")
+        _save_dense_payload(name, points, PINNED_FINGERPRINTS[name], path)
+        restored = load_index(path, quarantine=False)
+        fresh = make_index(name, **PIN_PARAMS.get(name, {})).fit(points)
+        # Set on load only when the stored fingerprint verified.
+        assert restored._fingerprint_ == PINNED_FINGERPRINTS[name]
+        for attr in ("_offsets", "_ids", "_dists", "_hist_offsets", "_hist_values"):
+            if hasattr(fresh, attr):
+                expected = getattr(fresh, attr)
+                assert getattr(restored, attr).dtype == expected.dtype
+                np.testing.assert_array_equal(getattr(restored, attr), expected)
+        for dc in (0.5, 1.0, 2.0):
+            assert_quantities_equal(fresh.quantities(dc), restored.quantities(dc))
+        assert_quantities_equal(
+            fresh.quantities_multi([0.5, 2.0])[1], restored.quantities_multi([0.5, 2.0])[1]
+        )
+
+    @pytest.mark.parametrize("name", ["list", "ch"])
+    def test_verifies_its_points(self, name, tmp_path):
+        points = _pin_corpus()
+        points[45, 0] += 0.25  # the stored fingerprint no longer matches
+        path = str(tmp_path / f"{name}.npz")
+        _save_dense_payload(name, points, PINNED_FINGERPRINTS[name], path)
+        with pytest.raises(CorruptSnapshotError, match="fingerprint mismatch"):
+            load_index(path, quarantine=False)
+
+
 class TestFingerprint:
     """The content fingerprint the serving cache keys on (index_fingerprint)."""
 

@@ -1,147 +1,54 @@
-"""Unit tests for axis-aligned rectangles and their metric bounds."""
+"""Unit tests for the metrics' rectangle bounds (paper Table 1: dmin/dmax)."""
 
 import numpy as np
 import pytest
 
-from repro.geometry.rect import Rect, bounding_rect
+from repro.geometry.distance import get_metric
+
+#: The unit square [0, 1]², as the ``(lo, hi)`` corners the bounds take.
+LO, HI = np.array([0.0, 0.0]), np.array([1.0, 1.0])
 
 
-@pytest.fixture
-def unit_square():
-    return Rect(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+def mindist(q, metric="euclidean"):
+    return get_metric(metric).rect_mindist(np.asarray(q, dtype=np.float64), LO, HI)
 
 
-class TestConstruction:
-    def test_rejects_lo_above_hi(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            Rect(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="equal length"):
-            Rect(np.array([0.0]), np.array([1.0, 2.0]))
-
-    def test_zero_extent_allowed(self):
-        r = Rect(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        assert r.area() == 0.0
-
-    def test_basic_properties(self, unit_square):
-        assert unit_square.ndim == 2
-        assert unit_square.area() == 1.0
-        assert unit_square.margin() == 2.0
-        np.testing.assert_array_equal(unit_square.center, [0.5, 0.5])
-
-
-class TestPredicates:
-    def test_contains_point(self, unit_square):
-        assert unit_square.contains_point([0.5, 0.5])
-        assert unit_square.contains_point([0.0, 1.0])  # boundary is inside
-        assert not unit_square.contains_point([1.5, 0.5])
-
-    def test_contains_rect(self, unit_square):
-        inner = Rect(np.array([0.2, 0.2]), np.array([0.8, 0.8]))
-        assert unit_square.contains_rect(inner)
-        assert not inner.contains_rect(unit_square)
-
-    def test_intersects(self, unit_square):
-        overlapping = Rect(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
-        disjoint = Rect(np.array([2.0, 2.0]), np.array([3.0, 3.0]))
-        touching = Rect(np.array([1.0, 0.0]), np.array([2.0, 1.0]))
-        assert unit_square.intersects(overlapping)
-        assert not unit_square.intersects(disjoint)
-        assert unit_square.intersects(touching)  # closed boxes share the edge
-
-    def test_union_and_enlargement(self, unit_square):
-        other = Rect(np.array([2.0, 0.0]), np.array([3.0, 1.0]))
-        u = unit_square.union(other)
-        np.testing.assert_array_equal(u.lo, [0.0, 0.0])
-        np.testing.assert_array_equal(u.hi, [3.0, 1.0])
-        assert unit_square.enlargement(other) == pytest.approx(2.0)
-
-    def test_intersection_area(self, unit_square):
-        other = Rect(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
-        assert unit_square.intersection_area(other) == pytest.approx(0.25)
-        disjoint = Rect(np.array([5.0, 5.0]), np.array([6.0, 6.0]))
-        assert unit_square.intersection_area(disjoint) == 0.0
-
-    def test_expanded_to(self, unit_square):
-        grown = unit_square.expanded_to([2.0, -1.0])
-        np.testing.assert_array_equal(grown.lo, [0.0, -1.0])
-        np.testing.assert_array_equal(grown.hi, [2.0, 1.0])
+def maxdist(q, metric="euclidean"):
+    return get_metric(metric).rect_maxdist(np.asarray(q, dtype=np.float64), LO, HI)
 
 
 class TestMetricBounds:
-    def test_mindist_inside_is_zero(self, unit_square):
-        assert unit_square.mindist([0.3, 0.7]) == 0.0
+    def test_mindist_inside_is_zero(self):
+        assert mindist([0.3, 0.7]) == 0.0
 
-    def test_mindist_outside(self, unit_square):
-        assert unit_square.mindist([2.0, 0.5]) == pytest.approx(1.0)
-        assert unit_square.mindist([2.0, 2.0]) == pytest.approx(np.sqrt(2.0))
+    def test_mindist_outside(self):
+        assert mindist([2.0, 0.5]) == pytest.approx(1.0)
+        assert mindist([2.0, 2.0]) == pytest.approx(np.sqrt(2.0))
 
-    def test_maxdist_from_corner(self, unit_square):
-        assert unit_square.maxdist([0.0, 0.0]) == pytest.approx(np.sqrt(2.0))
+    def test_maxdist_from_corner(self):
+        assert maxdist([0.0, 0.0]) == pytest.approx(np.sqrt(2.0))
 
-    def test_bounds_bracket_true_distances(self, rng, unit_square):
+    def test_bounds_bracket_true_distances(self, rng):
         """mindist ≤ dist(q, x) ≤ maxdist for every x in the box."""
         inside = rng.uniform(0.0, 1.0, size=(200, 2))
         for q in ([-0.5, 0.5], [0.5, 0.5], [3.0, -2.0]):
             q = np.asarray(q)
             d = np.sqrt(((inside - q) ** 2).sum(axis=1))
-            assert unit_square.mindist(q) <= d.min() + 1e-12
-            assert unit_square.maxdist(q) >= d.max() - 1e-12
+            assert mindist(q) <= d.min() + 1e-12
+            assert maxdist(q) >= d.max() - 1e-12
 
     @pytest.mark.parametrize("metric", ["manhattan", "chebyshev", "sqeuclidean"])
-    def test_bounds_other_metrics(self, rng, unit_square, metric):
-        from repro.geometry.distance import get_metric
-
+    def test_bounds_other_metrics(self, rng, metric):
         m = get_metric(metric)
         inside = rng.uniform(0.0, 1.0, size=(100, 2))
         q = np.array([2.5, -0.5])
         d = m.distances_from(inside, q)
-        assert unit_square.mindist(q, metric) <= d.min() + 1e-12
-        assert unit_square.maxdist(q, metric) >= d.max() - 1e-12
+        assert mindist(q, metric) <= d.min() + 1e-12
+        assert maxdist(q, metric) >= d.max() - 1e-12
 
-    def test_haversine_bounds_rejected(self, unit_square):
-        with pytest.raises(ValueError, match="no exact rectangle bounds"):
-            unit_square.mindist([0.0, 0.0], "haversine")
-
-
-class TestSubdivision:
-    def test_quadrants_partition_area(self, unit_square):
-        quads = unit_square.quadrants()
-        assert len(quads) == 4
-        assert sum(q.area() for q in quads) == pytest.approx(unit_square.area())
-        for q in quads:
-            assert unit_square.contains_rect(q)
-
-    def test_quadrants_requires_2d(self):
-        r3 = Rect(np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError, match="2-D"):
-            r3.quadrants()
-
-    def test_split_at(self, unit_square):
-        left, right = unit_square.split_at(0, 0.3)
-        assert left.hi[0] == 0.3
-        assert right.lo[0] == 0.3
-        assert left.area() + right.area() == pytest.approx(1.0)
-
-    def test_split_at_out_of_range(self, unit_square):
-        with pytest.raises(ValueError, match="outside"):
-            unit_square.split_at(1, 1.5)
-
-
-class TestBoundingRect:
-    def test_tight_box(self, rng):
-        pts = rng.normal(size=(50, 2))
-        r = bounding_rect(pts)
-        np.testing.assert_array_equal(r.lo, pts.min(axis=0))
-        np.testing.assert_array_equal(r.hi, pts.max(axis=0))
-
-    def test_padding(self, rng):
-        pts = rng.normal(size=(50, 2))
-        r = bounding_rect(pts, pad=1.0)
-        assert np.all(r.lo < pts.min(axis=0))
-        assert np.all(r.hi > pts.max(axis=0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            bounding_rect(np.empty((0, 2)))
+    def test_haversine_bounds_rejected(self):
+        assert not get_metric("haversine").supports_rect_bounds
+        with pytest.raises(NotImplementedError, match="no exact rectangle bounds"):
+            mindist([0.0, 0.0], "haversine")
+        with pytest.raises(NotImplementedError, match="no exact rectangle bounds"):
+            maxdist([0.0, 0.0], "haversine")

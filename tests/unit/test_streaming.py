@@ -57,6 +57,50 @@ class TestIngestion:
             s.points()
 
 
+#: Batches ``fit`` and ``add_points`` reject, whenever they arrive.
+REJECTED_ALWAYS = {
+    "nan": np.array([[0.0, 0.0], [np.nan, 1.0]]),
+    "+inf": np.array([[np.inf, 0.0]]),
+    "-inf": np.array([[0.0, -np.inf]]),
+    "empty": np.empty((0, 2)),
+}
+
+
+class TestRejectedBatches:
+    """A rejected batch raises ``ValueError`` and leaves no trace: the
+    stream's ``n`` and answers stay as they were, and no subscriber is
+    called."""
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_ALWAYS))
+    def test_first_batch(self, name):
+        s = StreamingDPC()
+        calls = []
+        s.subscribe(calls.append)
+        with pytest.raises(ValueError):
+            s.add(REJECTED_ALWAYS[name])
+        assert s.n == 0
+        assert s.index is None
+        assert calls == []
+        with pytest.raises(ValueError, match="empty"):
+            s.quantities(0.5)
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_ALWAYS) + ["wider"])
+    def test_later_batch(self, stream_batches, name):
+        batch = np.zeros((3, 3)) if name == "wider" else REJECTED_ALWAYS[name]
+        s = StreamingDPC()
+        s.add(stream_batches[0])
+        before = s.quantities(0.5)
+        calls = []
+        s.subscribe(calls.append)
+        with pytest.raises(ValueError):
+            s.add(batch)
+        assert s.n == len(stream_batches[0])
+        assert calls == []
+        np.testing.assert_array_equal(s.points(), stream_batches[0])
+        assert s.quantities(0.5) is before
+        assert_quantities_equal(naive_quantities(stream_batches[0], 0.5), before)
+
+
 class TestExactness:
     def test_quantities_match_batch_at_every_step(self, stream_batches):
         """The streaming answer equals a from-scratch run after each batch."""

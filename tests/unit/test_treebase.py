@@ -31,10 +31,6 @@ class TestTreeNode:
         root = TreeNode(np.zeros(2), 2 * np.ones(2), children=[leaf_a, leaf_b])
         assert len(list(root.iter_nodes())) == 3
 
-    def test_rect_property(self):
-        node = TreeNode(np.zeros(2), np.ones(2), ids=np.array([0]))
-        assert node.rect.area() == 1.0
-
 
 class TestMaxrhoAnnotation:
     def test_annotation_is_subtree_max(self, blobs):

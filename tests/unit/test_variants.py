@@ -10,6 +10,7 @@ from repro.extras.variants import gaussian_density, knn_density, variant_quantit
 from repro.geometry.distance import pairwise_distances
 from repro.indexes.kdtree import KDTreeIndex
 from repro.indexes.list_index import ListIndex
+from repro.indexes.rn_list import RNCHIndex, RNListIndex
 from repro.indexes.rtree import RTreeIndex
 from repro.metrics.external import adjusted_rand_index
 
@@ -80,6 +81,13 @@ class TestKnnDensity:
             knn_density(index, k=3, mode="median")
         with pytest.raises(TypeError, match="ListIndex"):
             knn_density(KDTreeIndex().fit(blobs), k=3)
+
+    @pytest.mark.parametrize("cls", [RNListIndex, RNCHIndex], ids=["rn-list", "rn-ch"])
+    def test_truncated_lists_rejected(self, blobs, cls):
+        """The RN-Lists share the N-List layout, but their rows are ragged:
+        the k nearest neighbours of an object need not be stored."""
+        with pytest.raises(TypeError, match="ListIndex"):
+            knn_density(cls(tau=1.0).fit(blobs), k=3)
 
 
 class TestVariantQuantities:
