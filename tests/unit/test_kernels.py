@@ -144,6 +144,23 @@ class TestOneLengthRows:
                 expected = [np.searchsorted(row, needle, side) for row in rows]
                 np.testing.assert_array_equal(scalar, expected, err_msg=msg)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_the_bounds_checked_path(self, rng, side):
+        """The same rows answer alike whether they all have one length (no
+        bounds checks) or sit beside one longer row (bounds-checked)."""
+        for m in range(41):
+            rows = np.sort(rng.integers(0, 5, size=(7, m)).astype(np.float64), axis=1)
+            flat, starts, stops = self.padded_rows(rows)
+            grid = rng.integers(-1, 6, size=(7, 9)).astype(np.float64)
+            one_length = bounded_searchsorted(flat, starts[:, None], stops[:, None], grid, side)
+            ragged_flat = np.concatenate([flat, np.arange(m + 1, dtype=np.float64)])
+            ragged_starts = np.append(starts, len(flat))[:, None]
+            ragged_stops = np.append(stops, len(ragged_flat))[:, None]
+            ragged = bounded_searchsorted(
+                ragged_flat, ragged_starts, ragged_stops, np.vstack([grid, grid[:1]]), side
+            )
+            np.testing.assert_array_equal(one_length, ragged[:7], err_msg=f"m={m}")
+
     def test_continuous_values(self, rng):
         rows = np.sort(rng.uniform(0, 1, size=(30, 17)), axis=1)
         flat, starts, stops = self.padded_rows(rows)

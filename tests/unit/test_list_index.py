@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.baseline import naive_quantities
 from repro.core.quantities import NO_NEIGHBOR, DensityOrder
+from repro.geometry.distance import get_metric
+from repro.indexes import persist
+from repro.indexes.ch_index import CHIndex
 from repro.indexes.list_index import ListIndex
+from repro.indexes.rn_list import RNCHIndex, RNListIndex
 
 from tests.conftest import assert_quantities_equal, safe_dc
 
@@ -13,6 +17,17 @@ from tests.conftest import assert_quantities_equal, safe_dc
 @pytest.fixture
 def fitted(blobs):
     return ListIndex().fit(blobs)
+
+
+#: The four list families and the radius within which each row holds every
+#: neighbour (τ for the truncated lists, ∞ for the exact ones).
+TAU = 1.5
+FAMILIES = {
+    "list": (ListIndex, {}, np.inf),
+    "ch": (CHIndex, {}, np.inf),
+    "rn-list": (RNListIndex, {"tau": TAU}, TAU),
+    "rn-ch": (RNCHIndex, {"tau": TAU}, TAU),
+}
 
 
 class TestConstruction:
@@ -130,3 +145,46 @@ class TestBookkeeping:
         assert info["index"] == "list"
         assert info["n"] == len(blobs)
         assert info["exact"] is True
+
+
+class TestSharedLayout:
+    """Every list family keeps its sorted rows as CSR slices of one
+    ``_offsets`` / ``_ids`` / ``_dists`` store."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_hold_every_neighbour_within_reach(self, blobs, family):
+        cls, params, reach = FAMILIES[family]
+        index = cls(**params).fit(blobs)
+        offsets, ids, dists = index._offsets, index._ids, index._dists
+        n = len(blobs)
+        assert (offsets.dtype, ids.dtype, dists.dtype) == (np.int64, np.int32, np.float64)
+        assert offsets.shape == (n + 1,) and offsets[0] == 0
+        assert offsets[-1] == len(ids) == len(dists)
+        full = get_metric("euclidean").cross(blobs, blobs)
+        for p in range(n):
+            others = np.flatnonzero((np.arange(n) != p) & (full[p] < reach))
+            # Near to far, distance ties by ascending id.
+            expected = others[np.lexsort((others, full[p, others]))]
+            row = slice(offsets[p], offsets[p + 1])
+            np.testing.assert_array_equal(ids[row], expected, err_msg=f"row {p}")
+            np.testing.assert_array_equal(dists[row], full[p, expected], err_msg=f"row {p}")
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_append_leaves_the_rows_of_a_fresh_fit(self, blobs, family):
+        cls, params, _ = FAMILIES[family]
+        grown = cls(**params).fit(blobs[:250])
+        grown.add_points(blobs[250:])
+        fresh = cls(**params).fit(blobs)
+        for attr in ("_offsets", "_ids", "_dists"):
+            got, want = getattr(grown, attr), getattr(fresh, attr)
+            assert got.dtype == want.dtype, attr
+            np.testing.assert_array_equal(got, want, err_msg=attr)
+
+    @pytest.mark.parametrize("cls", [ListIndex, CHIndex], ids=["list", "ch"])
+    def test_exact_lists_take_no_tau(self, blobs, cls):
+        """The exact lists are the τ = ∞ case through their reach, not a
+        ``tau`` attribute: one would be saved with their constructor
+        parameters and change their fingerprints."""
+        index = cls().fit(blobs)
+        assert not hasattr(index, "tau")
+        assert "tau" not in persist._constructor_params(index)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.distance import get_metric
+from repro.geometry.distance import get_metric, rect_bounds_many
 
 #: The unit square [0, 1]², as the ``(lo, hi)`` corners the bounds take.
 LO, HI = np.array([0.0, 0.0]), np.array([1.0, 1.0])
@@ -45,6 +45,27 @@ class TestMetricBounds:
         d = m.distances_from(inside, q)
         assert mindist(q, metric) <= d.min() + 1e-12
         assert maxdist(q, metric) >= d.max() - 1e-12
+
+    @pytest.mark.parametrize(
+        "metric", ["euclidean", "sqeuclidean", "manhattan", "chebyshev", "minkowski[p=3]"]
+    )
+    def test_zero_extent_box_bounds_are_the_point_distance(self, rng, metric):
+        """A box with lo == hi (a tree node over one point, or over
+        coincident ones) holds one point: both bounds are its distance, in
+        the scalar and the batched forms, and 0 from the point itself."""
+        m = get_metric(metric)
+        x = rng.uniform(-1.0, 1.0, size=2)
+        qs = np.vstack([rng.uniform(-3.0, 3.0, size=(20, 2)), x])
+        d = m.distances_from(qs, x)
+        assert d[-1] == 0.0
+        min_many, max_many = rect_bounds_many(m)
+        for bounds in (
+            [m.rect_mindist(q, x, x) for q in qs],
+            [m.rect_maxdist(q, x, x) for q in qs],
+            min_many(qs, x, x),
+            max_many(qs, x, x),
+        ):
+            np.testing.assert_allclose(bounds, d, rtol=1e-12, atol=0.0)
 
     def test_haversine_bounds_rejected(self):
         assert not get_metric("haversine").supports_rect_bounds
