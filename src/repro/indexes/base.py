@@ -186,7 +186,7 @@ class DPCIndex(abc.ABC):
         self._release_shards()
         self._fingerprint_ = None  # new data ⇒ new identity for result caches
         points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim != 2 or len(points) == 0:
+        if points.ndim != 2 or 0 in points.shape:
             raise ValueError(
                 f"points must be a non-empty (n, d) array, got shape {points.shape}"
             )

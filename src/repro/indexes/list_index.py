@@ -11,10 +11,13 @@ non-decreasing distance to ``p`` (the *N-List*).  Then:
   per non-peak object (Theorem 1), so ``O(n)`` total in expectation.
 
 Construction is ``O(n² log n)`` time and — the index's Achilles heel the
-paper keeps returning to — ``Θ(n²)`` space.  The builder works in row blocks
-so peak *transient* memory stays bounded, but the resident index is still
-quadratic; use :class:`~repro.indexes.rn_list.RNListIndex` when that does not
-fit (paper Section 3.3).
+paper keeps returning to — ``Θ(n²)`` space.  The builder computes the
+distances in blocks of ``build_block_rows`` rows and sorts each block in
+passes of whole rows with :func:`~repro.indexes.kernels.argsort_rows`
+(NumPy's SIMD sort of unique integer keys, ties by id), so peak
+*transient* memory stays one block and one pass; the resident index is
+still quadratic, so use :class:`~repro.indexes.rn_list.RNListIndex` when
+that does not fit (paper Section 3.3).
 
 One layout for the list family
 ------------------------------
@@ -37,8 +40,8 @@ here, over the batched kernels of :mod:`repro.indexes.kernels`:
   one gets a large δ.
 
 The histogram indexes (:mod:`repro.indexes.ch_index`) replace only the ρ
-search.  Distance ties are ordered by ascending id (stable argsort),
-matching the baseline's argmin convention.
+search.  Distance ties are ordered by ascending id (the stable argsort's
+order), matching the baseline's argmin convention.
 """
 
 from __future__ import annotations
@@ -51,9 +54,24 @@ from repro.core.quantities import NO_NEIGHBOR, DensityOrder, DPCQuantities, TieB
 from repro.geometry.distance import Metric
 from repro.indexes import parallel
 from repro.indexes.base import DPCIndex
-from repro.indexes.kernels import bounded_searchsorted, density_order_key
+from repro.indexes.kernels import argsort_rows, bounded_searchsorted, density_order_key
 
 __all__ = ["NListIndex", "ListIndex"]
+
+#: Entries one build pass sorts at once: its sort keys and sorted values
+#: take 2 MB each (passes 4x smaller or larger built no faster).
+_SORT_PASS_ELEMS = 1 << 18
+
+
+def _sort_without_self(rows: np.ndarray, first: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ids, dists)`` of distance rows ``rows`` of objects ``first``,
+    ``first + 1``, ...: every other object, near to far (ties by id).  Each
+    object's own entry is set to −inf in ``rows`` so it sorts first, and is
+    dropped."""
+    own = np.arange(len(rows))
+    rows[own, first + own] = -np.inf
+    order, dists = argsort_rows(rows)
+    return order[:, 1:], dists[:, 1:]
 
 
 class NListIndex(DPCIndex):
@@ -68,8 +86,10 @@ class NListIndex(DPCIndex):
     metric:
         Any registered metric (list indexes need no rectangle bounds).
     build_block_rows:
-        Row-block size used during construction; bounds transient memory at
-        ``O(block · n)`` without changing the result.
+        Rows of each distance block computed during construction; each block
+        is sorted in passes of whole rows and freed before the next, so
+        transient memory stays ``O(block · n)``.  The rows built do not
+        depend on it.
     scan_block:
         First (and smallest) column-block width of the vectorised δ scan;
         later blocks are as wide as the columns already scanned, so a row
@@ -108,25 +128,49 @@ class NListIndex(DPCIndex):
     # -- construction (Algorithm 1) -------------------------------------------
 
     def _sorted_rows(self):
-        """Yield ``(p, row, ids, dists)`` for every object ``p``: its
-        distances to all objects, and the ids and distances of its neighbours
-        within reach, near to far (ties by id).  Distances are computed
-        ``build_block_rows`` rows at a time."""
+        """Yield ``(first, ids, dists, lengths, far)`` for consecutive passes
+        over the objects, in order.
+
+        Row ``i`` of the 2-D ``ids`` / ``dists`` belongs to object
+        ``first + i``: its first ``lengths[i]`` entries are the neighbours
+        within reach, near to far (ties by id), and the rest is padding.
+        ``far`` is the largest distance from a row of the pass to any
+        object.  Distances are computed ``build_block_rows`` rows at a time
+        and sorted in passes of at most ``_SORT_PASS_ELEMS`` entries; what
+        a pass yields holds no view of its distance block, so each block
+        is freed before the next one is computed.
+        """
         points = self.points
         n = len(points)
         if n < 2:
             raise ValueError(f"{type(self).__name__} needs at least 2 points")
-        all_ids = np.arange(n, dtype=np.int32)
         reach = self._reach
+        pass_rows = max(1, _SORT_PASS_ELEMS // n)
         for start in range(0, n, self.build_block_rows):
             block = self.metric.cross(points[start : start + self.build_block_rows], points)
-            for p, row in enumerate(block, start):
-                keep = all_ids != p
-                if reach < np.inf:
-                    keep &= row < reach
-                d = row[keep]
-                sorting = np.argsort(d, kind="stable")
-                yield p, row, all_ids[keep][sorting], d[sorting]
+            for lo in range(0, len(block), pass_rows):
+                first = start + lo
+                rows = block[lo : lo + pass_rows]
+                if reach == np.inf:
+                    ids, dists = _sort_without_self(rows, first)
+                    lengths = np.full(len(rows), n - 1)
+                    yield first, ids, dists, lengths, float(dists[:, -1].max())
+                    continue
+                far = float(rows.max())
+                keep = rows < reach
+                keep[np.arange(len(rows)), np.arange(first, first + len(rows))] = False
+                # The kept entries, compacted to the front of +inf-padded rows.
+                kept = np.flatnonzero(keep)
+                row_of, cols = np.divmod(kept, n)
+                lengths = np.bincount(row_of, minlength=len(rows))
+                valid = np.arange(lengths.max()) < lengths[:, None]
+                padded = np.full(valid.shape, np.inf)
+                padded[valid] = rows.ravel()[kept]
+                ids = np.zeros(valid.shape, dtype=np.int32)
+                ids[valid] = cols
+                order, dists = argsort_rows(padded)
+                yield first, np.take_along_axis(ids, order, axis=1), dists, lengths, far
+            del block, rows
 
     def row_lengths(self) -> np.ndarray:
         self._require_fitted()
@@ -261,12 +305,12 @@ class ListIndex(NListIndex):
     def _build(self) -> None:
         n = len(self.points)
         # Complete rows are preallocated, so the build holds one copy of
-        # the lists (plus one block of distances).
+        # the lists (plus one block of distances and one sort pass).
         ids = np.empty((n, n - 1), dtype=np.int32)
         dists = np.empty((n, n - 1), dtype=np.float64)
-        for p, _row, row_ids, row_dists in self._sorted_rows():
-            ids[p] = row_ids
-            dists[p] = row_dists
+        for first, pass_ids, pass_dists, _lengths, _far in self._sorted_rows():
+            ids[first : first + len(pass_ids)] = pass_ids
+            dists[first : first + len(pass_dists)] = pass_dists
         self._store_complete_rows(ids, dists)
 
     def _store_complete_rows(self, ids: np.ndarray, dists: np.ndarray) -> None:
@@ -304,9 +348,7 @@ class ListIndex(NListIndex):
         # j new entries sorted before it.  ``ins`` is its insertion point in
         # the old flat lists, p·(base_n - 1) + (its place in row p), so its
         # slot in the grown flat lists is ins + p·k + j.
-        d_new = np.ascontiguousarray(cross_no.T)
-        srt = np.argsort(d_new, axis=1, kind="stable")
-        d_new = np.take_along_axis(d_new, srt, axis=1)
+        srt, d_new = argsort_rows(np.ascontiguousarray(cross_no.T))
         offsets = self._offsets
         ins = bounded_searchsorted(
             self._dists, offsets[:-1, None], offsets[1:, None], d_new, side="right"
@@ -321,14 +363,9 @@ class ListIndex(NListIndex):
         old_ids[is_old] = self._ids
         old_dists[is_old] = self._dists
         # New rows: every other object, sorted (ties by id).
-        row = np.concatenate([cross_no, cross_nn], axis=1)  # (k, n)
-        keep = np.ones((k, n), dtype=bool)
-        keep[np.arange(k), base_n + np.arange(k)] = False
-        d_row = row[keep].reshape(k, n - 1)
-        id_row = np.broadcast_to(np.arange(n, dtype=np.int32), (k, n))[keep]
-        sorting = np.argsort(d_row, axis=1, kind="stable")
-        ids[base_n:] = np.take_along_axis(id_row.reshape(k, n - 1), sorting, axis=1)
-        dists[base_n:] = np.take_along_axis(d_row, sorting, axis=1)
+        ids[base_n:], dists[base_n:] = _sort_without_self(
+            np.concatenate([cross_no, cross_nn], axis=1), base_n
+        )
         self.points = combined
         self._store_complete_rows(ids, dists)
 

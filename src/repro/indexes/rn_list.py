@@ -88,15 +88,16 @@ class RNListIndex(NListIndex):
         # "A large value" for truncated peaks: anything ≥ the data diameter
         # keeps them at the top of the decision graph.
         big_delta = self.tau
-        for p, row, ids, dists in self._sorted_rows():
-            big_delta = max(big_delta, float(row.max()))
-            row_ids.append(ids)
-            row_dists.append(dists)
-            lengths[p] = len(ids)
+        for first, ids, dists, pass_lengths, far in self._sorted_rows():
+            big_delta = max(big_delta, far)
+            valid = np.arange(ids.shape[1]) < pass_lengths[:, None]
+            row_ids.append(ids[valid])
+            row_dists.append(dists[valid])
+            lengths[first : first + len(pass_lengths)] = pass_lengths
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         self._offsets = offsets
-        self._ids = np.concatenate(row_ids)
+        self._ids = np.concatenate(row_ids, dtype=np.int32)
         self._dists = np.concatenate(row_dists)
         self._big_delta = big_delta
 

@@ -12,6 +12,11 @@ A NaN or ±inf *coordinate* failed per family too: NaN δ on the trees and
 ``list``, a negative bincount length on ``ch``, and ``ValueError`` or
 ``OverflowError`` on ``grid``.  ``DPCIndex.fit`` and ``DPCIndex.add_points``
 now refuse them with one ``ValueError``.
+
+Points of width 0 (shape ``(n, 0)``) failed per family as well: the list
+families answered ρ = n - 1 for every point, the trees and the grid raised
+unrelated errors from inside their builds.  ``fit`` refuses them with the
+``ValueError`` of an empty array.
 """
 
 import numpy as np
@@ -76,6 +81,12 @@ def points_with(bad, n=60):
 def test_fit_rejects_non_finite_points(family, bad):
     with pytest.raises(ValueError, match="points must be finite"):
         make_index(family, **PARAMS.get(family, {})).fit(points_with(bad))
+
+
+@pytest.mark.parametrize("family", available_indexes())
+def test_fit_rejects_zero_width_points(family):
+    with pytest.raises(ValueError, match="non-empty"):
+        make_index(family, **PARAMS.get(family, {})).fit(np.zeros((5, 0)))
 
 
 @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)

@@ -296,6 +296,20 @@ class TestErrors:
         assert "must be finite" in body["error"]
         assert "bad" not in service.store
 
+    @pytest.mark.parametrize("family", ["list", "kdtree"])
+    def test_publish_zero_width_points_400(self, served, family):
+        # Every family refuses points of width 0 in fit: ``list`` used to
+        # publish them (ρ = n - 1 everywhere), ``kdtree`` to fail its build.
+        base, service = served
+        body = self.expect_error(
+            lambda: post(base, "/v1/snapshots/flat", {
+                "points": [[], [], []], "index": family,
+            }),
+            400,
+        )
+        assert "non-empty" in body["error"]
+        assert "flat" not in service.store
+
     def test_delete_unknown_404(self, served):
         base, _ = served
         self.expect_error(lambda: delete(base, "/v1/snapshots/ghost"), 404)

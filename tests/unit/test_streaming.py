@@ -63,6 +63,7 @@ REJECTED_ALWAYS = {
     "+inf": np.array([[np.inf, 0.0]]),
     "-inf": np.array([[0.0, -np.inf]]),
     "empty": np.empty((0, 2)),
+    "zero-width": np.empty(0),  # one point of width 0 after atleast_2d
 }
 
 
