@@ -14,17 +14,17 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.quantities import NO_NEIGHBOR, DensityOrder, DPCQuantities, TieBreak
+from repro.core.quantities import (
+    NO_NEIGHBOR,
+    DensityOrder,
+    DPCQuantities,
+    TieBreak,
+    check_dc,
+    check_points,
+)
 from repro.geometry.distance import Metric, get_metric, pairwise_blocks
 
 __all__ = ["naive_rho", "naive_quantities", "estimate_dc"]
-
-
-def _validate_points(points: np.ndarray) -> np.ndarray:
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
-    return points
 
 
 def naive_rho(
@@ -33,10 +33,15 @@ def naive_rho(
     metric: "str | Metric" = "euclidean",
     block_rows: int = 1024,
 ) -> np.ndarray:
-    """Local densities by brute force: ``ρ(p) = |{q ≠ p : dist(p,q) < dc}|``."""
-    points = _validate_points(points)
-    if dc <= 0:
-        raise ValueError(f"dc must be positive, got {dc}")
+    """Local densities by brute force: ``ρ(p) = |{q ≠ p : dist(p,q) < dc}|``.
+
+    ``points`` and ``dc`` are validated like an index's
+    (:func:`~repro.core.quantities.check_points`,
+    :func:`~repro.core.quantities.check_dc`), so a bad input fails the
+    oracle as it fails every family.
+    """
+    points = check_points(points)
+    dc = check_dc(dc)
     n = len(points)
     rho = np.empty(n, dtype=np.int64)
     for start, stop, block in pairwise_blocks(points, metric, block_rows):
@@ -74,7 +79,8 @@ def naive_quantities(
     rho:
         Precomputed densities to reuse (skips the first sweep).
     """
-    points = _validate_points(points)
+    points = check_points(points)
+    dc = check_dc(dc)
     if rho is None:
         rho = naive_rho(points, dc, metric, block_rows)
     order = DensityOrder(rho, tie_break)
@@ -119,7 +125,7 @@ def estimate_dc(
     ``neighbor_fraction`` quantile of the pairwise distance distribution from
     a random sample (exact for small inputs).
     """
-    points = _validate_points(points)
+    points = check_points(points)
     if not (0.0 < neighbor_fraction < 1.0):
         raise ValueError(f"neighbor_fraction must be in (0, 1), got {neighbor_fraction}")
     rng = np.random.default_rng(seed)

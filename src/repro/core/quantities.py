@@ -37,7 +37,13 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "TieBreak", "DensityOrder", "DPCQuantities", "DPCResult", "NO_NEIGHBOR", "check_dc",
+    "TieBreak",
+    "DensityOrder",
+    "DPCQuantities",
+    "DPCResult",
+    "NO_NEIGHBOR",
+    "check_dc",
+    "check_points",
 ]
 
 #: Sentinel stored in ``μ`` for objects with no higher-density neighbour.
@@ -57,6 +63,26 @@ def check_dc(dc) -> float:
     if not (np.isfinite(dc) and dc > 0):
         raise ValueError(f"dc must be positive and finite, got {dc}")
     return dc
+
+
+def check_points(points, name: str = "points") -> np.ndarray:
+    """``points`` as a C-contiguous float64 ``(n, d)`` array; ``ValueError``
+    unless it holds at least one point of at least one coordinate, and
+    every coordinate is finite.
+
+    A NaN or ±inf coordinate fails differently per consumer (NaN δ on the
+    trees and ``list``, ``OverflowError`` in ``grid``, a negative bincount
+    length in ``ch``, NaN answers from the brute-force oracle), and so does
+    a point of no coordinates.  ``DPCIndex.fit`` / ``add_points``, the
+    oracle (:mod:`repro.core.baseline`) and the density variants validate
+    through this helper, as every cut-off goes through :func:`check_dc`.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or 0 in points.shape:
+        raise ValueError(f"{name} must be a non-empty (n, d) array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{name} must be finite: NaN and ±inf coordinates are rejected")
+    return points
 
 
 class TieBreak(str, enum.Enum):

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.quantities import check_points
 from repro.geometry.distance import Metric, get_metric
 
 __all__ = ["DBSCANResult", "dbscan"]
@@ -57,9 +58,7 @@ def dbscan(
     ``min_pts`` counts neighbours *excluding* the point itself, mirroring how
     this package's ρ excludes the object (paper Eq. 1).
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError(f"points must be a non-empty (n, d) array, got {points.shape}")
+    points = check_points(points)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.quantities import check_points
+
 __all__ = ["KMeansResult", "kmeans"]
 
 
@@ -54,9 +56,7 @@ def kmeans(
     seed: int = 0,
 ) -> KMeansResult:
     """Lloyd's algorithm with k-means++ initialisation (squared-Euclidean)."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError(f"points must be a non-empty (n, d) array, got {points.shape}")
+    points = check_points(points)
     if not (1 <= k <= len(points)):
         raise ValueError(f"k must be in [1, {len(points)}], got {k}")
     rng = np.random.default_rng(seed)

@@ -31,7 +31,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.quantities import DensityOrder, DPCQuantities, TieBreak
+from repro.core.quantities import (
+    DensityOrder,
+    DPCQuantities,
+    TieBreak,
+    check_dc,
+    check_points,
+)
 from repro.geometry.distance import Metric, pairwise_blocks
 from repro.indexes.base import DPCIndex
 from repro.indexes.list_index import ListIndex
@@ -50,11 +56,8 @@ def gaussian_density(
     The soft analogue of the paper's Eq. 1 — every object contributes,
     weighted by proximity, so densities are virtually never tied.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError(f"points must be a non-empty (n, d) array, got {points.shape}")
-    if dc <= 0:
-        raise ValueError(f"dc must be positive, got {dc}")
+    points = check_points(points)
+    dc = check_dc(dc)
     n = len(points)
     rho = np.empty(n, dtype=np.float64)
     for start, stop, block in pairwise_blocks(points, metric, block_rows):

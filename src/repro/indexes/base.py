@@ -12,8 +12,8 @@ queries for **any** ``dc`` (the whole point of the paper: users try many
 ``cluster(dc, ...)`` runs steps 3–4 (centre selection + assignment) on top.
 The multi-``dc`` sweep variants — ``rho_all_multi``, ``quantities_multi``
 and ``cluster_multi`` — evaluate a whole grid of cut-offs against the one
-built structure; the base implementations loop, and the list-family indexes
-override ``rho_all_multi``/``quantities_multi`` with batched kernels
+built structure; the base implementations loop, and every family overrides
+``rho_all_multi``/``delta_all_multi`` with batched kernels
 (:mod:`repro.indexes.kernels`).
 
 Every index also exposes:
@@ -47,6 +47,7 @@ from repro.core.quantities import (
     DPCResult,
     TieBreak,
     check_dc,
+    check_points,
 )
 from repro.geometry.distance import Metric, get_metric
 from repro.obs import metrics as obs_metrics
@@ -104,18 +105,6 @@ class IndexStats:
             + self.nodes_visited
             + self.binary_searches
         )
-
-
-def _require_finite(points: np.ndarray, name: str) -> None:
-    """``ValueError`` unless every coordinate is finite.
-
-    A NaN or ±inf coordinate fails differently per family (NaN δ on the
-    trees and ``list``, ``OverflowError`` in ``grid``, a negative bincount
-    length in ``ch``), so :meth:`DPCIndex.fit` and :meth:`DPCIndex.add_points`
-    refuse it up front.
-    """
-    if not np.isfinite(points).all():
-        raise ValueError(f"{name} must be finite: NaN and ±inf coordinates are rejected")
 
 
 class DPCIndex(abc.ABC):
@@ -185,17 +174,12 @@ class DPCIndex(abc.ABC):
         """
         self._release_shards()
         self._fingerprint_ = None  # new data ⇒ new identity for result caches
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim != 2 or 0 in points.shape:
-            raise ValueError(
-                f"points must be a non-empty (n, d) array, got shape {points.shape}"
-            )
+        points = check_points(points)
         if self.required_ndim is not None and points.shape[1] != self.required_ndim:
             raise ValueError(
                 f"{type(self).__name__} requires {self.required_ndim}-D points, "
                 f"got {points.shape[1]}-D"
             )
-        _require_finite(points, "points")
         self._stats.reset()
         self.points = points
         start = time.perf_counter()
@@ -250,17 +234,12 @@ class DPCIndex(abc.ABC):
         taken earlier keeps answering for its own point-in-time content.
         """
         self._require_fitted()
-        new_points = np.ascontiguousarray(np.atleast_2d(new_points), dtype=np.float64)
-        if new_points.ndim != 2 or len(new_points) == 0:
-            raise ValueError(
-                f"new_points must be a non-empty (k, d) array, got shape {new_points.shape}"
-            )
+        new_points = check_points(np.atleast_2d(new_points), "new_points")
         if new_points.shape[1] != self.points.shape[1]:
             raise ValueError(
                 f"dimension mismatch: index holds {self.points.shape[1]}-D points, "
                 f"got {new_points.shape[1]}-D"
             )
-        _require_finite(new_points, "new_points")
         self._release_shards()
         self._fingerprint_ = None
         self._append(new_points)
@@ -400,9 +379,8 @@ class DPCIndex(abc.ABC):
         """``delta_all`` for a sequence of density orders, in input order.
 
         Element ``i`` equals ``delta_all(orders[i])`` exactly.  The base
-        class loops; the tree-family and grid indexes override this with one
-        batched-engine traversal shared by the whole sweep
-        (:mod:`repro.indexes.kernels`).
+        class loops; every family overrides this with one batched pass
+        shared by the whole sweep (:mod:`repro.indexes.kernels`).
         """
         self._require_fitted()
         return [self.delta_all(order) for order in orders]
@@ -420,28 +398,15 @@ class DPCIndex(abc.ABC):
         dcs = self._validate_dcs(dcs)
         probes_before = self._probe_snapshot()
         with obs_trace.span("engine.quantities", dcs=len(dcs)):
-            result = self._quantities_multi_impl(dcs, tie_break)
-        if obs_runtime._ENABLED:
-            self._emit_probe_delta(probes_before)
-        return result
-
-    def _quantities_multi_impl(
-        self, dcs: np.ndarray, tie_break: "str | TieBreak"
-    ) -> "list[DPCQuantities]":
-        """The sweep computation behind :meth:`quantities_multi`.
-
-        Subclasses with a fused sweep kernel override *this* hook (not the
-        public method) so validation, tracing, and probe accounting stay in
-        one place.  ``dcs`` arrives already validated as a float64 array.
-        """
-        with obs_trace.span("engine.rho") as sp_rho:
-            rhos = self.rho_all_multi(dcs)
-        orders = [DensityOrder(rho, tie_break) for rho in rhos]
-        with obs_trace.span("engine.delta") as sp_delta:
-            deltas = self.delta_all_multi(orders)
+            with obs_trace.span("engine.rho") as sp_rho:
+                rhos = self.rho_all_multi(dcs)
+            orders = [DensityOrder(rho, tie_break) for rho in rhos]
+            with obs_trace.span("engine.delta") as sp_delta:
+                deltas = self.delta_all_multi(orders)
         if obs_runtime._ENABLED:
             _observe_phase("rho", sp_rho)
             _observe_phase("delta", sp_delta)
+            self._emit_probe_delta(probes_before)
         return [
             DPCQuantities(dc=float(dc), rho=rho, delta=delta, mu=mu, density_order=order)
             for dc, rho, order, (delta, mu) in zip(dcs, rhos, orders, deltas)

@@ -4,14 +4,21 @@ The CH Index augments every N-List with a *cumulative histogram*: bin ``k``
 stores how many neighbours lie within distance ``(k+1)·w`` (equivalently, the
 N-List position of the last such neighbour).  A ρ query then
 
-1. locates ``targetBin = ⌊dc / w⌋`` in O(1),
+1. locates ``targetBin = ⌊dc / w⌋`` — here by a binary search of ``dc`` in
+   the stored edge grid ``fl(w·(k+1))``, once per cut-off for every row
+   (:func:`~repro.indexes.kernels.target_bins`), because the quotient can
+   miss a stored edge by one in floating point,
 2. reads the section boundaries from the two surrounding bins, and
 3. binary-searches only that tiny N-List section.
 
 With a well-chosen ``w`` the section length is near-constant, so computing ρ
 for all objects is O(n) (Theorem 2) — versus O(n log n) for the plain List
-Index.  δ queries are inherited unchanged from the List Index (the paper's
-Fig. 8 discussion: for fixed ``w`` the two indexes differ only in ρ time).
+Index.  Steps 2–3 are the List's own ρ search
+(:func:`~repro.indexes.parallel.csr_rho_task`) with each row's range
+narrowed to its section (:func:`~repro.indexes.kernels.histogram_sections`),
+or emptied where a bin holds the answer.  δ queries are inherited unchanged
+from the List Index (the paper's Fig. 8 discussion: for fixed ``w`` the two
+indexes differ only in ρ time).
 
 The histograms cost extra space on top of the already-quadratic N-List
 (paper Table 3 shows CH ≈ List + a few hundred KB); ``memory_bytes`` reports
@@ -28,25 +35,27 @@ first dataset's (a seed bug this split fixed).
 
 Histogram construction and the ρ query both run through the batched kernels
 in :mod:`repro.indexes.kernels` — no per-object Python loops: bin ``k`` of
-every row is one row search for the edge ``w·(k+1)``.
+every row is one row search for the stored edge ``fl(w·(k+1))``
+(:func:`~repro.indexes.kernels.bin_edges`, the grid the ρ query resolves
+its target bins in).
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.distance import Metric
-from repro.indexes import parallel
-from repro.indexes.kernels import bounded_searchsorted
+from repro.indexes.kernels import bin_edges, bounded_searchsorted, target_bins
 from repro.indexes.list_index import ListIndex
 
 __all__ = ["CumulativeHistogramMixin", "CHIndex"]
 
 #: Bins one histogram block searches at once (its rows × the largest
-#: histogram's bins): 8 MB per int64 temporary of the search.
-_HIST_BLOCK_ELEMS = 1 << 20
+#: histogram's bins): 128 KB per int64 temporary of the search, and each
+#: search pass reads only the block's rows of distances.
+_HIST_BLOCK_ELEMS = 1 << 14
 
 
 class CumulativeHistogramMixin:
@@ -55,8 +64,9 @@ class CumulativeHistogramMixin:
     (:class:`~repro.indexes.rn_list.RNCHIndex`) histogram indexes, which
     differ only in their bin rule (:meth:`_histogram_bins`).
 
-    The mixin replaces the ρ search with Algorithm 4 and adds the
-    histograms to the shard image and the memory count.  ``bin_width`` is
+    The mixin narrows the List's ρ search to Algorithm 4's sections (by
+    the target bins it resolves) and adds the histograms to the shard
+    image and the memory count.  ``bin_width`` is
     what the caller asked for (``None`` = auto) and is never mutated; each
     fit resolves the width actually used into ``bin_width_``; queries on a
     restored index fall back to the configured value when no resolution
@@ -103,7 +113,7 @@ class CumulativeHistogramMixin:
         dists, offsets = self._dists, self._offsets
         n = len(n_bins)
         max_bins = int(n_bins.max())
-        edges = self._resolved_bin_width() * np.arange(1, max_bins + 1, dtype=np.float64)
+        edges = bin_edges(self._resolved_bin_width(), max_bins)
         hist_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(n_bins, out=hist_offsets[1:])
         values = np.empty(int(hist_offsets[-1]), dtype=np.int64)
@@ -125,26 +135,15 @@ class CumulativeHistogramMixin:
 
     # -- ρ query (Algorithm 4) ----------------------------------------------------
 
-    def _search_rho(self, dcs) -> np.ndarray:
-        """Algorithm 4 for several cut-offs as one sharded ``(dc, chunk)``
-        task wave — no synchronization barrier between the cut-offs of a
-        sweep.  The global largest histogram pins the resolved target bin
-        so every chunk decides exactly like a whole-table call.
-        """
-        max_bins = int(np.diff(self._hist_offsets).max())
-        w = self._resolved_bin_width()
-        chunks = self._execution().plan(self.n)
-        payloads = [
-            {"start": start, "stop": stop, "dc": dc, "w": w, "max_bins": max_bins}
-            for dc in dcs
-            for start, stop in chunks
-        ]
-        outs = self._dispatch(parallel.ch_rho_task, payloads)
-        per_dc = len(chunks)
-        return np.stack([
-            np.concatenate([outs[i * per_dc + j]["rho"] for j in range(per_dc)])
-            for i in range(len(dcs))
-        ])
+    def _target_bins(self, dcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Algorithm 4's target bin of every cut-off, resolved once for all
+        rows in the stored edge grid, extended by one edge past the largest
+        histogram; a cut-off beyond τ (RN-CH) lies past every histogram, so
+        no row searches it (paper 5.3.1)."""
+        past = int(np.diff(self._hist_offsets).max()) + 1
+        bins, on_edge = target_bins(bin_edges(self._resolved_bin_width(), past), dcs)
+        bins[dcs > self._reach] = past
+        return bins, on_edge
 
     # -- sharded-execution image and bookkeeping ---------------------------------
 
@@ -220,10 +219,10 @@ class CHIndex(CumulativeHistogramMixin, ListIndex):
         # exhausted); the automatic width splits the diameter.
         farthest = self._dists[self._offsets[1:] - 1]
         if self.bin_width is None:
+            # Coincident points (diameter 0) give every row its one forced
+            # bin, which any positive width keeps exact.
             diameter = float(farthest.max())
-            if diameter <= 0.0:
-                raise ValueError("all points coincide; cannot choose a bin width")
-            self.bin_width_ = diameter / self.default_bins
+            self.bin_width_ = diameter / self.default_bins if diameter > 0.0 else 1.0
         else:
             self.bin_width_ = float(self.bin_width)
         return np.floor(farthest / self.bin_width_).astype(np.int64) + 1

@@ -6,14 +6,15 @@ The paper's workload is *many* queries over one frozen structure: every
 implementation answered them one object at a time from Python; this module
 provides the batched, array-level building blocks the indexes now share:
 
-* :func:`bounded_searchsorted` — one binary search per *row* of a CSR-layout
-  flat array, all rows advanced together (``O(log m)`` mask-free numpy
-  passes instead of ``n`` Python ``np.searchsorted`` calls).  Broadcasts
-  over a grid of needles, which is what makes the multi-``dc`` sweep API
-  one call, and builds the CH and RN-CH histograms (Algorithm 3: bin ``k``
-  of a row is the search for the edge ``w·(k+1)``).  When every row has
-  one length (the complete N-Lists of the List/CH indexes) it skips the
-  per-pass bounds check.
+* :func:`bounded_searchsorted` — one binary search per *range* of a
+  CSR-layout flat array, all ranges advanced together (``O(log m)``
+  mask-free numpy passes instead of ``n`` Python ``np.searchsorted``
+  calls).  Broadcasts over a grid of ranges and needles, which is what
+  makes every list-family ρ query one call (whole rows for the List and
+  RN-List, histogram sections for CH and RN-CH), and builds the CH and
+  RN-CH histograms (Algorithm 3: bin ``k`` of a row is the search for its
+  stored edge).  When every range has one length (the complete N-Lists of
+  the List index) it skips the per-pass bounds check.
 * :func:`argsort_rows` — every row of a 2-D block sorted as unique
   integer keys (a value's bits, its lowest bits replaced by its column) by
   NumPy's SIMD sort, checked, with the stable argsort for the rows the keys
@@ -25,9 +26,11 @@ provides the batched, array-level building blocks the indexes now share:
   logarithmic number of numpy passes even for a row that walks its whole
   list); the prefetched first block can be reused across the ``dc`` values
   of a sweep.
-* :func:`ch_rho_from_histograms` — Algorithm 4's ρ lookup (bin → section →
-  bounded search) for all objects at once, with the FP-safe bin-edge
-  handling described below.
+* :func:`bin_edges` / :func:`target_bins` / :func:`histogram_sections` —
+  Algorithm 4's narrowing of the ρ search: the stored edge grid, each
+  cut-off's target bin in it (exact in floating point), and the section of
+  every row that bin leaves to search, empty where a bin already holds the
+  answer.
 * :func:`tree_rho_batched` / :func:`grid_rho_batched` — Algorithm 5's ρ
   query (Observation 1) for many queries at once; the tree kernel decides
   whole leaves of queries per node, described below.
@@ -199,8 +202,9 @@ __all__ = [
     "argsort_rows",
     "prefetch_scan_block",
     "scan_first_denser",
-    "resolve_bin",
-    "ch_rho_from_histograms",
+    "bin_edges",
+    "target_bins",
+    "histogram_sections",
     "peak_delta_sweep",
     "density_order_key",
     "delta_multi_from_orders",
@@ -239,8 +243,8 @@ def bounded_searchsorted(
     elements is kept.  When the rows differ in length, each pass also
     checks that the probe stays inside its row (a probe past a row's end
     is clamped into the array and its answer discarded).  When every row
-    has one length ``m`` — the complete rows of the exact List and CH
-    indexes — no probe can leave its row and the check is skipped: the
+    has one length ``m`` — the complete rows of the exact List index — no
+    probe can leave its row and the check is skipped: the
     first probe (at the largest power of two ``2^j ≤ m``) leaves a range of
     ``2^j`` candidate counts, and each later pass halves it.
     """
@@ -473,120 +477,61 @@ def scan_first_denser(
     return delta, mu, mu != NO_NEIGHBOR, scanned
 
 
-def resolve_bin(dc: float, w: float, max_bins: Optional[int] = None) -> int:
-    """The histogram bin whose edge interval contains ``dc``, FP-safely.
+def bin_edges(w: float, count: int) -> np.ndarray:
+    """The stored edge grid of the cumulative histograms: ``fl(w·(k+1))``,
+    the upper edge of bin ``k``, for ``k < count``."""
+    return w * np.arange(1, count + 1, dtype=np.float64)
 
-    The stored edges are the *computed* products ``fl(w·k)``, which need not
-    agree with ``floor(dc / w)`` at the last ulp.  Pin the bin so that
-    ``fl(w·target) <= dc < fl(w·(target+1))`` — the invariant the section
-    search below relies on.
 
-    ``max_bins`` caps the result: the invariant only matters for bins that
-    exist, and for ``dc / w`` beyond the stored range the ±1 ulp-correction
-    loops would otherwise walk one ``w`` at a time across a gap that can be
-    astronomically many steps wide (``ulp(w·target) >> w`` once
-    ``dc/w ≳ 2^52``).  Past the cap the caller treats every row as "dc
-    beyond the last bin", where bit-precision is irrelevant.
+def target_bins(edges: np.ndarray, dcs) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 4's target bin of every cut-off, and whether it sits on a
+    stored edge: ``(bins, on_edge)``.
+
+    ``bins[j]`` is the ``t`` with ``edges[t-1] <= dcs[j] < edges[t]``
+    (``edges`` from :func:`bin_edges`; ``t = len(edges)`` past the grid),
+    found by binary search in the grid itself.  It is exact in floating
+    point: the histogram values were counted against these same products,
+    where ``floor(dc / w)`` can miss the stored edge by one, and an
+    astronomical or overflowing ``dc / w`` lands past the grid in
+    ``O(log len(edges))``.  ``on_edge[j]`` is ``edges[t-1] == dcs[j]``: bin
+    ``t-1`` then already counts every ``dist < dc``.
     """
-    quotient = np.floor(dc / w)
-    if not np.isfinite(quotient):
-        # dc/w overflowed (e.g. dc near float max with a small w): beyond
-        # any representable bin grid.
-        if max_bins is None:
-            raise OverflowError(f"dc/w = {dc!r}/{w!r} overflows; pass max_bins")
-        return max_bins + 1
-    target = int(quotient)
-    if target < 0:
-        target = 0
-    if max_bins is not None and target > max_bins:
-        return max_bins + 1
-    while target > 0 and w * target > dc:
-        target -= 1
-    while w * (target + 1) <= dc:
-        target += 1
-        if max_bins is not None and target > max_bins:
-            break
-    return target
+    dcs = np.asarray(dcs, dtype=np.float64)
+    bins = np.searchsorted(edges, dcs, side="right")
+    return bins, edges[np.maximum(bins - 1, 0)] == dcs
 
 
-def ch_rho_from_histograms(
+def histogram_sections(
     hist_offsets: np.ndarray,
     hist_values: np.ndarray,
-    dists: np.ndarray,
-    row_starts: np.ndarray,
-    dc: float,
-    w: float,
-    max_bins: Optional[int] = None,
-) -> Tuple[np.ndarray, int, int]:
-    """Algorithm 4's ρ query for every object at once.
+    bins: np.ndarray,
+    on_edge: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 4's search range per row and cut-off: ``(first, last)``,
+    row-local, of shape ``(rows, cut-offs)``.
 
-    ``(hist_offsets, hist_values)`` are the CSR cumulative histograms;
-    ``dists`` is the flat sorted-distance storage with row ``p`` starting at
-    ``row_starts[p]``.  Returns ``(rho, objects_scanned, binary_searches)``
-    — the two counters matching the seed's per-object accounting (a section
-    is scanned/searched only when its two bounding bins differ).
+    Rows are the CSR cumulative histograms ``(hist_offsets, hist_values)``
+    (a contiguous slice of the offsets serves a row subset: the values are
+    absolute positions into ``hist_values``); ``bins`` and ``on_edge`` come
+    from :func:`target_bins`, one per cut-off.  The section is the entries
+    between the two bins around the cut-off, the forced last bin for a
+    target at the row's bin count.  It is empty, at the answer, where no
+    search is needed:
 
-    ``hist_offsets`` may be a contiguous *slice* of the full offsets array
-    (the execution backends shard rows this way): the stored values are
-    absolute positions into ``hist_values``, so a row subset needs no
-    re-basing.  ``max_bins`` then pins :func:`resolve_bin`'s cap to the
-    whole table's largest histogram so the resolved target bin — and hence
-    every per-row decision — matches the unsharded call exactly.
-
-    The ``dc`` exactly-on-a-bin-edge fast path only fires when the *stored*
-    edge reproduces ``dc`` bit-for-bit (``fl(w·target) == dc``); a quotient
-    test (``dc/w`` integral) is not sufficient because ``fl(fl(dc/w)·w)``
-    need not round back to ``dc``, which silently broke the strict
-    ``dist < dc`` definition on adversarial ``dc``/``w`` pairs.
+    * on a stored edge below the forced last bin, bin ``t-1`` holds the
+      count (the paper's O(1) edge answer; the forced last bin holds the
+      whole row whatever the cut-off, so its ties must still be searched);
+    * past the last bin (``t`` above the row's bin count) every entry is
+      ``<= fl(w·size) < fl(w·t) <= dc``, so the whole row counts.
     """
-    hist_offsets = np.asarray(hist_offsets, dtype=np.int64)
-    row_starts = np.asarray(row_starts, dtype=np.int64)
-    n = len(hist_offsets) - 1
-    sizes = np.diff(hist_offsets)
-    if max_bins is None:
-        max_bins = int(sizes.max()) if n else 0
-    target = resolve_bin(dc, w, max_bins=int(max_bins))
-    rho = np.empty(n, dtype=np.int64)
-
-    # Strictly past the last bin (target > size): every stored entry is
-    # < fl(w·size) < w·(size+1) <= w·target <= dc, so the forced full count
-    # is the exact strict-< answer.  target == size is NOT safe for this
-    # shortcut — dc then sits within one edge of the last stored distances
-    # and a tie at dist == dc must be excluded — so those rows fall through
-    # to a section search over the last bin.
-    beyond = target > sizes
-    if beyond.any():
-        rho[beyond] = hist_values[hist_offsets[1:][beyond] - 1]
-    rest = np.flatnonzero(~beyond)
-    if len(rest) == 0:
-        return rho, 0, 0
-    starts_h = hist_offsets[:-1][rest]
-    sz = sizes[rest]
-
-    if target > 0 and w * target == dc:
-        # dc is exactly the stored upper edge of bin target-1: that bin
-        # already counts dist < dc (the paper's O(1) edge answer) — except
-        # on rows where bin target-1 is the forced last bin, whose value is
-        # the whole list regardless of dc.
-        edge_ok = target < sz
-        rows = rest[edge_ok]
-        rho[rows] = hist_values[hist_offsets[:-1][rows] + target - 1]
-        rest = rest[~edge_ok]
-        if len(rest) == 0:
-            return rho, 0, 0
-        starts_h = hist_offsets[:-1][rest]
-        sz = sizes[rest]
-
-    # Section bounded by the two bins around dc; rows with target == size
-    # clamp to their (forced) last bin.
-    lo_bin = np.minimum(target, sz - 1)
-    first = np.where(lo_bin > 0, hist_values[starts_h + np.maximum(lo_bin, 1) - 1], 0)
-    last = hist_values[starts_h + lo_bin]
-    lo = row_starts[rest] + first
-    pos = bounded_searchsorted(dists, lo, row_starts[rest] + last, dc)
-    rho[rest] = pos - row_starts[rest]
-    section = last - first
-    return rho, int(section.sum()), int(np.count_nonzero(section))
+    starts = np.asarray(hist_offsets[:-1], dtype=np.int64)[:, None]
+    sizes = np.diff(hist_offsets)[:, None]
+    lo_bin = np.minimum(bins, sizes - 1)
+    last = hist_values[starts + lo_bin]
+    first = np.where(lo_bin > 0, hist_values[starts + np.maximum(lo_bin - 1, 0)], 0)
+    first = np.where(bins > sizes, last, first)
+    last = np.where(on_edge & (bins < sizes), first, last)
+    return first, last
 
 
 # ---------------------------------------------------------------------------

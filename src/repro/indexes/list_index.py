@@ -28,20 +28,25 @@ entries; the RN-List keeps only the neighbours closer than τ, so the exact
 index is the τ = ∞ case of one structure and every query is written once,
 here, over the batched kernels of :mod:`repro.indexes.kernels`:
 
-* ρ is one row-wise binary search over all objects × all ``dc`` of a sweep
-  (:func:`~repro.indexes.kernels.bounded_searchsorted`, which drops its
-  bounds checks when every row has one length), except that a cut-off
-  beyond τ is not searched: the row length is the answer;
+* ρ is one task (:func:`~repro.indexes.parallel.csr_rho_task`) and one
+  :func:`~repro.indexes.kernels.bounded_searchsorted` call over a grid of
+  search ranges, all objects × all ``dc`` of a sweep, sharded over row
+  chunks.  A range is the whole row (which drops the search's bounds
+  checks when every row has one length), or empty at the row's end for a
+  cut-off beyond τ, which is not searched: the row length is the answer.
+  The histogram indexes (:mod:`repro.indexes.ch_index`) differ only in
+  the ranges: each cut-off's section of its target bin (Algorithm 4);
 * δ is the blockwise vectorised near-to-far scan, sharded over row chunks,
   which keeps the expected-O(1)-probes-per-object behaviour without a
-  per-object Python loop;
+  per-object Python loop.  A single order and a sweep of many run the one
+  schedule: a chunk gathers its first few columns once and scans every
+  order against them;
 * a row the scan leaves without a denser object is a peak: a complete row
   ends at ``max_q dist(p, q)``, the paper's δ of a peak, and a truncated
   one gets a large δ.
 
-The histogram indexes (:mod:`repro.indexes.ch_index`) replace only the ρ
-search.  Distance ties are ordered by ascending id (the stable argsort's
-order), matching the baseline's argmin convention.
+Distance ties are ordered by ascending id (the stable argsort's order),
+matching the baseline's argmin convention.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from repro.core.quantities import NO_NEIGHBOR, DensityOrder, DPCQuantities, TieBreak
+from repro.core.quantities import NO_NEIGHBOR, DensityOrder
 from repro.geometry.distance import Metric
 from repro.indexes import parallel
 from repro.indexes.base import DPCIndex
@@ -91,11 +96,12 @@ class NListIndex(DPCIndex):
         transient memory stays ``O(block · n)``.  The rows built do not
         depend on it.
     scan_block:
-        First (and smallest) column-block width of the vectorised δ scan;
-        later blocks are as wide as the columns already scanned, so a row
-        that walks its whole list takes a logarithmic number of passes.
-        Small blocks waste Python overhead, large blocks waste probes; 32
-        is a good default for the expected-constant-probe regime.
+        Smallest column-block width of the vectorised δ scan after its
+        prefetched first ``min(8, scan_block)`` columns; later blocks are
+        as wide as the columns already scanned, so a row that walks its
+        whole list takes a logarithmic number of passes.  Small blocks
+        waste Python overhead, large blocks waste probes; 32 is a good
+        default for the expected-constant-probe regime.
     backend, n_jobs, chunk_size:
         Query-execution policy (:mod:`repro.indexes.parallel`): both queries
         shard over row chunks; results are bit-identical across backends.
@@ -195,58 +201,61 @@ class NListIndex(DPCIndex):
         return self._rho_rows(self._validate_dcs(dcs))
 
     def _rho_rows(self, dcs: np.ndarray) -> np.ndarray:
-        # Paper 5.3.1: beyond τ no search happens; the truncated length is
-        # the (approximate) answer.
-        beyond = dcs > self._reach
-        if not beyond.any():
-            return self._search_rho(dcs.tolist())
-        rho = np.empty((len(dcs), self.n), dtype=np.int64)
-        rho[beyond] = np.diff(self._offsets)
-        within = np.flatnonzero(~beyond)
-        if len(within):
-            rho[within] = self._search_rho(dcs[within].tolist())
-        return rho
-
-    def _search_rho(self, dcs) -> np.ndarray:
         # searchsorted(side="left") == index of farthest object with
         # dist < dc, which *is* ρ(p) (Example 1 of the paper); one batched
-        # binary search per object and cut-off, sharded over row chunks.
+        # binary search per object and cut-off over its search range,
+        # sharded over row chunks.
+        bins, on_edge = self._target_bins(dcs)
         payloads = [
-            {"start": start, "stop": stop, "needles": dcs}
+            {
+                "start": start,
+                "stop": stop,
+                "needles": dcs.tolist(),
+                "bins": bins.tolist(),
+                "on_edge": on_edge.tolist(),
+            }
             for start, stop in self._execution().plan(self.n)
         ]
         outs = self._dispatch(parallel.csr_rho_task, payloads)
         return np.ascontiguousarray(np.concatenate([o["rho"] for o in outs]).T)
 
+    def _target_bins(self, dcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each cut-off's bin of a row and whether it sits on a stored edge
+        (:func:`~repro.indexes.kernels.target_bins`).  Without histograms a
+        row is one bin, searched whole; a cut-off beyond τ lies past it:
+        paper 5.3.1, no search happens, and the truncated length is the
+        (approximate) answer."""
+        return (dcs > self._reach).astype(np.int64), np.zeros(len(dcs), dtype=bool)
+
     # -- δ query (Algorithm 2, lines 7-13) --------------------------------------
 
     def delta_all(self, order: DensityOrder) -> Tuple[np.ndarray, np.ndarray]:
-        self._require_fitted()
-        if len(order) != self.n:
-            raise ValueError(f"order has {len(order)} objects, index has {self.n}")
-        return self._delta_sweep([order], prefetch_width=0)[0]
+        return self.delta_all_multi([order])[0]
 
-    def _delta_sweep(self, orders, prefetch_width: int = 0):
+    def delta_all_multi(self, orders) -> "list[Tuple[np.ndarray, np.ndarray]]":
         """δ/μ per density order via the sharded near-to-far CSR scan.
 
         One task per row chunk, each scanning *all* density orders of the
         sweep against one shared prefetch gather (the candidate layout is
         ``dc``-independent, so a per-order regather would multiply the
-        dominant gather by the sweep width).
+        dominant gather by the sweep width).  A single order runs the same
+        schedule, so its answer and counters equal the sweep's.
         """
+        self._require_fitted()
+        orders = list(orders)
+        for order in orders:
+            if len(order) != self.n:
+                raise ValueError(f"order has {len(order)} objects, index has {self.n}")
+        if not orders:
+            return []
         keys = np.stack([density_order_key(order) for order in orders])
         payloads = [
-            {
-                "start": start,
-                "stop": stop,
-                "block": self.scan_block,
-                "prefetch_width": prefetch_width,
-            }
+            {"start": start, "stop": stop, "block": self.scan_block}
             for start, stop in self._execution().plan(self.n)
         ]
         outs = self._dispatch(parallel.scan_delta_task, payloads, {"keys": keys})
         results = []
-        for o in range(len(orders)):
+        for o in range(len(keys)):
             delta = np.concatenate([out["delta"][o] for out in outs])
             mu = np.concatenate([out["mu"][o] for out in outs])
             self._finish_unresolved(delta, mu)
@@ -265,26 +274,6 @@ class NListIndex(DPCIndex):
         complete = ends - self._offsets[peaks] == self.n - 1
         delta[peaks[complete]] = self._dists[ends[complete] - 1]
         delta[peaks[~complete]] = self._big_delta
-
-    # -- multi-dc sweep -----------------------------------------------------------
-
-    def _quantities_multi_impl(
-        self, dcs, tie_break: "str | TieBreak"
-    ) -> "list[DPCQuantities]":
-        """Batched sweep: one sharded ρ search for the whole grid, then the δ
-        scans of every cut-off, one task per row chunk.  Each chunk gathers
-        a narrow ``dc``-independent prefetch block — narrow because it still
-        resolves the overwhelming majority of rows (Theorem 1) while keeping
-        the per-``dc`` key-compare cheap, with the scan continuing in
-        geometrically widening blocks (the first ``scan_block`` wide) for
-        the stragglers."""
-        rhos = self._rho_rows(dcs)
-        orders = [DensityOrder(rho, tie_break) for rho in rhos]
-        deltas = self._delta_sweep(orders, prefetch_width=min(8, self.scan_block))
-        return [
-            DPCQuantities(dc=float(dc), rho=rho, delta=delta, mu=mu, density_order=order)
-            for dc, rho, order, (delta, mu) in zip(dcs, rhos, orders, deltas)
-        ]
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -28,10 +28,11 @@ Three backends share one chunk-planning code path (:func:`plan_chunks`):
 
 Backend selection hangs off every index: ``DPCIndex(...,
 backend="process", n_jobs=4, chunk_size=2048)`` or, after construction,
-``index.set_execution(backend="process", n_jobs=4)``.  Multi-``dc`` sweeps
-shard the full ``(dc, chunk)`` — respectively ``(order, chunk)`` — task
-grid, so a sweep keeps every worker busy even when one cut-off has fewer
-chunks than workers.
+``index.set_execution(backend="process", n_jobs=4)``.  The tree and grid
+sweeps shard the full ``(dc, chunk)`` — respectively ``(order, chunk)`` —
+task grid, so a sweep keeps every worker busy even when one cut-off has
+fewer chunks than workers; a list-family task answers every cut-off (or
+order) of a sweep over its chunk of rows.
 
 Bit-identity contract
 ---------------------
@@ -107,9 +108,9 @@ from repro.obs import trace as obs_trace
 from repro.indexes.kernels import (
     FlatTree,
     bounded_searchsorted,
-    ch_rho_from_histograms,
     grid_delta_batched,
     grid_rho_batched,
+    histogram_sections,
     prefetch_scan_block,
     scan_first_denser,
     tree_delta_batched,
@@ -826,70 +827,64 @@ def run_index_tasks(
 
 
 def csr_rho_task(arrays, meta, payload, stats):
-    """Row-sharded list ρ: one batched binary search per chunk row and cut-off.
+    """Row-sharded list-family ρ: one bounded binary search over the chunk's
+    ``(rows, cut-offs)`` grid of search ranges.
 
-    ``needles`` is the list of cut-offs; the ``(rows, cut-offs)`` result is
-    chunk-local and re-assembled by the caller.
+    ``needles`` are the cut-offs and ``bins`` / ``on_edge`` their target
+    bins, resolved once by the caller so every chunk decides alike.  With
+    cumulative histograms in the image (CH, RN-CH) a range is the section
+    :func:`~repro.indexes.kernels.histogram_sections` gives, and its entries
+    count as scanned; without them (List, RN-List) a row is one bin, and a
+    range is the whole row, or empty at the row's end for a cut-off past it
+    (``bins > 0``: beyond τ).  An empty range answers without a search, and
+    only a non-empty one counts as a binary search.  The ``(rows,
+    cut-offs)`` result is chunk-local and re-assembled by the caller.
     """
     start, stop = payload["start"], payload["stop"]
     offsets = arrays["offsets"]
-    grid = np.asarray(payload["needles"], dtype=np.float64)
-    pos = bounded_searchsorted(
-        arrays["dists"],
-        offsets[start:stop, None],
-        offsets[start + 1 : stop + 1, None],
-        grid[None, :],
-    )
-    stats.binary_searches += pos.size
-    return {"rho": pos - offsets[start:stop, None]}
-
-
-def ch_rho_task(arrays, meta, payload, stats):
-    """Row-sharded CH ρ (Algorithm 4) over the histogram CSR slice.
-
-    ``max_bins`` pins the bin resolution to the whole table's largest
-    histogram so the chunk resolves exactly the bin the unsharded call
-    would (see :func:`repro.indexes.kernels.ch_rho_from_histograms`).
-    """
-    start, stop = payload["start"], payload["stop"]
-    offsets = arrays["offsets"]
-    rho, scanned, searches = ch_rho_from_histograms(
-        arrays["hist_offsets"][start : stop + 1],
-        arrays["hist_values"],
-        arrays["dists"],
-        offsets[start:stop],
-        payload["dc"],
-        payload["w"],
-        max_bins=payload["max_bins"],
-    )
-    stats.objects_scanned += scanned
-    stats.binary_searches += searches
-    return {"rho": rho}
+    row_lo, row_hi = offsets[start:stop, None], offsets[start + 1 : stop + 1, None]
+    bins = np.asarray(payload["bins"], dtype=np.int64)
+    if "hist_values" in arrays:
+        first, last = histogram_sections(
+            arrays["hist_offsets"][start : stop + 1],
+            arrays["hist_values"],
+            bins,
+            np.asarray(payload["on_edge"], dtype=bool),
+        )
+        lo, hi = row_lo + first, row_lo + last
+        stats.objects_scanned += int((last - first).sum())
+    else:
+        # Whole rows stay (rows, 1) ranges unless a cut-off lies past them.
+        lo, hi = row_lo, row_hi
+        if bins.any():
+            lo = np.where(bins > 0, row_hi, row_lo)
+    needles = np.asarray(payload["needles"], dtype=np.float64)[None, :]
+    pos = bounded_searchsorted(arrays["dists"], lo, hi, needles)
+    stats.binary_searches += int(np.count_nonzero(np.broadcast_to(hi > lo, pos.shape)))
+    return {"rho": pos - row_lo}
 
 
 def scan_delta_task(arrays, meta, payload, stats):
     """Row-sharded near-to-far δ scans over the list family's CSR rows.
 
     One task covers rows ``[start, stop)`` for *every* density order of the
-    sweep (rows of ``arrays["keys"]``): the candidate layout — and hence
-    the prefetch block — is ``dc``-independent, so gathering it once per
-    chunk and reusing it across all orders keeps the seed sweep's
-    gather-once economics while the chunks carry the parallelism.
-    Returns ``(n_orders, stop - start)`` result rows.
+    sweep (rows of ``arrays["keys"]``, one for a single order): the
+    candidate layout — and hence the prefetched first ``min(8, block)``
+    columns — is ``dc``-independent, so it is gathered once per chunk and
+    reused across all orders.  The first block is that narrow because it
+    still resolves almost every row (Theorem 1) while keeping the per-order
+    key compare cheap.  Returns ``(n_orders, stop - start)`` result rows.
     """
     start, stop = payload["start"], payload["stop"]
-    keys = arrays["keys"]
+    block = payload["block"]
     offsets = arrays["offsets"][start : stop + 1]
     ids, dists = arrays["ids"], arrays["dists"]
     qid = np.arange(start, stop, dtype=np.int64)
-    prefetch = None
-    width = payload["prefetch_width"]
-    if width:
-        prefetch = prefetch_scan_block(offsets, ids, dists, width)
+    prefetch = prefetch_scan_block(offsets, ids, dists, min(8, block))
     deltas, mus = [], []
-    for key in keys:
+    for key in arrays["keys"]:
         delta, mu, _resolved, scanned = scan_first_denser(
-            offsets, ids, dists, key, block=payload["block"], prefetch=prefetch, qid=qid
+            offsets, ids, dists, key, block=block, prefetch=prefetch, qid=qid
         )
         stats.objects_scanned += scanned
         deltas.append(delta)

@@ -10,7 +10,7 @@ structure (lattice points collide frequently).
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.baseline import naive_quantities
 from repro.geometry.distance import pairwise_distances
@@ -69,10 +69,6 @@ FACTORIES = [
 @settings(max_examples=25, deadline=None)
 def test_exactness_contract_id_ties(name, factory, case):
     points, dc = case
-    if name == "ch":
-        # Auto bin width is undefined on a fully coincident cloud (CHIndex
-        # raises by design); every other index handles it.
-        assume(not np.allclose(points, points[0]))
     base = naive_quantities(points, dc)
     got = factory().fit(points).quantities(dc)
     assert_quantities_equal(base, got)
@@ -111,7 +107,6 @@ def test_rnlist_rho_exact_below_tau(case, tau_factor):
 def test_rho_rank_invariant_under_index(case):
     """All indexes agree on the density ordering, hence on clusterings."""
     points, dc = case
-    assume(not np.allclose(points, points[0]))  # CH auto-w needs a diameter
     base = naive_quantities(points, dc)
     for _, factory in (FACTORIES[1], FACTORIES[4]):
         got = factory().fit(points).quantities(dc)

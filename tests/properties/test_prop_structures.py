@@ -34,8 +34,6 @@ def test_nlist_rows_are_permutations(points):
 @given(points=point_sets(min_n=6), bins=st.integers(2, 64))
 @settings(max_examples=30, deadline=None)
 def test_ch_histograms_cumulative(points, bins):
-    if np.allclose(points, points[0]):
-        return  # coincident cloud: no usable diameter for auto-w
     index = CHIndex(default_bins=bins).fit(points)
     n = len(points)
     for p in range(0, n, max(1, n // 4)):

@@ -169,10 +169,16 @@ class TestHistogramConstruction:
         with pytest.raises(ValueError, match="default_bins"):
             CHIndex(default_bins=0)
 
-    def test_coincident_points_rejected_for_auto_w(self):
-        pts = np.ones((5, 2))
-        with pytest.raises(ValueError, match="coincide"):
-            CHIndex().fit(pts)
+    @pytest.mark.parametrize("make", [lambda: CHIndex(), lambda: RNCHIndex(tau=1.0)],
+                             ids=["ch", "rn-ch"])
+    def test_coincident_points_answer_like_the_oracle(self, make):
+        """A zero diameter leaves every row one forced bin, which any width
+        keeps exact: ρ = n − 1 for every cut-off, as on every family."""
+        pts = np.zeros((20, 2))
+        index = make().fit(pts)
+        assert index.bin_width_ > 0
+        for dc in (1e-9, 0.5, 1.0, 2.0, 1e300):
+            assert_quantities_equal(naive_quantities(pts, dc), index.quantities(dc))
 
 
 class TestRhoQuery:
@@ -247,6 +253,56 @@ class TestRhoQuery:
         # Each section is at most one bin of the N-List; with w=0.3 over this
         # data a bin holds far fewer than n-1 entries.
         assert scanned_ch < len(blobs) * 40
+
+
+class TestMixedCutoffSweep:
+    """One ``rho_all_multi`` call mixes every kind of cut-off: in the first
+    bin, mid-bin, on a stored edge, on a row's forced last edge, past every
+    histogram and (RN-CH) beyond τ; each row's ρ is its own
+    ``np.searchsorted``, whatever the chunking."""
+
+    @staticmethod
+    def cutoffs(index):
+        w = index.bin_width_
+        sizes = np.diff(index._hist_offsets)
+        last_edge = w * float(sizes.min())  # a forced last edge of some row
+        return [
+            0.3 * w,
+            3.4 * w,
+            w * 3.0,
+            float(np.nextafter(w * 5.0, 0.0)),
+            float(np.nextafter(w * 5.0, np.inf)),
+            last_edge,
+            w * float(sizes.max() + 1),
+            2.0 * float(index._dists.max()),
+            1e300,
+        ]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: CHIndex(bin_width=0.3), lambda: CHIndex(),
+         lambda: RNCHIndex(tau=1.5, bin_width=0.3), lambda: RNCHIndex(tau=1.5)],
+        ids=["ch-w", "ch-auto", "rn-ch-w", "rn-ch-auto"],
+    )
+    def test_every_kind_of_cutoff_in_one_call(self, blobs, make):
+        points = np.concatenate([blobs, blobs[:30]])  # duplicate distances
+        index = make().fit(points)
+        dcs = self.cutoffs(index)
+        if isinstance(index, RNCHIndex):
+            dcs += [index.tau, 1.2 * index.tau]
+        offsets, dists = index._offsets, index._dists
+        expected = np.array([
+            [np.searchsorted(dists[offsets[p] : offsets[p + 1]], dc) for p in range(index.n)]
+            for dc in dcs
+        ])
+        index.reset_stats()
+        np.testing.assert_array_equal(index.rho_all_multi(dcs), expected)
+        whole = index.stats().as_dict()
+        for chunk in (1, 7, 64):
+            index.set_execution(chunk_size=chunk)
+            index.reset_stats()
+            np.testing.assert_array_equal(index.rho_all_multi(dcs), expected)
+            assert index.stats().as_dict() == whole, f"chunk_size={chunk}"
 
 
 class TestFullPipeline:

@@ -17,12 +17,19 @@ Points of width 0 (shape ``(n, 0)``) failed per family as well: the list
 families answered ρ = n - 1 for every point, the trees and the grid raised
 unrelated errors from inside their builds.  ``fit`` refuses them with the
 ``ValueError`` of an empty array.
+
+The brute-force oracle and the Gaussian density validate like the indexes,
+through :func:`repro.core.quantities.check_points` and ``check_dc``: they
+used to answer ``dc = NaN`` with ρ = -1 for every point, answer ``dc = inf``,
+and take NaN coordinates (``estimate_dc`` returned NaN for them).
 """
 
 import numpy as np
 import pytest
 
+from repro.core.baseline import estimate_dc, naive_quantities, naive_rho
 from repro.core.quantities import check_dc
+from repro.extras.variants import gaussian_density
 from repro.indexes.registry import available_indexes, make_index
 
 #: Approximate indexes take their truncation radius explicitly.
@@ -103,3 +110,33 @@ def test_check_dc_passes_finite_positive_values_through():
     assert check_dc(0.25) == 0.25
     assert check_dc(np.float32(2.0)) == 2.0
     assert type(check_dc(3)) is float
+
+
+#: The oracle and the density variant, each with the cut-off it takes.
+ORACLES = {
+    "naive_rho": lambda points, dc=0.5: naive_rho(points, dc),
+    "naive_quantities": lambda points, dc=0.5: naive_quantities(points, dc),
+    "gaussian_density": lambda points, dc=0.5: gaussian_density(points, dc),
+}
+
+
+@pytest.mark.parametrize("dc", BAD_DCS, ids=repr)
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+def test_oracle_rejects_bad_dc(oracle, dc):
+    with pytest.raises(ValueError, match="dc must be positive and finite"):
+        ORACLES[oracle](points_with(0.0), dc)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("oracle", sorted(ORACLES) + ["estimate_dc"])
+def test_oracle_rejects_non_finite_points(oracle, bad):
+    run = ORACLES.get(oracle, estimate_dc)
+    with pytest.raises(ValueError, match="points must be finite"):
+        run(points_with(bad))
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES) + ["estimate_dc"])
+def test_oracle_rejects_zero_width_points(oracle):
+    run = ORACLES.get(oracle, estimate_dc)
+    with pytest.raises(ValueError, match="non-empty"):
+        run(np.zeros((5, 0)))

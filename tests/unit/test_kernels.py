@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.quantities import NO_NEIGHBOR, DensityOrder
 from repro.indexes.kernels import (
+    bin_edges,
     bounded_searchsorted,
-    ch_rho_from_histograms,
+    histogram_sections,
     prefetch_scan_block,
-    resolve_bin,
     scan_first_denser,
+    target_bins,
 )
 
 
@@ -323,51 +324,105 @@ class TestScanFirstDenserLongRows:
             assert scanned == whole[3]
 
 
-class TestResolveBin:
+class TestTargetBins:
     def test_plain_cases(self):
-        assert resolve_bin(1.0, 0.5) == 2
-        assert resolve_bin(0.49, 0.5) == 0
-        assert resolve_bin(0.51, 0.5) == 1
+        bins, on_edge = target_bins(bin_edges(0.5, 8), [1.0, 0.49, 0.51])
+        np.testing.assert_array_equal(bins, [2, 0, 1])
+        np.testing.assert_array_equal(on_edge, [True, False, False])
 
     def test_invariant_holds_on_random_pairs(self, rng):
+        """``fl(w·t) <= dc < fl(w·(t+1))``, with ``dc`` on the stored edge
+        exactly when ``fl(w·t) == dc``."""
         for _ in range(500):
             w = float(rng.uniform(0.01, 3.0))
             dc = float(rng.uniform(0.001, 50.0))
-            t = resolve_bin(dc, w)
+            [t], [on_edge] = target_bins(bin_edges(w, int(50.0 / w) + 2), [dc])
             assert w * t <= dc < w * (t + 1)
+            assert on_edge == (t > 0 and w * t == dc)
+
+    def test_invariant_holds_on_and_beside_stored_edges(self, rng):
+        """Cut-offs on a stored edge and one ulp either side, where the
+        quotient ``floor(dc / w)`` can miss the stored edge by one."""
+        for _ in range(300):
+            w = float(rng.uniform(0.01, 3.0))
+            k = int(rng.integers(1, 200))
+            edges = bin_edges(w, 201)
+            for dc in (w * k, float(np.nextafter(w * k, 0.0)), float(np.nextafter(w * k, np.inf))):
+                [t], [on_edge] = target_bins(edges, [dc])
+                assert w * t <= dc < w * (t + 1)
+                assert on_edge == (w * t == dc)
+
+    @pytest.mark.parametrize("w", [1e-3, 0.37])
+    @pytest.mark.parametrize("dc", [1.234e30, 1e200, float(np.finfo(np.float64).max)])
+    def test_astronomical_or_overflowing_quotient_lies_past_the_grid(self, w, dc):
+        """``dc / w`` beyond 2^52, or overflowing to inf: one binary search
+        lands past the last stored edge."""
+        [t], [on_edge] = target_bins(bin_edges(w, 129), [dc])
+        assert t == 129 and not on_edge
 
 
-class TestChRhoFromHistograms:
-    def test_matches_plain_searchsorted(self, rng):
-        """The histogram-guided search equals a full binary search per row."""
+def row_histograms(offsets, dists, w):
+    """Algorithm 3, row by row: bin k counts the entries below the stored
+    edge fl(w·(k+1)), and the last bin covers the whole row."""
+    n = len(offsets) - 1
+    n_bins = np.array(
+        [int(np.floor(dists[offsets[p + 1] - 1] / w)) + 1 for p in range(n)], dtype=np.int64
+    )
+    edges = bin_edges(w, int(n_bins.max()))
+    h_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_bins, out=h_off[1:])
+    h_val = np.concatenate(
+        [np.searchsorted(dists[offsets[p] : offsets[p + 1]], edges[: n_bins[p]]) for p in range(n)]
+    )
+    h_val[h_off[1:] - 1] = np.diff(offsets)
+    return h_off, h_val
+
+
+class TestHistogramSections:
+    def test_section_search_matches_plain_searchsorted(self, rng):
+        """The histogram-guided search equals a full binary search per row,
+        for cut-offs in the first bin, mid-bin, on stored edges, on the
+        last edges and past every bin, in one call."""
         n = 45
         offsets, dists = random_csr(rng, n, max_len=30, allow_empty=False)
         w = 0.9
-        lengths = np.diff(offsets)
-        n_bins = np.array(
-            [int(np.floor(dists[offsets[p + 1] - 1] / w)) + 1 for p in range(n)],
-            dtype=np.int64,
-        )
-        edges = w * np.arange(1, int(n_bins.max()) + 1, dtype=np.float64)
-        # Algorithm 3, row by row: bin k counts the entries below w·(k+1).
-        h_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(n_bins, out=h_off[1:])
-        h_val = np.concatenate(
-            [
-                np.searchsorted(dists[offsets[p] : offsets[p + 1]], edges[: n_bins[p]])
-                for p in range(n)
-            ]
-        )
-        h_val[h_off[1:] - 1] = lengths  # last bin covers the whole row
-        for dc in (0.3, 0.9, 2.45, 7.0, 100.0):
-            rho, scanned, searches = ch_rho_from_histograms(
-                h_off, h_val, dists, offsets[:-1], dc, w
-            )
-            expected = [
-                np.searchsorted(dists[offsets[p] : offsets[p + 1]], dc) for p in range(n)
-            ]
-            np.testing.assert_array_equal(rho, expected, err_msg=f"dc={dc}")
-            assert scanned >= 0 and searches >= 0
+        h_off, h_val = row_histograms(offsets, dists, w)
+        max_bins = int(np.diff(h_off).max())
+        edges = bin_edges(w, max_bins + 1)
+        dcs = np.concatenate([[0.3, 2.45, 7.0, 100.0], edges])
+        bins, on_edge = target_bins(edges, dcs)
+        first, last = histogram_sections(h_off, h_val, bins, on_edge)
+        lengths = np.diff(offsets)[:, None]
+        assert ((0 <= first) & (first <= last) & (last <= lengths)).all()
+        starts = offsets[:-1, None]
+        pos = bounded_searchsorted(dists, starts + first, starts + last, dcs[None, :])
+        expected = [np.searchsorted(dists[offsets[p] : offsets[p + 1]], dcs) for p in range(n)]
+        np.testing.assert_array_equal(pos - starts, expected)
+
+    def test_empty_where_a_bin_holds_the_answer(self):
+        """One row ``[0.1, 0.5, 1.0, 1.0]`` with w = 0.5: bins count
+        ``[1, 2, 4]`` (the last forced).  On an edge below the last bin and
+        past the last bin the section is empty at the answer; on the last
+        bin's own edge the ties at 1.0 < 1.5 are still searched."""
+        h_off, h_val = np.array([0, 3]), np.array([1, 2, 4])
+        dcs = [0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 1e300]
+        bins, on_edge = target_bins(bin_edges(0.5, 4), dcs)
+        first, last = histogram_sections(h_off, h_val, bins, on_edge)
+        np.testing.assert_array_equal(first, [[0, 1, 1, 2, 2, 4, 4]])
+        np.testing.assert_array_equal(last, [[1, 1, 2, 2, 4, 4, 4]])
+
+    def test_a_row_subset_decides_like_the_whole_table(self, rng):
+        """A contiguous slice of the histogram offsets (one execution chunk)
+        gets the rows' own sections."""
+        offsets, dists = random_csr(rng, 60, max_len=30, allow_empty=False)
+        h_off, h_val = row_histograms(offsets, dists, 0.7)
+        bins, on_edge = target_bins(bin_edges(0.7, int(np.diff(h_off).max()) + 1),
+                                    [0.2, 1.4, 3.33, 9.9, 50.0])
+        whole = histogram_sections(h_off, h_val, bins, on_edge)
+        for a, b in ((0, 1), (3, 17), (17, 60)):
+            part = histogram_sections(h_off[a : b + 1], h_val, bins, on_edge)
+            for got, want in zip(part, whole):
+                np.testing.assert_array_equal(got, want[a:b])
 
 
 class TestPeakDeltaSweep:

@@ -1,5 +1,7 @@
 """Unit tests for the List Index (paper Algorithms 1–2)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,82 @@ class TestSharedLayout:
         index = cls().fit(blobs)
         assert not hasattr(index, "tau")
         assert "tau" not in persist._constructor_params(index)
+
+
+def span_names(node):
+    return [node["name"]] + [name for child in node["children"] for name in span_names(child)]
+
+
+class TestOneQueryPath:
+    """A single ``dc`` and a sweep of one run the same ρ task and δ scan
+    schedule on every list family."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_single_dc_counters_add_up_to_the_sweep(self, blobs, family):
+        cls, params, _ = FAMILIES[family]
+        index = cls(**params).fit(blobs)
+        singles, counters = [], Counter()
+        for dc in (0.3, 0.5):
+            index.reset_stats()
+            singles.append(index.quantities(dc))
+            counters.update(index.stats().as_dict())
+        index.reset_stats()
+        swept = index.quantities_multi([0.3, 0.5])
+        assert Counter(index.stats().as_dict()) == counters
+        for single, q in zip(singles, swept):
+            assert_quantities_equal(single, q)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_sweep_emits_engine_phase_spans(self, blobs, family):
+        from repro import obs
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import trace as obs_trace
+
+        cls, params, _ = FAMILIES[family]
+        index = cls(**params).fit(blobs)
+        obs_trace.reset()
+        try:
+            with obs.enabled_scope():
+                root = obs_trace.begin_span("test.sweep")
+                with obs_trace.use_span(root):
+                    index.quantities_multi([0.3, 0.5])
+                root.finish()
+            tree = obs_trace.get_trace(root.trace_id)
+        finally:
+            obs_metrics.REGISTRY.reset()
+            obs_trace.reset()
+        [sweep] = tree["children"]
+        assert sweep["name"] == "engine.quantities"
+        names = [child["name"] for child in sweep["children"]]
+        assert names == ["engine.rho", "engine.delta"]
+        assert "parallel.tasks" in span_names(sweep)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: CHIndex(), lambda: RNListIndex(tau=TAU),
+         lambda: RNCHIndex(tau=TAU), lambda: RNCHIndex(tau=TAU, bin_width=0.4)],
+        ids=["ch", "rn-list", "rn-ch", "rn-ch-tau-off-grid"],
+    )
+    def test_cutoffs_past_every_row_search_nothing(self, blobs, make):
+        """Beyond τ, or past every histogram, the row length is the answer
+        and no range is searched or scanned (paper 5.3.1); only the plain
+        List searches every row at every cut-off.  With w = 0.4, τ = 1.5
+        lies inside the last bin, whose section a cut-off just past τ would
+        otherwise search."""
+        index = make().fit(blobs)
+        dcs = [2.0 * float(index._dists.max()), 1e300]
+        if isinstance(index, RNListIndex):
+            dcs.append(float(np.nextafter(TAU, np.inf)))
+        index.reset_stats()
+        rho = index.rho_all_multi(dcs)
+        np.testing.assert_array_equal(rho, np.tile(index.row_lengths(), (len(dcs), 1)))
+        assert index.stats().binary_searches == 0
+        assert index.stats().objects_scanned == 0
+
+    def test_a_search_counts_only_over_a_non_empty_row(self, blobs):
+        index = RNListIndex(tau=0.1).fit(blobs)
+        lengths = index.row_lengths()
+        assert (lengths == 0).any() and (lengths > 0).any()
+        index.reset_stats()
+        index.rho_all_multi([0.05, 0.1])
+        assert index.stats().binary_searches == 2 * int(np.count_nonzero(lengths))
